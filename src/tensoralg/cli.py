@@ -92,7 +92,7 @@ def _cmd_compute(args):
     if "all" in wanted:
         wanted = ["christoffel1", "christoffel2", "riemann", "ricci",
                   "scalar", "einstein"]
-        if ctx.dim >= 4:
+        if ctx.dim >= 4 and ctx.plain_connection:
             wanted.append("weyl")
         if ctx.cframe_flag:
             wanted.append("rotation_coeffs")

@@ -74,14 +74,50 @@ def _simp(e):
     return e
 
 
+def _contract_last(array, matrix, simp):
+    """out[...][j] = simp(sum_m array[...][m] * matrix[m][j]) for an array of
+    any rank; sums that are literally 0 skip the simplifier."""
+    if isinstance(array[0], list):
+        return [_contract_last(sub, matrix, simp) for sub in array]
+    n = len(matrix)
+    out = []
+    for j in range(n):
+        val = sum(array[m] * matrix[m][j] for m in range(n))
+        out.append(simp(val) if val != 0 else sp.S.Zero)
+    return out
+
+
+def _pair_fill(n, component, simp):
+    """All-covariant 4-index array from its independent components.
+
+    ``component(a, b, c, d)`` gives P_abcd, which is antisymmetric in (a, b)
+    and in (c, d) and symmetric under exchange of the two pairs; it is
+    evaluated only for a < b, c < d and (a, b) <= (c, d), n^2(n^2-1)/8
+    (pair, pair) components (21 in four dimensions).  The result uses the
+    curvature slot layout out[h][l][k][j] = P_jhkl: the first standard slot
+    moves last.
+    """
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    out = _zeros(n, n, n, n)
+    for pa, (a, b) in enumerate(pairs):
+        for (c, d) in pairs[pa:]:
+            val = simp(component(a, b, c, d))
+            neg = simp(-val) if val != 0 else sp.S.Zero
+            for (i, k, l, m, v) in (
+                    (a, b, c, d, val), (b, a, c, d, neg),
+                    (a, b, d, c, neg), (b, a, d, c, val)):
+                out[k][m][l][i] = v
+                out[m][k][i][l] = v
+    return out
+
+
 class MetricContext:
     """Chart + metric (+ optional frame, torsion, nonmetricity) with a memo
     of every tensor computed so far.
 
     Results are cached; calling :meth:`set_torsion` or
     :meth:`set_nonmetricity` invalidates the cache.  A context is meant to
-    be owned by one thread while it is being filled; :meth:`freeze` takes an
-    immutable snapshot that is safe to share.
+    be owned by one thread while it is being filled.
     """
 
     def __init__(self, chart, lg, *, fri=None, lfg=None, constants=(),
@@ -256,76 +292,60 @@ class MetricContext:
                 base = self.rotation_coeffs
             else:
                 base = self.christoffel1
-            out = [[[base[a][b][c] for c in range(n)] for b in range(n)]
-                   for a in range(n)]
+            corrections = []
             if self.torsion_values is not None and not self.cframe_flag:
-                kap = self.contortion
-                for a in range(n):
-                    for b in range(n):
-                        for c in range(n):
-                            out[a][b][c] = out[a][b][c] - kap[a][b][c]
+                corrections.append(self.contortion)
             if self.nonmetricity_values is not None:
-                nu = self.nonmetricity_coeffs
-                for a in range(n):
-                    for b in range(n):
-                        for c in range(n):
-                            out[a][b][c] = out[a][b][c] - nu[a][b][c]
-            return [[[ratsimp(x) for x in row] for row in plane]
-                    for plane in out]
+                corrections.append(self.nonmetricity_coeffs)
+            return [[[ratsimp(base[a][b][c]
+                              - sum(corr[a][b][c] for corr in corrections))
+                      for c in range(n)] for b in range(n)] for a in range(n)]
         return self._cached("connection", compute)
 
     @property
     def christoffel2(self):
         """Second-kind Christoffel symbols Gamma[h][k]^[j]."""
         def compute():
-            return self._raise_last(self.christoffel1)
+            return _contract_last(self.christoffel1, self.ug, _simp)
         return self._cached("christoffel2", compute)
 
     @property
     def connection2(self):
         """Second-kind connection coefficients c[h][k]^[j] (coordinate base)."""
         def compute():
-            if self.torsion_values is None and self.nonmetricity_values is None:
+            if self.plain_connection:
                 return self.christoffel2
-            return self._raise_last(self.connection)
+            return _contract_last(self.connection, self.ug, _simp)
         return self._cached("connection2", compute)
-
-    def _raise_last(self, first_kind):
-        n, ug = self.dim, self.ug
-        out = _zeros(n, n, n)
-        for h in range(n):
-            for k in range(n):
-                for j in range(n):
-                    out[h][k][j] = _simp(sum(
-                        ug[j][l] * first_kind[h][k][l] for l in range(n)))
-        return out
 
     # -- curvature ------------------------------------------------------------
 
     @property
-    def _plain_connection(self):
+    def plain_connection(self):
+        """True when no torsion or nonmetricity is set (Levi-Civita)."""
         return (self.torsion_values is None
                 and self.nonmetricity_values is None)
 
     @property
     def riemann(self):
-        """Riemann tensor R[h][l][k]^[j] (last index contravariant)."""
+        """Riemann tensor R[h][l][k]^[j] (last index contravariant).
+
+        For the metric connection the lowered tensor is raised, one half of
+        the antisymmetric (l, k) pair at a time.
+        """
         def compute():
-            if self._plain_connection:
-                # raise the lowered tensor; its pair symmetries mean far
-                # fewer independent components have to be simplified
-                n, rl, ug = self.dim, self.riemann_lowered, self.ug
-                out = _zeros(n, n, n, n)
-                for h in range(n):
-                    for l in range(n):
-                        for k in range(n):
-                            for j in range(n):
-                                val = sum(ug[j][m] * rl[h][l][k][m]
-                                          for m in range(n))
-                                out[h][l][k][j] = _simp(val) if val != 0 \
-                                    else sp.S.Zero
-                return out
-            return self._riemann_direct()
+            if not self.plain_connection:
+                return self._riemann_direct()
+            n, rl, ug = self.dim, self.riemann_lowered, self.ug
+            out = _zeros(n, n, n, n)
+            for h in range(n):
+                for l in range(n):
+                    for k in range(l + 1, n):
+                        row = _contract_last(rl[h][l][k], ug, _simp)
+                        out[h][l][k] = row
+                        out[h][k][l] = [_simp(-v) if v != 0 else sp.S.Zero
+                                        for v in row]
+            return out
         return self._cached("riemann", compute)
 
     def _riemann_direct(self):
@@ -366,18 +386,9 @@ class MetricContext:
         lowering the direct curvature.
         """
         def compute():
-            n, g = self.dim, self.lg
-            if not self._plain_connection:
-                riem = self.riemann
-                out = _zeros(n, n, n, n)
-                for h in range(n):
-                    for l in range(n):
-                        for k in range(n):
-                            for j in range(n):
-                                out[h][l][k][j] = ratsimp(sum(
-                                    riem[h][l][k][m] * g[m][j]
-                                    for m in range(n)))
-                return out
+            n = self.dim
+            if not self.plain_connection:
+                return _contract_last(self.riemann, self.lg, ratsimp)
             coords = self.coords
             dg, c1, c2 = self._dmetric, self.christoffel1, self.christoffel2
             d2 = {}
@@ -390,40 +401,24 @@ class MetricContext:
                                if dg[c][a][b] != 0 else sp.S.Zero)
                 return d2[key]
 
-            # standard all-covariant components P[i][k][l][m], antisymmetric
-            # in (i,k) and (l,m), symmetric under pair exchange
-            pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-            P = _zeros(n, n, n, n)
-            for pa, (i, k) in enumerate(pairs):
-                for (l, m) in pairs[pa:]:
-                    val = (d2g(i, m, k, l) + d2g(k, l, i, m)
-                           - d2g(i, l, k, m) - d2g(k, m, i, l)) / 2 \
-                        + sum(c1[k][l][p] * c2[i][m][p]
-                              - c1[k][m][p] * c2[i][l][p] for p in range(n))
-                    val = _simp(val)
-                    neg = _simp(-val) if val != 0 else sp.S.Zero
-                    for (a, b, c, d, v) in (
-                            (i, k, l, m, val), (k, i, l, m, neg),
-                            (i, k, m, l, neg), (k, i, m, l, val)):
-                        P[a][b][c][d] = v
-                        P[c][d][a][b] = v
-            # lowered tensor in the R_hlk^j slot layout: the contravariant
-            # index moves to the first standard slot
-            out = _zeros(n, n, n, n)
-            for h in range(n):
-                for l in range(n):
-                    for k in range(n):
-                        for j in range(n):
-                            out[h][l][k][j] = P[j][h][k][l]
-            return out
+            def component(i, k, l, m):
+                return (d2g(i, m, k, l) + d2g(k, l, i, m)
+                        - d2g(i, l, k, m) - d2g(k, m, i, l)) / 2 \
+                    + sum(c1[k][l][p] * c2[i][m][p]
+                          - c1[k][m][p] * c2[i][l][p] for p in range(n))
+
+            return _pair_fill(n, component, _simp)
         return self._cached("riemann_lowered", compute)
 
     @property
     def ricci(self):
-        """Ricci tensor R[i][j] = R_ijk^k."""
+        """Ricci tensor R[i][j] = R_ijk^k, contracted from the lowered
+        tensor: R_ijkm g^km."""
         def compute():
-            n, riem = self.dim, self.riemann
-            return [[trigsimp(sum(riem[i][j][k][k] for k in range(n)))
+            n, rl, ug = self.dim, self.riemann_lowered, self.ug
+            return [[trigsimp(sum(ug[k][m] * rl[i][j][k][m]
+                                  for k in range(n) for m in range(n)
+                                  if ug[k][m] != 0))
                      for j in range(n)] for i in range(n)]
         return self._cached("ricci", compute)
 
@@ -446,7 +441,11 @@ class MetricContext:
 
     @property
     def weyl(self):
-        """Weyl conformal tensor W[i][j][k][l], all covariant."""
+        """Weyl conformal tensor W[i][j][k][l], all covariant.
+
+        It is the trace-free part of a curvature with the pair symmetries
+        of the metric connection's, so torsion or nonmetricity is refused.
+        """
         def compute():
             n = self.dim
             if n < 3:
@@ -456,21 +455,21 @@ class MetricContext:
                 warnings.warn("the Weyl tensor vanishes identically in three "
                               "dimensions; returning zeros")
                 return _zeros(n, n, n, n)
+            if not self.plain_connection:
+                raise ValueError("the Weyl tensor needs the metric connection "
+                                 "(no torsion or nonmetricity)")
             rl, g, ric, r = (self.riemann_lowered, self.lg, self.ricci,
                              self.ricci_scalar)
-            out = _zeros(n, n, n, n)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        for l in range(n):
-                            val = (rl[i][j][k][l]
-                                   + r * (g[j][i] * g[l][k] - g[j][l] * g[i][k])
-                                   / ((n - 1) * (n - 2))
-                                   + (g[k][i] * ric[l][j] - g[k][l] * ric[i][j]
-                                      - g[j][i] * ric[l][k]
-                                      + g[j][l] * ric[i][k]) / (n - 2))
-                            out[i][j][k][l] = ratsimp(val)
-            return out
+
+            def component(a, b, c, d):
+                return (rl[b][d][c][a]
+                        + r * (g[b][d] * g[a][c] - g[a][d] * g[b][c])
+                        / ((n - 1) * (n - 2))
+                        + (g[b][c] * ric[a][d] - g[a][c] * ric[b][d]
+                           - g[b][d] * ric[a][c] + g[a][d] * ric[b][c])
+                        / (n - 2))
+
+            return _pair_fill(n, component, ratsimp)
         return self._cached("weyl", compute)
 
     # -- frame quantities -------------------------------------------------------
@@ -618,40 +617,6 @@ class MetricContext:
             return trigsimp(sum(ufg[d][a] * ric[d][a]
                                 for d in range(n) for a in range(n)))
         return self._cached("ricci_scalar_frame", compute)
-
-    # -- snapshots --------------------------------------------------------------
-
-    def freeze(self):
-        """Immutable snapshot of everything computed so far."""
-        def harden(x):
-            if isinstance(x, list):
-                return tuple(harden(v) for v in x)
-            return x
-        return CurvatureSet(**{
-            name: harden(self._memo[name]) for name in
-            ("christoffel1", "christoffel2", "connection", "contortion",
-             "nonmetricity_coeffs", "riemann", "ricci", "ricci_scalar",
-             "einstein", "weyl", "frame_bracket", "rotation_coeffs",
-             "riemann_frame") if name in self._memo})
-
-
-@dataclass(frozen=True)
-class CurvatureSet:
-    """Frozen curvature results; every field is None until computed."""
-
-    christoffel1: tuple = None
-    christoffel2: tuple = None
-    connection: tuple = None
-    contortion: tuple = None
-    nonmetricity_coeffs: tuple = None
-    riemann: tuple = None
-    ricci: tuple = None
-    ricci_scalar: object = None
-    einstein: tuple = None
-    weyl: tuple = None
-    frame_bracket: tuple = None
-    rotation_coeffs: tuple = None
-    riemann_frame: tuple = None
 
 
 def setup_metric(coords, matrix, constants=()) -> MetricContext:

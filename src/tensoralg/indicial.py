@@ -380,8 +380,7 @@ def anti_group(*positions):
 @dataclass
 class TensorContext:
     """Mutable-by-value manipulation context: metric name, mode flags, the
-    symmetry registry, and registered vectors.  Clone before mutating when a
-    context is shared."""
+    symmetry registry, and registered vectors."""
 
     metric: str = "g"
     dim: int | None = None
@@ -410,17 +409,6 @@ class TensorContext:
             ("ichr1", 3, 0), SymmetryDeclaration(3, 0, (("sym", (1, 2)),), ()))
         self.symmetries.setdefault(
             ("ichr2", 2, 1), SymmetryDeclaration(2, 1, (("sym", (1, 2)),), ()))
-
-    def clone(self):
-        new = TensorContext(
-            metric=self.metric, dim=self.dim, torsion=self.torsion,
-            nonmetricity=self.nonmetricity, frame=self.frame,
-            geometric_wedge=self.geometric_wedge,
-            torsion_name=self.torsion_name,
-            nonmetricity_name=self.nonmetricity_name,
-            frame_connection=self.frame_connection,
-            symmetries=dict(self.symmetries), vectors=set(self.vectors))
-        return new
 
     def declare_vector(self, name):
         self.vectors.add(str(name))
@@ -480,29 +468,14 @@ def _label_key(label):
 def _sort_group(slots, kind):
     """Sort (label, up) slots; return (sorted, sign) with sign 0 collapsing
     an antisymmetric group holding two identical slots."""
-    keyed = [( _label_key(l), up, (l, up)) for l, up in slots]
-    sign = 1
-    order = sorted(range(len(keyed)), key=lambda i: (keyed[i][0], keyed[i][1]))
-    if kind == "anti":
-        # parity of the sorting permutation
-        perm = list(order)
-        seen = [False] * len(perm)
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        sorted_slots = [keyed[i][2] for i in order]
-        for a, b in zip(sorted_slots, sorted_slots[1:]):
-            if a == b:
-                return sorted_slots, 0
-        return sorted_slots, sign
-    return [keyed[i][2] for i in order], 1
+    order = sorted(range(len(slots)),
+                   key=lambda i: (_label_key(slots[i][0]), slots[i][1]))
+    sorted_slots = [tuple(slots[i]) for i in order]
+    if kind != "anti":
+        return sorted_slots, 1
+    if any(a == b for a, b in zip(sorted_slots, sorted_slots[1:])):
+        return sorted_slots, 0
+    return sorted_slots, _perm_sign(order)
 
 
 def _apply_symmetries(ctx, obj):

@@ -66,31 +66,36 @@ class WeylScalars:
         return self.psi[i]
 
 
-_MINKOWSKI = (1, -1, -1, -1)
+_SIGNATURES = ((1, -1, -1, -1), (-1, 1, 1, 1))
 
 
 def np_tetrad(ctx: MetricContext) -> NPTetrad:
-    """Null tetrad from an orthonormal frame with (+,-,-,-) signature.
+    """Null tetrad from an orthonormal Lorentz frame.
 
-    k, l combine the timelike and first spacelike legs; m, mbar combine the
-    remaining two with the imaginary unit.  Orthonormality is verified with
-    the exact zero test before anything is built.
+    The frame metric must be diag(1,-1,-1,-1) or diag(-1,1,1,1); the frame
+    is checked against that signature with the exact zero test before
+    anything is built.  k, l combine the timelike and first spacelike legs;
+    m, mbar combine the remaining two with the imaginary unit.
     """
     if ctx.dim != 4:
         raise ValueError("a Newman-Penrose tetrad needs four dimensions")
     if not ctx.cframe_flag:
         raise ValueError("this context has no frame base")
+    eta = ctx.lfg
+    if not (all(eta[a][b] == 0 for a in range(4) for b in range(4) if a != b)
+            and tuple(eta[a][a] for a in range(4)) in _SIGNATURES):
+        raise ValueError("frame metric must be diag(-1,1,1,1) or "
+                         "diag(1,-1,-1,-1)")
     E = ctx.frame_contravariant
     g = ctx.lg
     for a in range(4):
         for b in range(a + 1):
             inner = sum(g[i][j] * E[a][i] * E[b][j]
                         for i in range(4) for j in range(4))
-            expected = _MINKOWSKI[a] if a == b else 0
-            if not is_zero(inner - expected):
+            if not is_zero(inner - eta[a][b]):
                 raise ValueError(
-                    f"frame is not orthonormal with (+,-,-,-) signature: "
-                    f"e_{a + 1}.e_{b + 1} != {expected}")
+                    f"frame is not orthonormal: "
+                    f"e_{a + 1}.e_{b + 1} != {eta[a][b]}")
     s = sp.sqrt(2) / 2
     k = [trigsimp(s * (E[0][i] + E[1][i])) for i in range(4)]
     l = [trigsimp(s * (E[0][i] - E[1][i])) for i in range(4)]
@@ -154,14 +159,18 @@ def invariant_J(psi) -> sp.Expr:
 
 def _nonzero_certificate(e) -> bool:
     """Try to certify that ``e`` is not identically zero by evaluating it at
-    sample points (independently of the symbolic kernel)."""
+    sample points (independently of the symbolic kernel).  An exact rational
+    value certifies when it is nonzero; a floating value must exceed 1e-9."""
     names = sorted(s.name for s in sp.sympify(e).free_symbols)
     rng = random.Random(0x5EED)
     for _ in range(12):
         point = {n: Fraction(rng.randint(11, 97), rng.randint(7, 23))
                  for n in names}
         try:
-            v = complex(scalars.evaluate(e, point))
+            v = scalars.evaluate(e, point)
+            if isinstance(v, (int, Fraction)) and v != 0:
+                return True  # exact arithmetic: any nonzero value certifies
+            v = complex(v)
         except (ValueError, ZeroDivisionError, OverflowError):
             continue
         if v == v and abs(v) > 1e-9:
@@ -306,26 +315,14 @@ def petrov_of_metric(ctx: MetricContext) -> PetrovType:
     """Classify a 4-metric given with an orthonormal Lorentz frame.
 
     Both frame-metric conventions diag(-1,1,1,1) and diag(1,-1,-1,-1) are
-    accepted; the former is sign-flipped internally (the classification is
-    invariant under scaling all Weyl scalars by a nonzero constant).
+    accepted and the classification runs on ``ctx`` itself.  Negating the
+    metric negates the lowered Weyl tensor and so every Weyl scalar; the
+    decision tree only asks whether homogeneous polynomials in the scalars
+    vanish, so the type does not depend on that sign.
     """
     if ctx.dim != 4:
         raise ValueError("Petrov classification applies to four dimensions")
     if not ctx.cframe_flag:
         raise ValueError("Petrov classification needs an orthonormal frame")
-    eta = ctx.lfg
-    offdiag_zero = all(eta[a][b] == 0 for a in range(4) for b in range(4)
-                       if a != b)
-    diag = [eta[a][a] for a in range(4)]
-    if offdiag_zero and diag == [1, -1, -1, -1]:
-        work = ctx
-    elif offdiag_zero and diag == [-1, 1, 1, 1]:
-        work = MetricContext(
-            ctx.chart, [[-x for x in row] for row in ctx.lg],
-            fri=ctx.fri, lfg=[[-x for x in row] for row in eta],
-            constants=ctx.constants)
-    else:
-        raise ValueError("frame metric must be diag(-1,1,1,1) or "
-                         "diag(1,-1,-1,-1)")
-    tetrad = np_tetrad(work)
-    return classify(weyl_scalars(work.weyl, tetrad))
+    tetrad = np_tetrad(ctx)
+    return classify(weyl_scalars(ctx.weyl, tetrad))

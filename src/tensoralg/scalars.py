@@ -383,6 +383,8 @@ def _split_linear(poly, kernel):
     return rest, linear
 
 
+#: Memo of zero-test answers, evicted first in, first out past the bound.
+_ZERO_CACHE_MAX = 4096
 _zero_cache: dict = {}
 
 
@@ -404,6 +406,8 @@ def is_zero(e: Expr) -> bool:
         pass
     if result is None:
         result = trigsimp(e) == 0
+    if len(_zero_cache) >= _ZERO_CACHE_MAX:
+        del _zero_cache[next(iter(_zero_cache))]
     _zero_cache[key] = result
     return result
 

@@ -50,6 +50,31 @@ def test_compute_christoffel_component_naming(capsys):
     assert comps["r,phi,phi"] == "1/r"
 
 
+@pytest.mark.parametrize("name", ["exteriorschwarzschild", "spherical4d",
+                                  "toroidal"])
+def test_compute_all_matches_golden_output(name, capsys):
+    code, out, _ = run_cli("compute", "--catalog", name, "--tensors", "all",
+                           "--format", "json", capsys=capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
+def test_compute_all_skips_weyl_with_nonmetricity(tmp_path, capsys):
+    path = tmp_path / "nonmetric.tm"
+    path.write_text("[chart] coords = t, x, y, z\n"
+                    "[metric] row = -1, 0, 0, 0\n[metric] row = 0, 1, 0, 0\n"
+                    "[metric] row = 0, 0, 1, 0\n[metric] row = 0, 0, 0, 1\n"
+                    "[nonmetricity] mu = 0, x, 0, 0\n")
+    code, out, _ = run_cli("compute", "--metric", str(path), "--tensors",
+                           "all", "--format", "json", capsys=capsys)
+    assert code == 0
+    assert "ricci" in json.loads(out) and "weyl" not in json.loads(out)
+    code, _, err = run_cli("compute", "--metric", str(path), "--tensors",
+                           "weyl", capsys=capsys)
+    assert code == 1 and "metric connection" in err
+
+
 def test_classify_schwarzschild(capsys):
     code, out, _ = run_cli("classify", "--catalog", "exteriorschwarzschild",
                            "--format", "json", capsys=capsys)

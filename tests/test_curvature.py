@@ -349,6 +349,84 @@ def test_weyl_of_schwarzschild_nonzero(schwarzschild):
     assert not _all_zero(schwarzschild.weyl, 4)
 
 
+def test_weyl_matches_finite_differences_nondiagonal():
+    # every (pair, pair) component is evaluated once and copied by symmetry;
+    # the reference applies the Weyl formula to all n^4 finite-difference
+    # components
+    ctx = setup_metric(["t", "x", "y", "z"],
+                       [["-1-x^2", "0", "0", "0"],
+                        ["0", "1", "x*y/4", "0"],
+                        ["0", "x*y/4", "2+y^2", "0"],
+                        ["0", "0", "0", "1+x^2*z^2"]])
+    point = [0.3, 0.6, -0.4, 0.5]
+    gfun_raw = oracles.metric_fn(ctx)
+    def gfun(x):
+        return gfun_raw(x, {})
+    R = oracles.fd_riemann(gfun, point)
+    g = gfun(np.array(point))
+    ug = np.linalg.inv(g)
+    n = 4
+    rl = np.einsum("hlkm,mj->hlkj", R, g)
+    ric = np.einsum("ijkk->ij", R)
+    r = np.einsum("ij,ij->", ug, ric)
+    values = dict(zip("txyz", point))
+    W = ctx.weyl
+    for i, j, k, l in np.ndindex(n, n, n, n):
+        ref = (rl[i, j, k, l]
+               + r * (g[j, i] * g[l, k] - g[j, l] * g[i, k]) / ((n - 1) * (n - 2))
+               + (g[k, i] * ric[l, j] - g[k, l] * ric[i, j]
+                  - g[j, i] * ric[l, k] + g[j, l] * ric[i, k]) / (n - 2))
+        exact = complex(scalars.evaluate(W[i][j][k][l], values)).real
+        assert abs(exact - ref) < 2e-5 * max(1, abs(ref))
+    assert not _all_zero(W, 4)
+
+
+def test_weyl_does_not_raise_riemann():
+    ctx = setup_metric(["t", "r", "theta", "phi"],
+                       [["(2*m-r)/r", "0", "0", "0"],
+                        ["0", "r/(r-2*m)", "0", "0"],
+                        ["0", "0", "r^2", "0"],
+                        ["0", "0", "0", "r^2*sin(theta)^2"]])
+    ctx.weyl
+    assert "riemann_lowered" in ctx._memo and "ricci" in ctx._memo
+    assert "riemann" not in ctx._memo
+
+
+def test_weyl_refuses_torsion():
+    ctx = setup_metric(["t", "x", "y", "z"],
+                       [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
+                        ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
+    ctx.set_nonmetricity(["0", "x", "0", "0"])
+    with pytest.raises(ValueError):
+        ctx.weyl
+
+
+@pytest.mark.parametrize("coords, metric, tau, mu", [
+    (["x", "y"], [["1+x^2", "x*y"], ["x*y", "2+y^2"]],
+     {(0, 1, 0): "x", (0, 1, 1): "y"}, ["x+1", "y"]),
+    (["x", "y", "z"], [["1", "0", "0"], ["0", "x^2", "0"], ["0", "0", "1"]],
+     {(0, 1, 2): "z", (1, 2, 0): "x"}, ["0", "y", "x"]),
+])
+def test_non_plain_ricci_and_riemann_antisymmetry(coords, metric, tau, mu):
+    # with torsion and nonmetricity the Ricci tensor is still contracted
+    # from the lowered tensor; it must equal the trace R_ijk^k
+    n = len(coords)
+    ctx = setup_metric(coords, metric)
+    values = [[["0"] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), text in tau.items():
+        values[i][j][k] = text
+        values[j][i][k] = f"-({text})"
+    ctx.set_torsion(values)
+    ctx.set_nonmetricity(mu)
+    R, ric = ctx.riemann, ctx.ricci
+    assert not _all_zero(R, 4)
+    for i in range(n):
+        for j in range(n):
+            assert is_zero(ric[i][j] - sum(R[i][j][k][k] for k in range(n)))
+    for h, l, k, j in np.ndindex(n, n, n, n):
+        assert is_zero(R[h][l][k][j] + R[h][k][l][j])
+
+
 # ---------------------------------------------------------------------------
 # frame quantities
 
@@ -445,7 +523,7 @@ def test_frame_ops_require_frame(polar):
 
 
 # ---------------------------------------------------------------------------
-# memoization and snapshots
+# memoization
 
 
 def test_memo_invalidated_by_torsion():
@@ -454,10 +532,3 @@ def test_memo_invalidated_by_torsion():
     ctx.set_torsion([[["0", "0"], ["r", "0"]], [["-r", "0"], ["0", "0"]]])
     after = ctx.connection
     assert before != after
-
-
-def test_freeze_snapshot(sphere):
-    sphere.ricci_scalar
-    snap = sphere.freeze()
-    assert snap.ricci is not None and isinstance(snap.ricci, tuple)
-    assert is_zero(snap.ricci_scalar - 2 / sym("a") ** 2)

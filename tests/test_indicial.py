@@ -121,6 +121,15 @@ def test_decsym_conflict_rejected(ctx):
         ctx.decsym("Q", 2, 0, [anti_group()])
 
 
+def test_sort_group_sign_is_permutation_parity():
+    a, b, c = ("a", False), ("b", False), ("c", False)
+    assert ind._sort_group([c, a, b], "anti") == ([a, b, c], 1)
+    assert ind._sort_group([b, a, c], "anti") == ([a, b, c], -1)
+    assert ind._sort_group([c, b, a], "anti") == ([a, b, c], -1)
+    assert ind._sort_group([b, a, b], "anti")[1] == 0
+    assert ind._sort_group([c, a, b], "sym") == ([a, b, c], 1)
+
+
 def test_canform_antisymmetric_cancellation(ctx):
     ctx.decsym("A", 2, 0, [anti_group()])
     e = obj("A", ["a", "b"]) + obj("A", ["b", "a"])

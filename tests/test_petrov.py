@@ -86,7 +86,7 @@ def test_tetrad_normalization(minkowski, schwarzschild_frame):
 
 
 def test_schwarzschild_tetrad_k_dot_l(schwarzschild_frame):
-    # classification works on the sign-flipped metric, where k.l = 1
+    # in the (+,-,-,-) convention k.l = 1
     work = petrov.MetricContext(
         schwarzschild_frame.chart,
         [[-x for x in row] for row in schwarzschild_frame.lg],
@@ -96,6 +96,32 @@ def test_schwarzschild_tetrad_k_dot_l(schwarzschild_frame):
     g = work.lg
     kl = sum(g[i][j] * tet.k[i] * tet.l[j] for i in range(4) for j in range(4))
     assert is_zero(kl - 1)
+
+
+def test_tetrad_in_minus_plus_frame(schwarzschild_frame):
+    # the caller's (-,+,+,+) frame is used as is: k.l = -1, m.mbar = 1
+    tet = np_tetrad(schwarzschild_frame)
+    g = schwarzschild_frame.lg
+
+    def dot(u, v):
+        return sum(g[i][j] * u[i] * v[j] for i in range(4) for j in range(4))
+
+    assert is_zero(dot(tet.k, tet.l) + 1)
+    assert is_zero(dot(tet.m, tet.mbar) - 1)
+    assert is_zero(dot(tet.k, tet.k)) and is_zero(dot(tet.m, tet.m))
+
+
+def test_np_tetrad_checks_frame_against_metric():
+    # a frame that is not orthonormal for the context's metric is refused
+    eta = lorentz_eta()
+    ctx = petrov.MetricContext(
+        ["t", "x", "y", "z"],
+        [["2", "0", "0", "0"], ["0", "-1", "0", "0"],
+         ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+        fri=[["1", "0", "0", "0"], ["0", "1", "0", "0"],
+             ["0", "0", "1", "0"], ["0", "0", "0", "1"]], lfg=eta)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        np_tetrad(ctx)
 
 
 def test_np_tetrad_rejects_non_orthonormal():
@@ -243,12 +269,36 @@ def test_unclassifiable_raises_with_expression():
     assert err.value.expression is not None
 
 
+def test_tiny_exact_value_certifies_nonzero():
+    # every sample of this rational function is an exact nonzero Fraction
+    # below 1e-9; it used to be refused as undecidable
+    e = parse("(139*x^2+1112*x+2224)^3/(11664*x^4+373248*x^2+2985984)^3"
+              " - 27*(-341*x^3-4092*x^2-16368*x-21824)^2"
+              "/(1259712*x^6+60466176*x^4+967458816*x^2+5159780352)^2")
+    assert not is_zero(e)
+    assert petrov._vanishes(e) is False
+
+
 # ---------------------------------------------------------------------------
 # end-to-end classification
 
 
 def test_petrov_schwarzschild_is_D(schwarzschild_frame):
     assert petrov_of_metric(schwarzschild_frame) is PetrovType.D
+
+
+def test_petrov_builds_no_second_context(schwarzschild_frame, monkeypatch):
+    built = []
+    init = petrov.MetricContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(petrov.MetricContext, "__init__", counting_init)
+    assert petrov_of_metric(schwarzschild_frame) is PetrovType.D
+    assert built == []
+    assert "weyl" in schwarzschild_frame._memo
 
 
 def test_petrov_anti_de_sitter_is_O(anti_de_sitter):

@@ -119,6 +119,23 @@ def test_is_zero_examples():
     assert not is_zero(parse("x - y"))
 
 
+def test_zero_cache_is_bounded(monkeypatch):
+    # the bound sits above the ~1,400 entries a Petrov run fills
+    assert scalars._ZERO_CACHE_MAX > 1405
+    monkeypatch.setattr(scalars, "_ZERO_CACHE_MAX", 8)
+    monkeypatch.setattr(scalars, "_zero_cache", {})
+    x = sym("x")
+    probes = [parse("sin(x)^2 + cos(x)^2 - 1"), parse("x - y"),
+              parse("(x^2 - 1)/(x - 1) - x - 1"), parse("cosh(x)^2 - 1")]
+    before = [is_zero(e) for e in probes]
+    assert before == [True, False, True, False]
+    for k in range(30):
+        is_zero(x ** 2 + k * x + 1)
+        assert len(scalars._zero_cache) <= 8
+    assert [is_zero(e) for e in probes] == before
+    assert len(scalars._zero_cache) <= 8
+
+
 def test_is_zero_nested_rational_trig():
     e = parse("(1-cos(t)^2)*(1+cos(t))/(sin(t)^2) - 1 - cos(t)")
     assert is_zero(e)
