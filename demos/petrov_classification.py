@@ -14,13 +14,13 @@ from tensoralg.curvature import MetricContext
 schw = catalog.load("exteriorschwarzschild", frame=True)
 print("exterior Schwarzschild:", petrov_of_metric(schw))
 
-# Under the hood: a null tetrad is built from the orthonormal frame and the
-# Weyl tensor is contracted into the five complex scalars.  For type D only
-# psi_2 survives.
+# Under the hood: the Weyl tensor is computed in the orthonormal frame and
+# contracted with the constant null tetrad of that frame into the five
+# complex scalars.  For type D only psi_2 survives.
 work = MetricContext(schw.chart, [[-x for x in row] for row in schw.lg],
                      fri=schw.fri, lfg=[[-x for x in row] for row in schw.lfg])
 tetrad = np_tetrad(work)
-psis = weyl_scalars(work.weyl, tetrad)
+psis = weyl_scalars(work.weyl_frame, tetrad)
 print("psi_0..psi_4 =", [render(sp.simplify(p)) for p in psis.psi])
 print("I =", render(invariant_I(psis.psi)), " J =",
       render(invariant_J(psis.psi)))

@@ -111,6 +111,19 @@ def _pair_fill(n, component, simp):
     return out
 
 
+def _trace(array, inv):
+    """sum_km inv[k][m] * array[...][k][m]: the last two slots of an array of
+    any rank contracted with an inverse metric.  Coordinate and frame arrays
+    share the slot layout, so this gives the Ricci tensor of either
+    all-covariant curvature and the scalar curvature of either Ricci tensor.
+    """
+    if isinstance(array[0][0], list):
+        return [_trace(sub, inv) for sub in array]
+    n = len(inv)
+    return trigsimp(sum(inv[k][m] * array[k][m] for k in range(n)
+                        for m in range(n) if inv[k][m] != 0))
+
+
 class MetricContext:
     """Chart + metric (+ optional frame, torsion, nonmetricity) with a memo
     of every tensor computed so far.
@@ -412,23 +425,18 @@ class MetricContext:
 
     @property
     def ricci(self):
-        """Ricci tensor R[i][j] = R_ijk^k, contracted from the lowered
-        tensor: R_ijkm g^km."""
+        """Ricci tensor R[i][j] = R_ijk^k: R_ijkm g^km for the metric
+        connection, otherwise the trace of the direct curvature."""
         def compute():
-            n, rl, ug = self.dim, self.riemann_lowered, self.ug
-            return [[trigsimp(sum(ug[k][m] * rl[i][j][k][m]
-                                  for k in range(n) for m in range(n)
-                                  if ug[k][m] != 0))
-                     for j in range(n)] for i in range(n)]
+            if self.plain_connection:
+                return _trace(self.riemann_lowered, self.ug)
+            return _trace(self.riemann, sp.eye(self.dim).tolist())
         return self._cached("ricci", compute)
 
     @property
     def ricci_scalar(self):
-        def compute():
-            n, ric, ug = self.dim, self.ricci, self.ug
-            return trigsimp(sum(ug[i][j] * ric[i][j]
-                                for i in range(n) for j in range(n)))
-        return self._cached("ricci_scalar", compute)
+        return self._cached("ricci_scalar",
+                            lambda: _trace(self.ricci, self.ug))
 
     @property
     def einstein(self):
@@ -441,36 +449,37 @@ class MetricContext:
 
     @property
     def weyl(self):
-        """Weyl conformal tensor W[i][j][k][l], all covariant.
+        """Weyl conformal tensor W[i][j][k][l], all covariant."""
+        return self._cached("weyl", lambda: self._weyl(lambda: (
+            self.riemann_lowered, self.lg, self.ricci, self.ricci_scalar)))
 
-        It is the trace-free part of a curvature with the pair symmetries
-        of the metric connection's, so torsion or nonmetricity is refused.
-        """
-        def compute():
-            n = self.dim
-            if n < 3:
-                raise DimensionError(
-                    "the Weyl tensor needs at least three dimensions")
-            if n == 3:
-                warnings.warn("the Weyl tensor vanishes identically in three "
-                              "dimensions; returning zeros")
-                return _zeros(n, n, n, n)
-            if not self.plain_connection:
-                raise ValueError("the Weyl tensor needs the metric connection "
-                                 "(no torsion or nonmetricity)")
-            rl, g, ric, r = (self.riemann_lowered, self.lg, self.ricci,
-                             self.ricci_scalar)
+    def _weyl(self, parts):
+        """Weyl tensor from the all-covariant curvature, metric, Ricci tensor
+        and scalar curvature ``parts()``, in coordinate or frame components.
+        It is the trace-free part of a curvature with the pair symmetries of
+        the metric connection's, so torsion or nonmetricity is refused."""
+        n = self.dim
+        if n < 3:
+            raise DimensionError(
+                "the Weyl tensor needs at least three dimensions")
+        if n == 3:
+            warnings.warn("the Weyl tensor vanishes identically in three "
+                          "dimensions; returning zeros")
+            return _zeros(n, n, n, n)
+        if not self.plain_connection:
+            raise ValueError("the Weyl tensor needs the metric connection "
+                             "(no torsion or nonmetricity)")
+        P, g, ric, r = parts()
 
-            def component(a, b, c, d):
-                return (rl[b][d][c][a]
-                        + r * (g[b][d] * g[a][c] - g[a][d] * g[b][c])
-                        / ((n - 1) * (n - 2))
-                        + (g[b][c] * ric[a][d] - g[a][c] * ric[b][d]
-                           - g[b][d] * ric[a][c] + g[a][d] * ric[b][c])
-                        / (n - 2))
+        def component(a, b, c, d):
+            return (P[b][d][c][a]
+                    + r * (g[b][d] * g[a][c] - g[a][d] * g[b][c])
+                    / ((n - 1) * (n - 2))
+                    + (g[b][c] * ric[a][d] - g[a][c] * ric[b][d]
+                       - g[b][d] * ric[a][c] + g[a][d] * ric[b][c])
+                    / (n - 2))
 
-            return _pair_fill(n, component, ratsimp)
-        return self._cached("weyl", compute)
+        return _pair_fill(n, component, ratsimp)
 
     # -- frame quantities -------------------------------------------------------
 
@@ -514,7 +523,8 @@ class MetricContext:
         """Frame bracket lambda[a][b][c] (antisymmetric in b, c).
 
         Built from plain partial derivatives of the frame; when torsion is
-        present its contribution enters with a minus sign.
+        present its contribution enters with a minus sign.  Only b < c is
+        evaluated; the other half is its negative.
         """
         self._need_frame()
         def compute():
@@ -527,7 +537,7 @@ class MetricContext:
             out = _zeros(n, n, n)
             for a in range(n):
                 for b in range(n):
-                    for c in range(n):
+                    for c in range(b + 1, n):
                         total = sp.S.Zero
                         for i in range(n):
                             for k in range(n):
@@ -538,6 +548,7 @@ class MetricContext:
                                 if core != 0:
                                     total += core * E[b][i] * E[c][k]
                         out[a][b][c] = trigsimp(total)
+                        out[a][c][b] = -out[a][b][c]
             return out
         return self._cached("frame_bracket", compute)
 
@@ -558,16 +569,14 @@ class MetricContext:
         Index layout parallels the coordinate array: d is the transported
         label, (a, b) the antisymmetric derivative pair, c the lowered
         fourth label.  Computed from the rotation coefficients, their
-        directional derivatives and the frame bracket.
+        directional derivatives and the frame bracket, for the metric
+        connection on the independent components of P_abcd = R[a][c][d][b].
         """
         self._need_frame()
         def compute():
             n = self.dim
-            gam = self.rotation_coeffs
-            if self.nonmetricity_values is not None:
-                nu = self.nonmetricity_coeffs
-                gam = [[[ratsimp(gam[a][b][c] - nu[a][b][c]) for c in range(n)]
-                        for b in range(n)] for a in range(n)]
+            gam = (self.rotation_coeffs if self.plain_connection
+                   else self.connection)
             lam, E, ufg = self.frame_bracket, self.frame_contravariant, self.ufg
             coords = self.coords
 
@@ -579,21 +588,23 @@ class MetricContext:
             def up(m, x, y):
                 return sum(ufg[m][mp] * gam[mp][x][y] for mp in range(n))
 
+            def value(d, a, b, c):
+                return (ddir(a, gam[c][d][b]) - ddir(b, gam[c][d][a])
+                        - sum(gam[c][m][a] * up(m, d, b)
+                              - gam[c][m][b] * up(m, d, a) for m in range(n))
+                        - sum(gam[c][d][m] * sum(
+                              ufg[m][mp] * lam[mp][a][b] for mp in range(n))
+                              for m in range(n)))
+
+            if self.plain_connection:
+                return _pair_fill(n, lambda a, b, c, d: value(a, c, d, b),
+                                  trigsimp)
             out = _zeros(n, n, n, n)
             for d in range(n):
                 for c in range(n):
                     for a in range(n):
-                        for b in range(a + 1):
-                            if a == b:
-                                continue
-                            val = (ddir(a, gam[c][d][b]) - ddir(b, gam[c][d][a])
-                                   - sum(gam[c][m][a] * up(m, d, b)
-                                         - gam[c][m][b] * up(m, d, a)
-                                         for m in range(n))
-                                   - sum(gam[c][d][m] * sum(
-                                         ufg[m][mp] * lam[mp][a][b]
-                                         for mp in range(n)) for m in range(n)))
-                            val = trigsimp(val)
+                        for b in range(a):
+                            val = trigsimp(value(d, a, b, c))
                             out[d][a][b][c] = val
                             out[d][b][a][c] = trigsimp(-val)
             return out
@@ -602,21 +613,22 @@ class MetricContext:
     @property
     def ricci_frame(self):
         """Frame-label Ricci tensor from the frame Riemann tensor."""
-        def compute():
-            n, rf, ufg = self.dim, self.riemann_frame, self.ufg
-            return [[trigsimp(sum(ufg[b][c] * rf[d][a][b][c]
-                                  for b in range(n) for c in range(n)))
-                     for a in range(n)] for d in range(n)]
-        return self._cached("ricci_frame", compute)
+        return self._cached("ricci_frame",
+                            lambda: _trace(self.riemann_frame, self.ufg))
 
     @property
     def ricci_scalar_frame(self):
         """Scalar curvature computed through the frame pipeline."""
-        def compute():
-            n, ric, ufg = self.dim, self.ricci_frame, self.ufg
-            return trigsimp(sum(ufg[d][a] * ric[d][a]
-                                for d in range(n) for a in range(n)))
-        return self._cached("ricci_scalar_frame", compute)
+        return self._cached("ricci_scalar_frame",
+                            lambda: _trace(self.ricci_frame, self.ufg))
+
+    @property
+    def weyl_frame(self):
+        """Weyl tensor in frame components, laid out like :attr:`weyl`."""
+        self._need_frame()
+        return self._cached("weyl_frame", lambda: self._weyl(lambda: (
+            self.riemann_frame, self.lfg, self.ricci_frame,
+            self.ricci_scalar_frame)))
 
 
 def setup_metric(coords, matrix, constants=()) -> MetricContext:

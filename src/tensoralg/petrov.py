@@ -1,12 +1,12 @@
 """Petrov classification of 4-metrics.
 
-From an orthonormal Lorentz frame a Newman-Penrose null tetrad is formed,
-the five complex Weyl scalars are extracted by contracting the Weyl tensor
-with the tetrad, and the algebraic type follows from a decision tree driven
-by which scalars (and which derived invariants) vanish.  Every zero test
-goes through the exact kernel; an expression that can be neither proved
-zero nor certified nonzero numerically aborts the classification instead of
-guessing.
+The Weyl tensor is computed in the components of an orthonormal Lorentz
+frame; there the Newman-Penrose null tetrad has constant components, and
+the five complex Weyl scalars are contractions of the frame Weyl tensor with
+it.  The algebraic type follows from a decision tree driven by which scalars
+(and which derived invariants) vanish.  Every zero test goes through the
+exact kernel; an expression that can be neither proved zero nor certified
+nonzero numerically aborts the classification instead of guessing.
 """
 
 from __future__ import annotations
@@ -46,16 +46,12 @@ class UnclassifiableError(ValueError):
 
 @dataclass(frozen=True)
 class NPTetrad:
-    """Null tetrad vectors, contravariant and covariant components."""
+    """Null tetrad vectors, components in an orthonormal frame."""
 
     k: tuple
     l: tuple
     m: tuple
     mbar: tuple
-    k_cov: tuple
-    l_cov: tuple
-    m_cov: tuple
-    mbar_cov: tuple
 
 
 @dataclass(frozen=True)
@@ -68,14 +64,19 @@ class WeylScalars:
 
 _SIGNATURES = ((1, -1, -1, -1), (-1, 1, 1, 1))
 
+_S = sp.sqrt(2) / 2
+_TETRAD = NPTetrad((_S, _S, 0, 0), (_S, -_S, 0, 0),
+                   (0, 0, _S, -sp.I * _S), (0, 0, _S, sp.I * _S))
+
 
 def np_tetrad(ctx: MetricContext) -> NPTetrad:
-    """Null tetrad from an orthonormal Lorentz frame.
+    """Null tetrad of an orthonormal Lorentz frame, in frame components.
 
     The frame metric must be diag(1,-1,-1,-1) or diag(-1,1,1,1); the frame
-    is checked against that signature with the exact zero test before
-    anything is built.  k, l combine the timelike and first spacelike legs;
-    m, mbar combine the remaining two with the imaginary unit.
+    is checked against that signature with the exact zero test.  k, l
+    combine the timelike and first spacelike legs; m, mbar combine the
+    remaining two with the imaginary unit.  In frame components these are
+    the same constants for every frame.
     """
     if ctx.dim != 4:
         raise ValueError("a Newman-Penrose tetrad needs four dimensions")
@@ -96,23 +97,12 @@ def np_tetrad(ctx: MetricContext) -> NPTetrad:
                 raise ValueError(
                     f"frame is not orthonormal: "
                     f"e_{a + 1}.e_{b + 1} != {eta[a][b]}")
-    s = sp.sqrt(2) / 2
-    k = [trigsimp(s * (E[0][i] + E[1][i])) for i in range(4)]
-    l = [trigsimp(s * (E[0][i] - E[1][i])) for i in range(4)]
-    mbar = [trigsimp(s * (E[2][i] + sp.I * E[3][i])) for i in range(4)]
-    m = [trigsimp(s * (E[2][i] - sp.I * E[3][i])) for i in range(4)]
-
-    def lower(vec):
-        return tuple(trigsimp(sum(g[i][j] * vec[j] for j in range(4)))
-                     for i in range(4))
-
-    return NPTetrad(tuple(k), tuple(l), tuple(m), tuple(mbar),
-                    lower(k), lower(l), lower(m), lower(mbar))
+    return _TETRAD
 
 
 def weyl_scalars(weyl, tetrad: NPTetrad) -> WeylScalars:
     """The five complex Weyl scalars as tetrad contractions of the Weyl
-    tensor (standard Newman-Penrose convention).
+    tensor (standard Newman-Penrose convention), both in frame components.
 
     The curvature arrays keep the transported index first and the
     antisymmetric derivative pair in the middle slots; the Newman-Penrose
@@ -315,14 +305,11 @@ def petrov_of_metric(ctx: MetricContext) -> PetrovType:
     """Classify a 4-metric given with an orthonormal Lorentz frame.
 
     Both frame-metric conventions diag(-1,1,1,1) and diag(1,-1,-1,-1) are
-    accepted and the classification runs on ``ctx`` itself.  Negating the
-    metric negates the lowered Weyl tensor and so every Weyl scalar; the
-    decision tree only asks whether homogeneous polynomials in the scalars
-    vanish, so the type does not depend on that sign.
+    accepted.  Negating the metric negates the lowered Weyl tensor and so
+    every Weyl scalar; the decision tree only asks whether homogeneous
+    polynomials in the scalars vanish, so the type does not depend on that
+    sign.  :func:`np_tetrad` checks the frame before any curvature is
+    computed.
     """
-    if ctx.dim != 4:
-        raise ValueError("Petrov classification applies to four dimensions")
-    if not ctx.cframe_flag:
-        raise ValueError("Petrov classification needs an orthonormal frame")
     tetrad = np_tetrad(ctx)
-    return classify(weyl_scalars(ctx.weyl, tetrad))
+    return classify(weyl_scalars(ctx.weyl_frame, tetrad))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,16 @@ def test_classify_schwarzschild(capsys):
                            "--format", "json", capsys=capsys)
     assert code == 0
     assert json.loads(out) == {"petrov_type": "D"}
+
+
+def test_classify_kerr_newman_within_budget(capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli("classify", "--catalog", "kerr_newman",
+                           "--format", "json", capsys=capsys)
+    seconds = time.monotonic() - start
+    assert code == 0
+    assert json.loads(out) == {"petrov_type": "D"}
+    assert seconds < 60, f"classifying kerr_newman took {seconds:.1f}s"
 
 
 def test_catalog_list(capsys):

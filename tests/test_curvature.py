@@ -418,7 +418,10 @@ def test_non_plain_ricci_and_riemann_antisymmetry(coords, metric, tau, mu):
         values[j][i][k] = f"-({text})"
     ctx.set_torsion(values)
     ctx.set_nonmetricity(mu)
-    R, ric = ctx.riemann, ctx.ricci
+    ric = ctx.ricci
+    # the trace of the direct curvature: nothing is lowered
+    assert "riemann_lowered" not in ctx._memo
+    R = ctx.riemann
     assert not _all_zero(R, 4)
     for i in range(n):
         for j in range(n):
@@ -515,6 +518,50 @@ def test_frame_coordinate_agreement_schwarzschild():
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
     assert is_zero(frame.ricci_scalar)          # coordinate pipeline
     assert is_zero(frame.ricci_scalar_frame)    # frame pipeline
+
+
+MINUS_PLUS = [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
+              ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+# curved, not vacuum, with the non-diagonal metric entry g_tx = -y
+TWISTED = (["t", "x", "y", "z"],
+           [["1", "y", "0", "0"], ["0", "1", "0", "0"],
+            ["0", "0", "1", "0"], ["0", "0", "0", "x"]], ())
+SCHWARZSCHILD = (["t", "r", "theta", "phi"],
+                 [["sqrt((r-2*m)/r)", "0", "0", "0"],
+                  ["0", "sqrt(r/(r-2*m))", "0", "0"],
+                  ["0", "0", "r", "0"],
+                  ["0", "0", "0", "r*sin(theta)"]], ("m",))
+
+
+def test_weyl_frame_matches_coordinate_weyl():
+    # reference: the coordinate Weyl tensor with every slot carried into
+    # the frame by e_(a)^i
+    coords, rows, constants = TWISTED
+    ctx = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
+    assert not ctx.diagonal and not _all_zero(ctx.ricci, 2)
+    W, Wf, E = ctx.weyl, ctx.weyl_frame, ctx.frame_contravariant
+    assert not _all_zero(Wf, 4)
+    legs = [[i for i in range(4) if E[a][i] != 0] for a in range(4)]
+    for a, b, c, d in np.ndindex(4, 4, 4, 4):
+        ref = sum(W[i][j][k][l] * E[a][i] * E[b][j] * E[c][k] * E[d][l]
+                  for i in legs[a] for j in legs[b] for k in legs[c]
+                  for l in legs[d])
+        assert is_zero(Wf[a][b][c][d] - ref), (a, b, c, d)
+
+
+@pytest.mark.parametrize("frame", [TWISTED, SCHWARZSCHILD])
+def test_riemann_frame_pair_fill_matches_loop(frame):
+    # a zero nonmetricity vector leaves the connection as it is but sends
+    # riemann_frame down its component-by-component loop
+    coords, rows, constants = frame
+    filled = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
+    looped = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
+    looped.set_nonmetricity(["0"] * 4)
+    assert filled.plain_connection and not looped.plain_connection
+    A, B = filled.riemann_frame, looped.riemann_frame
+    assert not _all_zero(A, 4)
+    for d, a, b, c in np.ndindex(4, 4, 4, 4):
+        assert is_zero(A[d][a][b][c] - B[d][a][b][c]), (d, a, b, c)
 
 
 def test_frame_ops_require_frame(polar):

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 import oracles
-from tensoralg import petrov, scalars
+from tensoralg import catalog, petrov, scalars
 from tensoralg.curvature import setup_frame
 from tensoralg.petrov import (NPTetrad, PetrovType, UnclassifiableError,
                               classify, invariant_I, invariant_J, np_tetrad,
@@ -30,8 +30,7 @@ def minkowski():
     return setup_frame(["t", "x", "y", "z"], rows, lorentz_eta())
 
 
-@pytest.fixture(scope="module")
-def schwarzschild_frame():
+def schwarzschild():
     return setup_frame(
         ["t", "r", "theta", "phi"],
         [["sqrt((r-2*m)/r)", "0", "0", "0"],
@@ -39,6 +38,11 @@ def schwarzschild_frame():
          ["0", "0", "r", "0"],
          ["0", "0", "0", "r*sin(theta)"]],
         minus_plus_eta(), constants=("m",))
+
+
+@pytest.fixture(scope="module")
+def schwarzschild_frame():
+    return schwarzschild()
 
 
 @pytest.fixture(scope="module")
@@ -61,21 +65,26 @@ def test_minkowski_tetrad_components(minkowski):
     assert tet.mbar == (0, 0, s, sp.I * s)
 
 
+def coordinate_dot(ctx, u, v):
+    """g(u, v) of two tetrad vectors given in frame components, each mapped
+    to coordinates through the contravariant frame."""
+    E, g = ctx.frame_contravariant, ctx.lg
+    cu, cv = ([sum(w[a] * E[a][i] for a in range(4)) for i in range(4)]
+              for w in (u, v))
+    return sum(g[i][j] * cu[i] * cv[j] for i in range(4) for j in range(4))
+
+
 def test_tetrad_is_null(minkowski):
     tet = np_tetrad(minkowski)
-    g = minkowski.lg
-    kk = sum(g[i][j] * tet.k[i] * tet.k[j] for i in range(4) for j in range(4))
-    assert is_zero(kk)
+    assert is_zero(coordinate_dot(minkowski, tet.k, tet.k))
 
 
 def test_tetrad_normalization(minkowski, schwarzschild_frame):
     for ctx in (minkowski,):
         tet = np_tetrad(ctx)
-        g = ctx.lg
 
         def dot(u, v):
-            return sum(g[i][j] * u[i] * v[j]
-                       for i in range(4) for j in range(4))
+            return coordinate_dot(ctx, u, v)
 
         assert is_zero(dot(tet.k, tet.l) - 1)
         assert is_zero(dot(tet.m, tet.mbar) + 1)
@@ -93,18 +102,15 @@ def test_schwarzschild_tetrad_k_dot_l(schwarzschild_frame):
         fri=schwarzschild_frame.fri,
         lfg=[[-x for x in row] for row in schwarzschild_frame.lfg])
     tet = np_tetrad(work)
-    g = work.lg
-    kl = sum(g[i][j] * tet.k[i] * tet.l[j] for i in range(4) for j in range(4))
-    assert is_zero(kl - 1)
+    assert is_zero(coordinate_dot(work, tet.k, tet.l) - 1)
 
 
 def test_tetrad_in_minus_plus_frame(schwarzschild_frame):
     # the caller's (-,+,+,+) frame is used as is: k.l = -1, m.mbar = 1
     tet = np_tetrad(schwarzschild_frame)
-    g = schwarzschild_frame.lg
 
     def dot(u, v):
-        return sum(g[i][j] * u[i] * v[j] for i in range(4) for j in range(4))
+        return coordinate_dot(schwarzschild_frame, u, v)
 
     assert is_zero(dot(tet.k, tet.l) + 1)
     assert is_zero(dot(tet.m, tet.mbar) - 1)
@@ -152,7 +158,7 @@ def test_weyl_scalars_scale_linearly(schwarzschild_frame):
         fri=schwarzschild_frame.fri,
         lfg=[[-x for x in row] for row in schwarzschild_frame.lfg])
     tet = np_tetrad(work)
-    W = work.weyl
+    W = work.weyl_frame
     scaled = [[[[3 * W[a][b][c][d] for d in range(4)] for c in range(4)]
                for b in range(4)] for a in range(4)]
     p1 = weyl_scalars(W, tet)
@@ -168,10 +174,20 @@ def test_schwarzschild_psi_pattern(schwarzschild_frame):
         [[-x for x in row] for row in schwarzschild_frame.lg],
         fri=schwarzschild_frame.fri,
         lfg=[[-x for x in row] for row in schwarzschild_frame.lfg])
-    psis = weyl_scalars(work.weyl, np_tetrad(work))
+    psis = weyl_scalars(work.weyl_frame, np_tetrad(work))
     assert is_zero(psis[0]) and is_zero(psis[1])
     assert is_zero(psis[3]) and is_zero(psis[4])
     assert is_zero(psis[2] - sym("m") / sym("r") ** 3)
+
+
+def test_kerr_psi_pattern():
+    # type D: in the catalog's (-,+,+,+) frame only
+    # psi2 = -m/(r + %i*a*cos(theta))^3 survives
+    ctx = catalog.load("kerr_newman", frame=True)
+    psis = weyl_scalars(ctx.weyl_frame, np_tetrad(ctx))
+    assert all(is_zero(psis[k]) for k in (0, 1, 3, 4))
+    assert is_zero(psis[2] + parse("m/(r + %i*a*cos(theta))^3"))
+    assert classify(psis) is PetrovType.D
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +303,7 @@ def test_petrov_schwarzschild_is_D(schwarzschild_frame):
     assert petrov_of_metric(schwarzschild_frame) is PetrovType.D
 
 
-def test_petrov_builds_no_second_context(schwarzschild_frame, monkeypatch):
+def test_petrov_builds_no_second_context(monkeypatch):
     built = []
     init = petrov.MetricContext.__init__
 
@@ -295,10 +311,13 @@ def test_petrov_builds_no_second_context(schwarzschild_frame, monkeypatch):
         built.append(args)
         init(self, *args, **kwargs)
 
+    ctx = schwarzschild()
     monkeypatch.setattr(petrov.MetricContext, "__init__", counting_init)
-    assert petrov_of_metric(schwarzschild_frame) is PetrovType.D
+    assert petrov_of_metric(ctx) is PetrovType.D
     assert built == []
-    assert "weyl" in schwarzschild_frame._memo
+    # the frame pipeline alone: no coordinate curvature is computed
+    assert "weyl_frame" in ctx._memo
+    assert "weyl" not in ctx._memo and "riemann_lowered" not in ctx._memo
 
 
 def test_petrov_anti_de_sitter_is_O(anti_de_sitter):
