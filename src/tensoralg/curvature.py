@@ -128,6 +128,9 @@ class MetricContext:
     """Chart + metric (+ optional frame, torsion, nonmetricity) with a memo
     of every tensor computed so far.
 
+    With a frame base ``fri`` and frame metric ``lfg``, g = F^T eta F is
+    derived when ``lg`` is None and checked exactly against ``lg`` otherwise.
+
     Results are cached; calling :meth:`set_torsion` or
     :meth:`set_nonmetricity` invalidates the cache.  A context is meant to
     be owned by one thread while it is being filled.
@@ -136,12 +139,32 @@ class MetricContext:
     def __init__(self, chart, lg, *, fri=None, lfg=None, constants=(),
                  notes=""):
         self.chart = chart if isinstance(chart, Chart) else Chart(tuple(chart))
-        self.lg = _as_matrix(lg, "metric")
-        if len(self.lg) != self.dim:
+        n = self.dim
+        self.lg = _as_matrix(lg, "metric") if lg is not None else None
+        if self.lg is not None and len(self.lg) != n:
             raise ValueError("metric size does not match the chart dimension")
         self.fri = _as_matrix(fri, "frame") if fri is not None else None
         self.lfg = _as_matrix(lfg, "frame metric") if lfg is not None else None
         self.cframe_flag = self.fri is not None
+        if self.cframe_flag:
+            f, eta = self.fri, self.lfg
+            if eta is None or len(f) != n or len(eta) != n:
+                raise ValueError(
+                    "frame matrices must match the chart dimension")
+            for a in range(n):
+                for b in range(a):
+                    if not is_zero(eta[a][b] - eta[b][a]):
+                        raise ValueError("frame metric must be symmetric")
+            g = [[sum(eta[a][b] * f[a][i] * f[b][j]
+                      for a in range(n) for b in range(n))
+                  for j in range(n)] for i in range(n)]
+            if self.lg is None:
+                self.lg = [[trigsimp(x) for x in row] for row in g]
+            elif not all(is_zero(self.lg[i][j] - g[i][j])
+                         for i in range(n) for j in range(n)):
+                raise ValueError("frame is not orthonormal for the metric")
+        elif self.lg is None:
+            raise ValueError("a metric or a frame base is needed")
         self.constants = tuple(constants)
         self.notes = notes
         self.torsion_values = None
@@ -500,13 +523,11 @@ class MetricContext:
 
     @property
     def frame_contravariant(self):
-        """Contravariant frame components E[a][i] = e_(a)^i."""
+        """Contravariant frame components E[a][i] = e_(a)^i, from F^-1 =
+        g^-1 F^T eta: the constructor ties g = F^T eta F."""
         self._need_frame()
-        def compute():
-            inv = sp.Matrix(self.fri).inv()
-            n = self.dim
-            return [[trigsimp(inv[i, a]) for i in range(n)] for a in range(n)]
-        return self._cached("frame_contravariant", compute)
+        return self._cached("frame_contravariant", lambda: _contract_last(
+            self.frame_lowered, self.ug, trigsimp))
 
     @property
     def frame_lowered(self):
@@ -640,20 +661,4 @@ def setup_frame(coords, fri, lfg, constants=()) -> MetricContext:
     """Build a context from the covariant frame base e^(a)_i (rows are frame
     labels) and the frame metric; the metric g_ij = eta_ab e^(a)_i e^(b)_j is
     computed and simplified."""
-    chart = Chart(tuple(coords))
-    n = chart.dim
-    f = _as_matrix(fri, "frame")
-    eta = _as_matrix(lfg, "frame metric")
-    if len(f) != n or len(eta) != n:
-        raise ValueError("frame matrices must match the chart dimension")
-    fdet = sp.Matrix(f).det(method="berkowitz")
-    if is_zero(fdet):
-        raise ValueError("frame base is symbolically singular")
-    for a in range(n):
-        for b in range(a):
-            if not is_zero(eta[a][b] - eta[b][a]):
-                raise ValueError("frame metric must be symmetric")
-    lg = [[trigsimp(sum(eta[a][b] * f[a][i] * f[b][j]
-                        for a in range(n) for b in range(n)))
-           for j in range(n)] for i in range(n)]
-    return MetricContext(chart, lg, fri=f, lfg=eta, constants=constants)
+    return MetricContext(coords, None, fri=fri, lfg=lfg, constants=constants)

@@ -72,8 +72,8 @@ _TETRAD = NPTetrad((_S, _S, 0, 0), (_S, -_S, 0, 0),
 def np_tetrad(ctx: MetricContext) -> NPTetrad:
     """Null tetrad of an orthonormal Lorentz frame, in frame components.
 
-    The frame metric must be diag(1,-1,-1,-1) or diag(-1,1,1,1); the frame
-    is checked against that signature with the exact zero test.  k, l
+    The frame metric must be diag(1,-1,-1,-1) or diag(-1,1,1,1); every
+    frame context is orthonormal for its metric by construction.  k, l
     combine the timelike and first spacelike legs; m, mbar combine the
     remaining two with the imaginary unit.  In frame components these are
     the same constants for every frame.
@@ -87,16 +87,6 @@ def np_tetrad(ctx: MetricContext) -> NPTetrad:
             and tuple(eta[a][a] for a in range(4)) in _SIGNATURES):
         raise ValueError("frame metric must be diag(-1,1,1,1) or "
                          "diag(1,-1,-1,-1)")
-    E = ctx.frame_contravariant
-    g = ctx.lg
-    for a in range(4):
-        for b in range(a + 1):
-            inner = sum(g[i][j] * E[a][i] * E[b][j]
-                        for i in range(4) for j in range(4))
-            if not is_zero(inner - eta[a][b]):
-                raise ValueError(
-                    f"frame is not orthonormal: "
-                    f"e_{a + 1}.e_{b + 1} != {eta[a][b]}")
     return _TETRAD
 
 

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 import sympy as sp
 
@@ -143,6 +145,14 @@ def test_frame_consistency_numeric(name):
                     for a in range(n) for b in range(n))
                 assert abs(want - got) <= 1e-8 * max(1, abs(want)), \
                     (name, i, j)
+
+
+def test_confocalellipsoidal_frame_loads_within_budget():
+    start = time.monotonic()
+    ctx = load("confocalellipsoidal", frame=True)
+    seconds = time.monotonic() - start
+    assert ctx.cframe_flag
+    assert seconds < 15, f"loading the frame took {seconds:.1f}s"
 
 
 def test_flat_entry_listing():

@@ -61,6 +61,19 @@ def test_compute_all_matches_golden_output(name, capsys):
     assert out == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", ["conical", "toroidal"])
+def test_frame_rotation_coeffs_match_golden_within_budget(name, capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli("compute", "--catalog", name, "--frame",
+                           "--tensors", "rotation_coeffs", "--format", "json",
+                           capsys=capsys)
+    seconds = time.monotonic() - start
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / f"{name}_rotation.json"
+    assert out == golden.read_text(encoding="utf-8")
+    assert seconds < 15, f"rotation coefficients took {seconds:.1f}s"
+
+
 def test_compute_all_skips_weyl_with_nonmetricity(tmp_path, capsys):
     path = tmp_path / "nonmetric.tm"
     path.write_text("[chart] coords = t, x, y, z\n"

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 import oracles
-from tensoralg import scalars
+from tensoralg import catalog, scalars
 from tensoralg.curvature import (Chart, DimensionError, MetricContext,
                                  setup_frame, setup_metric)
 from tensoralg.scalars import is_zero, parse, sym
@@ -117,6 +117,30 @@ def test_setup_frame_rejects_singular():
     with pytest.raises(ValueError):
         setup_frame(["x", "y"], [["1", "1"], ["1", "1"]],
                     [["1", "0"], ["0", "1"]])
+
+
+def test_frame_of_wrong_size_is_refused():
+    # a 3x3 frame and a 2x2 frame metric on a four-dimensional chart
+    with pytest.raises(ValueError, match="chart dimension"):
+        MetricContext(["t", "x", "y", "z"],
+                      [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
+                       ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+                      fri=[["1", "0", "0"], ["0", "1", "0"],
+                           ["0", "0", "1"]],
+                      lfg=[["1", "0"], ["0", "1"]])
+
+
+@pytest.mark.parametrize("name", ["polar", "bipolar", "oblatespheroidalsqrt",
+                                  "exteriorschwarzschild", "kerr_newman",
+                                  "conical"])
+def test_inverse_frame_is_exact(name):
+    # E = g^-1 F^T eta inverts the frame: sum_i e_(a)^i e^(b)_i = delta_ab
+    ctx = catalog.load(name, frame=True)
+    E, f, n = ctx.frame_contravariant, ctx.fri, ctx.dim
+    for a in range(n):
+        for b in range(n):
+            assert is_zero(sum(E[a][i] * f[b][i] for i in range(n))
+                           - int(a == b)), (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,15 @@ def test_tetrad_in_minus_plus_frame(schwarzschild_frame):
 
 def test_np_tetrad_checks_frame_against_metric():
     # a frame that is not orthonormal for the context's metric is refused
+    # when the context is built, so np_tetrad never sees one
     eta = lorentz_eta()
-    ctx = petrov.MetricContext(
-        ["t", "x", "y", "z"],
-        [["2", "0", "0", "0"], ["0", "-1", "0", "0"],
-         ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
-        fri=[["1", "0", "0", "0"], ["0", "1", "0", "0"],
-             ["0", "0", "1", "0"], ["0", "0", "0", "1"]], lfg=eta)
     with pytest.raises(ValueError, match="not orthonormal"):
-        np_tetrad(ctx)
+        petrov.MetricContext(
+            ["t", "x", "y", "z"],
+            [["2", "0", "0", "0"], ["0", "-1", "0", "0"],
+             ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]],
+            fri=[["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                 ["0", "0", "1", "0"], ["0", "0", "0", "1"]], lfg=eta)
 
 
 def test_np_tetrad_rejects_non_orthonormal():
