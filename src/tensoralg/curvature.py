@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import sympy as sp
 
 from . import scalars
-from .scalars import diff, is_zero, ratsimp, sym, trigsimp
+from .scalars import diff, is_zero, ratsimp, reduce_trig, sym, trigsimp
 
 
 class DimensionError(ValueError):
@@ -64,11 +64,12 @@ def _simp(e):
 
     Component arrays stay much smaller when sin^2/cosh^2 combinations are
     folded early (they frequently collapse curvature entries to 0); the
-    reduced form is kept only when it is no larger than the plain one.
+    reduced form is kept only when it is no larger than the plain one.  The
+    closure starts from the normal form, so ``ratsimp`` is not run twice.
     """
     e = ratsimp(e)
     if e.has(sp.sin, sp.cosh):
-        reduced = trigsimp(e)
+        reduced = reduce_trig(e)
         if sp.count_ops(reduced) <= sp.count_ops(e):
             return reduced
     return e

@@ -104,6 +104,15 @@ def _split_values(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _expressions(text):
+    """Comma-separated expressions, each parsed where its line is read so
+    that a syntax error is reported with that line."""
+    values = _split_values(text)
+    for value in values:
+        scalars.parse(value)
+    return values
+
+
 def parse_metric_file(text: str) -> MetricFile:
     """Parse metric definition text, reporting errors with line numbers."""
     mf = MetricFile()
@@ -119,8 +128,6 @@ def parse_metric_file(text: str) -> MetricFile:
             section = line[1:end].strip().lower()
             line = line[end + 1:].strip()
             if not line:
-                if section == "constants":
-                    continue
                 continue
         if section is None:
             raise MetricFileError(f"line {lineno}: content before any section")
@@ -135,10 +142,6 @@ def parse_metric_file(text: str) -> MetricFile:
             raise
         except ValueError as exc:
             raise MetricFileError(f"line {lineno}: {exc}") from exc
-    # validate expressions early so errors carry context
-    for row in mf.metric_rows + mf.frame_rows + mf.frame_metric:
-        for entry in row:
-            scalars.parse(entry)
     return mf
 
 
@@ -154,14 +157,14 @@ def _ingest(mf, section, key, value):
     elif section == "metric":
         if key != "row":
             raise ValueError(f"unknown metric key {key!r}")
-        mf.metric_rows.append(_split_values(value))
+        mf.metric_rows.append(_expressions(value))
     elif section == "frame":
         if key == "row":
-            mf.frame_rows.append(_split_values(value))
+            mf.frame_rows.append(_expressions(value))
         elif key == "frame_metric":
             value = value.strip()
             if value.startswith("diag(") and value.endswith(")"):
-                diag = _split_values(value[5:-1])
+                diag = _expressions(value[5:-1])
                 n = len(diag)
                 mf.frame_metric = [
                     [diag[i] if i == j else "0" for j in range(n)]
@@ -169,7 +172,7 @@ def _ingest(mf, section, key, value):
             else:
                 raise ValueError("frame_metric expects diag(...) syntax")
         elif key == "metric_row":
-            mf.frame_metric.append(_split_values(value))
+            mf.frame_metric.append(_expressions(value))
         else:
             raise ValueError(f"unknown frame key {key!r}")
     elif section == "torsion":
@@ -178,12 +181,13 @@ def _ingest(mf, section, key, value):
         parts = _split_values(value)
         if len(parts) != 4:
             raise ValueError("torsion entry wants: i, j, k, expression")
+        scalars.parse(parts[3])
         mf.torsion_entries.append(
             (int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
     elif section == "nonmetricity":
         if key != "mu":
             raise ValueError(f"unknown nonmetricity key {key!r}")
-        mf.nonmetricity = _split_values(value)
+        mf.nonmetricity = _expressions(value)
     else:
         raise ValueError(f"unknown section [{section}]")
 

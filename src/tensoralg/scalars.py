@@ -6,6 +6,10 @@ symbols, the imaginary unit, and a fixed set of elementary functions.  The
 heavy lifting of polynomial arithmetic is delegated to sympy; this module
 pins down the grammar, the rational normal form, the limited trigonometric
 closure, and the zero test that the rest of the package relies on.
+
+As in Maxima's ``ratsimp``, the normal form lives in a field of rational
+functions: symbols and ``sin``/``cos``/``sinh``/``cosh`` applications are its
+generators, and any other kernel keeps the expression-tree path.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from fractions import Fraction
 
 import sympy as sp
 from sympy.polys.fields import FracField
+from sympy.polys.polyutils import _sort_gens
 from sympy.printing.str import StrPrinter
 
 Expr = sp.Expr
@@ -261,23 +266,30 @@ def ratsimp(e: Expr) -> Expr:
     common factors cancelled; it is exactly 0 iff the numerator is the zero
     polynomial.
 
-    An expression built only from symbols, rationals, ``+``, ``*`` and
-    integer powers is a rational function of its symbols; it is computed in
-    the fraction field Q(symbols), where every sum and product cancels its
-    gcd as it is formed, and converted back to an expression once.  Anything
-    holding a function kernel, a fractional power or ``%i`` is combined term
-    by term on expression trees instead, so intermediate fractions stay
-    reduced (combining everything first makes the gcd step explode on
-    curvature-sized expressions).
+    An expression built from symbols, rationals, ``+``, ``*``, integer
+    powers and ``sin``, ``cos``, ``sinh``, ``cosh`` of any argument is
+    computed in the fraction field Q(symbols, kernels), where every sum and
+    product cancels its gcd as it is formed.  Its numerator and denominator
+    are the pair ``sp.cancel`` gives, once the denominator leads with a
+    positive coefficient: coprime over the integers, in sympy's generator
+    order.  So no closing ``cancel`` is needed.
+
+    ``sqrt`` and ``%i`` obey algebraic relations and sympy merges
+    ``exp(x)*exp(y)``, so these, ``tan``, ``tanh``, ``log`` and ``abs`` are
+    no generators: such an expression is combined term by term on
+    expression trees, keeping intermediate fractions reduced (combining
+    everything first makes the gcd step explode on curvature-sized
+    expressions).
     """
     e = sp.sympify(e)
     frac = _as_fraction(e)
     if frac is not None:
-        if not frac.numer:
+        numer, denom = frac.numer, frac.denom
+        if not numer:
             return sp.S.Zero
-        # one cancel on the reduced ratio keeps the sign and term order of
-        # the expression-tree path
-        return sp.cancel(frac.numer.as_expr() / frac.denom.as_expr())
+        if denom.LC < 0:
+            numer, denom = -numer, -denom
+        return numer.as_expr() / denom.as_expr()
     terms = sp.Add.make_args(e)
     if len(terms) > 2:
         acc = sp.S.Zero
@@ -288,13 +300,13 @@ def ratsimp(e: Expr) -> Expr:
 
 
 def _as_fraction(e):
-    """``e`` as an element of the fraction field Q(symbols of e), or None if
-    it is not a rational function of its symbols or divides by zero."""
+    """``e`` as an element of Q(symbols and kernels of e), or None if it is
+    not a rational function of them or divides by zero."""
     found = set()
     stack = [e]
     while stack:
         node = stack.pop()
-        if node.is_Symbol:
+        if node.is_Symbol or node.func in (sp.sin, sp.cos, sp.sinh, sp.cosh):
             found.add(node)
         elif node.is_Add or node.is_Mul:
             stack.extend(node.args)
@@ -302,7 +314,8 @@ def _as_fraction(e):
             stack.append(node.base)
         elif not node.is_Rational:
             return None
-    field = _fraction_field(tuple(sorted(found, key=sp.default_sort_key)))
+    # sp.cancel's generator order; the first sort settles _sort_gens's ties
+    field = _fraction_field(_sort_gens(sorted(found, key=sp.default_sort_key)))
     try:
         return field.from_expr(e)
     except ZeroDivisionError:
@@ -354,7 +367,11 @@ def trigsimp(e: Expr) -> Expr:
     holding odd powers of the eliminated kernels are rationalized so the
     substitution reaches them too.
     """
-    e = ratsimp(e)
+    return reduce_trig(ratsimp(e))
+
+
+def reduce_trig(e: Expr) -> Expr:
+    """:func:`trigsimp` of an expression already in :func:`ratsimp` form."""
     num, den = e.as_numer_denom()
     num, den = _reduce_even_trig(num), _reduce_even_trig(den)
     for _ in range(16):
@@ -368,7 +385,7 @@ def trigsimp(e: Expr) -> Expr:
         multiplier = k if rest == 0 else rest - linear * k
         num = _reduce_even_trig(num * multiplier)
         den = _reduce_even_trig(den * multiplier)
-    return sp.cancel(num / den)
+    return ratsimp(num / den)
 
 
 def _split_linear(poly, kernel):

@@ -52,7 +52,8 @@ def test_compute_christoffel_component_naming(capsys):
 
 
 @pytest.mark.parametrize("name", ["exteriorschwarzschild", "spherical4d",
-                                  "toroidal"])
+                                  "toroidal", "ellipsoidal",
+                                  "confocalellipsoidal"])
 def test_compute_all_matches_golden_output(name, capsys):
     code, out, _ = run_cli("compute", "--catalog", name, "--tensors", "all",
                            "--format", "json", capsys=capsys)
@@ -203,7 +204,7 @@ def test_exit_code_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.tm"
     bad.write_text("[chart] coords = x, y\n[metric] row = 1, )(\n")
     code, _, err = run_cli("compute", "--metric", str(bad), capsys=capsys)
-    assert code == 1
+    assert code == 1 and "line 2: " in err
     code, _, err = run_cli("indicial", "--op", "contract",
                            "--expr", "T([a,a],[])", capsys=capsys)
     assert code == 1

@@ -91,3 +91,11 @@ def test_bad_expression_rejected_at_parse():
            "[metric] row = frob(x), 1\n"
     with pytest.raises(Exception):
         parse_metric_file(text)
+
+
+@pytest.mark.parametrize("entry", ["x^^2", "frob(x)"])
+def test_expression_error_carries_its_line(entry):
+    text = ("[chart] coords = x, y\n[metric] row = 1, 0\n"
+            f"[metric] row = 0, {entry}\n")
+    with pytest.raises(MetricFileError, match="line 3: "):
+        parse_metric_file(text)

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from tensoralg import scalars
+from tensoralg import catalog, scalars
 from tensoralg.scalars import (ExprSyntaxError, diff, evaluate, is_zero,
                                parse, ratsimp, render, sym, trigsimp)
 
@@ -97,6 +97,11 @@ def test_ratsimp_petrov_branch_condition():
 def test_ratsimp_rational_form_matches_cancel():
     # exterior Schwarzschild g^tt component: the sign stays in the numerator
     assert render(ratsimp(parse("-m/(r^2-2*m*r)"))) == "-m/(-2*m*r + r^2)"
+    # the field's denominator may lead with a negative coefficient; the sign
+    # moves to the numerator and the coefficients are cleared, as cancel does
+    assert render(ratsimp(parse("1/(y - x)"))) == "-1/(x - y)"
+    assert render(ratsimp(parse("1/(x/2 - y/3)"))) == "6/(3*x - 2*y)"
+    assert render(ratsimp(parse("1/(-2*sin(x))"))) == "-1/(2*sin(x))"
     # an identically zero denominator gives sympy's zoo, as before
     assert ratsimp(parse("1/((x+1)^2 - x^2 - 2*x - 1)")) == sp.zoo
 
@@ -208,6 +213,8 @@ def _rational_exprs():
     leaves = st.one_of(
         st.sampled_from(_NAMES).map(sym),
         st.integers(-4, 4).map(sp.Integer),
+        st.tuples(st.sampled_from([sp.sin, sp.cos, sp.sinh, sp.cosh]),
+                  st.sampled_from(_NAMES)).map(lambda t: t[0](sym(t[1]))),
     )
 
     def extend(children):
@@ -223,11 +230,34 @@ def _rational_exprs():
 @settings(max_examples=60, deadline=None)
 @given(_rational_exprs())
 def test_ratsimp_rational_matches_expression_cancel(e):
-    # rational input takes the fraction-field path; its result must be the
-    # same expression as cancelling the combined ratio on expression trees
+    # rational and trigonometric-rational input takes the fraction-field
+    # path; its result must be the same expression as cancelling the
+    # combined ratio on expression trees
     assume(e != 0 and not e.has(sp.zoo, sp.nan))
     for f in (e, 1 / e):
         assert ratsimp(f) == sp.cancel(sp.together(f))
+
+
+def test_trig_rational_simplification_needs_no_expression_cancel(
+        monkeypatch):
+    # christoffel2 sums of the trigonometric ellipsoidal metric are
+    # simplified in the fraction field, never by cancel on expression trees
+    ctx = catalog.load("ellipsoidal")
+    c1, ug, n = ctx.christoffel1, ctx.ug, ctx.dim
+    picks = [(1, 2, 2), (2, 2, 0), (0, 1, 0)]
+    sums = [sum(c1[i][j][m] * ug[m][k] for m in range(n))
+            for (i, j, k) in picks]
+    assert all(s.has(sp.sin, sp.cos) for s in sums)
+
+    def no_cancel(*args, **kwargs):
+        raise AssertionError("sympy.cancel called")
+
+    with monkeypatch.context() as m:
+        m.setattr(sp, "cancel", no_cancel)
+        out = [(ratsimp(s), trigsimp(s)) for s in sums]
+    for (i, j, k), (r, t) in zip(picks, out):
+        assert ctx.christoffel2[i][j][k] in (r, t)
+        assert is_zero(r - t)
 
 
 @settings(max_examples=40, deadline=None)
