@@ -56,23 +56,23 @@ def _load_context(args):
     raise InputError("one of --metric or --catalog is required")
 
 
-def _component_items(ctx, name, array, rank):
+def _component_items(ctx, name, rank):
     names = [c.name for c in ctx.coords]
     items = {}
     zeros = 0
 
-    def walk(prefix, node, depth):
+    def walk(prefix, node, zero, depth):
         nonlocal zeros
         if depth == 0:
-            if node == 0 or scalars.is_zero(node):
+            if zero:
                 zeros += 1
             else:
                 items[",".join(prefix)] = scalars.render(node)
             return
-        for i, sub in enumerate(node):
-            walk(prefix + [names[i]], sub, depth - 1)
+        for i, (sub, sub_zero) in enumerate(zip(node, zero)):
+            walk(prefix + [names[i]], sub, sub_zero, depth - 1)
 
-    walk([], array, rank)
+    walk([], getattr(ctx, name), ctx.vanishing(name), rank)
     return {"components": items, "zero_components": zeros}
 
 
@@ -102,13 +102,12 @@ def _cmd_compute(args):
         if name == "scalar":
             value = ctx.ricci_scalar
             document["scalar"] = {"value": scalars.render(value),
-                                  "zero": bool(scalars.is_zero(value))}
+                                  "zero": bool(ctx.vanishing("ricci_scalar"))}
             continue
         if name == "rotation_coeffs" and not ctx.cframe_flag:
             raise InputError("rotation_coeffs needs a frame base "
                              "(use --frame or a [frame] section)")
-        array = getattr(ctx, name)
-        document[name] = _component_items(ctx, name, array, _ARRAY_RANKS[name])
+        document[name] = _component_items(ctx, name, _ARRAY_RANKS[name])
     _emit(args, document)
     return 0
 

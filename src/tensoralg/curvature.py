@@ -11,13 +11,15 @@ replace the plain Christoffel connection.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import sympy as sp
 
 from . import scalars
-from .scalars import diff, is_zero, ratsimp, reduce_trig, sym, trigsimp
+from .scalars import TREES, diff, is_zero, ratsimp, sym, trigsimp
 
 
 class DimensionError(ValueError):
@@ -53,24 +55,50 @@ def _as_matrix(rows, what="matrix"):
     return out
 
 
-def _zeros(*shape):
+def _zeros(*shape, zero=sp.S.Zero):
     if len(shape) == 1:
-        return [sp.S.Zero] * shape[0]
-    return [_zeros(*shape[1:]) for _ in range(shape[0])]
+        return [zero] * shape[0]
+    return [_zeros(*shape[1:], zero=zero) for _ in range(shape[0])]
 
 
-def _simp(e):
+def _map(fn, value):
+    """``fn`` applied to every component of a nested list, or to a scalar."""
+    if isinstance(value, list):
+        return [_map(fn, v) for v in value]
+    return fn(value)
+
+
+def _det(m, zero):
+    """Determinant by cofactor expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(((-1) ** j * m[0][j]
+                * _det([row[:j] + row[j + 1:] for row in m[1:]], zero)
+                for j in range(len(m)) if m[0][j] != 0), zero)
+
+
+def _simp(e, K=TREES):
     """Rational normal form, trying the trigonometric closure when it pays.
 
     Component arrays stay much smaller when sin^2/cosh^2 combinations are
     folded early (they frequently collapse curvature entries to 0); the
-    reduced form is kept only when it is no larger than the plain one.  The
-    closure starts from the normal form, so ``ratsimp`` is not run twice.
+    reduced form is kept only when its expression is no larger than the
+    plain one's.  The closure starts from the normal form, so ``ratsimp``
+    is not run twice.
+
+    ``K`` is the scalar domain.  A context whose metric lies in a
+    :class:`scalars.KernelField` and whose connection is the metric one
+    holds ``det``, ``ug``, the Christoffel symbols and every curvature
+    stage as field elements, and the rule compares the expressions of the
+    two candidates.  Frame stages, torsion, nonmetricity and metrics with
+    ``sqrt``, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh`` keep
+    expression trees.
     """
-    e = ratsimp(e)
-    if e.has(sp.sin, sp.cosh):
-        reduced = reduce_trig(e)
-        if sp.count_ops(reduced) <= sp.count_ops(e):
+    e = K.ratsimp(e)
+    if K.has_trig(e):
+        reduced = K.reduce_trig(e)
+        if (reduced == e
+                or sp.count_ops(K.expr(reduced)) <= sp.count_ops(K.expr(e))):
             return reduced
     return e
 
@@ -84,11 +112,11 @@ def _contract_last(array, matrix, simp):
     out = []
     for j in range(n):
         val = sum(array[m] * matrix[m][j] for m in range(n))
-        out.append(simp(val) if val != 0 else sp.S.Zero)
+        out.append(simp(val) if val != 0 else val)
     return out
 
 
-def _pair_fill(n, component, simp):
+def _pair_fill(n, component, simp, zero=sp.S.Zero):
     """All-covariant 4-index array from its independent components.
 
     ``component(a, b, c, d)`` gives P_abcd, which is antisymmetric in (a, b)
@@ -99,11 +127,11 @@ def _pair_fill(n, component, simp):
     moves last.
     """
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    out = _zeros(n, n, n, n)
+    out = _zeros(n, n, n, n, zero=zero)
     for pa, (a, b) in enumerate(pairs):
         for (c, d) in pairs[pa:]:
             val = simp(component(a, b, c, d))
-            neg = simp(-val) if val != 0 else sp.S.Zero
+            neg = simp(-val) if val != 0 else val
             for (i, k, l, m, v) in (
                     (a, b, c, d, val), (b, a, c, d, neg),
                     (a, b, d, c, neg), (b, a, d, c, val)):
@@ -112,17 +140,17 @@ def _pair_fill(n, component, simp):
     return out
 
 
-def _trace(array, inv):
+def _trace(array, inv, K=TREES):
     """sum_km inv[k][m] * array[...][k][m]: the last two slots of an array of
     any rank contracted with an inverse metric.  Coordinate and frame arrays
     share the slot layout, so this gives the Ricci tensor of either
     all-covariant curvature and the scalar curvature of either Ricci tensor.
     """
     if isinstance(array[0][0], list):
-        return [_trace(sub, inv) for sub in array]
+        return [_trace(sub, inv, K) for sub in array]
     n = len(inv)
-    return trigsimp(sum(inv[k][m] * array[k][m] for k in range(n)
-                        for m in range(n) if inv[k][m] != 0))
+    return K.trigsimp(sum((inv[k][m] * array[k][m] for k in range(n)
+                           for m in range(n) if inv[k][m] != 0), K.zero))
 
 
 class MetricContext:
@@ -131,6 +159,12 @@ class MetricContext:
 
     With a frame base ``fri`` and frame metric ``lfg``, g = F^T eta F is
     derived when ``lg`` is None and checked exactly against ``lg`` otherwise.
+
+    When the metric is a rational function of symbols and sin/cos/sinh/cosh
+    kernels, ``field`` is its :class:`scalars.KernelField`, built once here,
+    and the stages of the metric connection compute on its elements; their
+    public properties convert them to expressions once.  Otherwise
+    ``field`` is None and every stage works on expression trees.
 
     Results are cached; calling :meth:`set_torsion` or
     :meth:`set_nonmetricity` invalidates the cache.  A context is meant to
@@ -171,11 +205,23 @@ class MetricContext:
         self.torsion_values = None
         self.nonmetricity_values = None
         self._memo = {}
+        self._exprs = {}
+        self.field = scalars.kernel_field(
+            [x for row in self.lg for x in row],
+            self.coords + tuple(sym(c) if isinstance(c, str) else c
+                                for c in self.constants))
+        if self.field is not None:
+            try:
+                self._field_lg = [[self.field.element(x) for x in row]
+                                  for row in self.lg]
+            except ZeroDivisionError:
+                self.field = None
+        K, g = self._K, self._g
         for i in range(self.dim):
             for j in range(i):
-                if not is_zero(self.lg[i][j] - self.lg[j][i]):
+                if not K.is_zero(g[i][j] - g[j][i]):
                     raise ValueError("metric must be symmetric")
-        if is_zero(self.det):
+        if K.is_zero(self._values("det")):
             raise ValueError("metric is symbolically singular")
 
     # -- basic structure ----------------------------------------------------
@@ -189,24 +235,67 @@ class MetricContext:
         return self.chart.dim
 
     @property
+    def _K(self):
+        """Scalar domain of the stages: the metric's kernel field for the
+        metric connection, expression trees otherwise."""
+        if self.field is not None and self.plain_connection:
+            return self.field
+        return TREES
+
+    @property
+    def _g(self):
+        """The metric in the stages' scalar domain."""
+        return self._field_lg if self._K is self.field else self.lg
+
+    @property
     def diagonal(self):
+        K, g = self._K, self._g
         return self._cached("diagonal", lambda: all(
-            self.lg[i][j] == 0 or is_zero(self.lg[i][j])
+            g[i][j] == 0 or K.is_zero(g[i][j])
             for i in range(self.dim) for j in range(self.dim) if i != j))
 
     @property
     def det(self):
         def compute():
+            K, g, n = self._K, self._g, self.dim
             if self.diagonal:
-                return ratsimp(sp.Mul(*(self.lg[i][i]
-                                        for i in range(self.dim))))
-            return ratsimp(sp.Matrix(self.lg).det(method="berkowitz"))
-        return self._cached("det", compute)
+                return K.ratsimp(math.prod(g[i][i] for i in range(n)))
+            if K is TREES:
+                return ratsimp(sp.Matrix(self.lg).det(method="berkowitz"))
+            return _det(g, K.zero)
+        return self._public("det", compute)
 
     def _cached(self, key, fn):
+        """Stage ``key`` in the scalar domain, computed once by ``fn``."""
         if key not in self._memo:
             self._memo[key] = fn()
         return self._memo[key]
+
+    def _public(self, key, fn):
+        """Stage ``key`` as expressions: field elements are converted once,
+        here, and expression trees are returned as they are."""
+        value = self._cached(key, fn)
+        K = self._K
+        if K is TREES:
+            return value
+        if key not in self._exprs:
+            self._exprs[key] = _map(K.expr, value)
+        return self._exprs[key]
+
+    def _values(self, key):
+        """Stage ``key`` in the scalar domain.  It is computed through its
+        public property, so the work is done (and timed) there."""
+        getattr(self, key)
+        return self._memo[key]
+
+    def vanishing(self, key):
+        """For each component of stage ``key``, whether it is zero.  On a
+        field context this is decided on the element, whose numerator is 0
+        after the Pythagorean reduction, with no numeric probe."""
+        values = self._values(key)
+        # only stages converted by _public hold field elements
+        K = self._K if key in self._exprs else TREES
+        return _map(K.is_zero, values)
 
     def set_torsion(self, values):
         """Install a torsion tensor tau_ij^k (antisymmetric in i, j)."""
@@ -222,6 +311,7 @@ class MetricContext:
                             "indices")
         self.torsion_values = tau
         self._memo.clear()
+        self._exprs.clear()
 
     def set_nonmetricity(self, values):
         """Install the nonmetricity vector mu_k."""
@@ -231,6 +321,7 @@ class MetricContext:
             raise ValueError("nonmetricity vector has the wrong length")
         self.nonmetricity_values = mu
         self._memo.clear()
+        self._exprs.clear()
 
     # -- metric inverse -------------------------------------------------------
 
@@ -238,18 +329,26 @@ class MetricContext:
     def ug(self):
         """Contravariant metric (adjugate over determinant, simplified)."""
         def compute():
-            n = self.dim
+            n, K, g = self.dim, self._K, self._g
             if self.diagonal:
-                out = _zeros(n, n)
+                out = _zeros(n, n, zero=K.zero)
                 for i in range(n):
-                    out[i][i] = ratsimp(1 / self.lg[i][i])
+                    out[i][i] = K.ratsimp(1 / g[i][i])
                 return out
-            m = sp.Matrix(self.lg)
-            adj = m.adjugate()
-            det = self.det
-            return [[trigsimp(adj[i, j] / det) for j in range(n)]
+            det = self._values("det")
+            if K is TREES:
+                adj = sp.Matrix(self.lg).adjugate()
+                return [[trigsimp(adj[i, j] / det) for j in range(n)]
+                        for i in range(n)]
+
+            def cofactor(i, j):
+                minor = [row[:j] + row[j + 1:]
+                         for r, row in enumerate(g) if r != i]
+                return (-1) ** (i + j) * _det(minor, K.zero)
+
+            return [[K.trigsimp(cofactor(j, i) / det) for j in range(n)]
                     for i in range(n)]
-        return self._cached("ug", compute)
+        return self._public("ug", compute)
 
     # -- connection -----------------------------------------------------------
 
@@ -257,14 +356,14 @@ class MetricContext:
     def _dmetric(self):
         """dg[h][k][l] = d g_kl / d x^h, skipping derivatives of literal 0."""
         def compute():
-            n = self.dim
-            dg = _zeros(n, n, n)
+            n, K, g = self.dim, self._K, self._g
+            dg = _zeros(n, n, n, zero=K.zero)
             for k in range(n):
                 for l in range(n):
-                    if self.lg[k][l] == 0:
+                    if g[k][l] == 0:
                         continue
                     for h in range(n):
-                        dg[h][k][l] = diff(self.lg[k][l], self.coords[h])
+                        dg[h][k][l] = K.diff(g[k][l], self.coords[h])
             return dg
         return self._cached("dmetric", compute)
 
@@ -272,15 +371,15 @@ class MetricContext:
     def christoffel1(self):
         """First-kind Christoffel symbols Gamma[h][k][l]."""
         def compute():
-            n, dg = self.dim, self._dmetric
-            out = _zeros(n, n, n)
+            n, K, dg = self.dim, self._K, self._dmetric
+            out = _zeros(n, n, n, zero=K.zero)
             for h in range(n):
                 for k in range(n):
                     for l in range(n):
-                        out[h][k][l] = ratsimp(
+                        out[h][k][l] = K.ratsimp(
                             (dg[h][k][l] + dg[k][l][h] - dg[l][h][k]) / 2)
             return out
-        return self._cached("christoffel1", compute)
+        return self._public("christoffel1", compute)
 
     @property
     def contortion(self):
@@ -343,8 +442,10 @@ class MetricContext:
     def christoffel2(self):
         """Second-kind Christoffel symbols Gamma[h][k]^[j]."""
         def compute():
-            return _contract_last(self.christoffel1, self.ug, _simp)
-        return self._cached("christoffel2", compute)
+            return _contract_last(self._values("christoffel1"),
+                                  self._values("ug"),
+                                  partial(_simp, K=self._K))
+        return self._public("christoffel2", compute)
 
     @property
     def connection2(self):
@@ -373,17 +474,19 @@ class MetricContext:
         def compute():
             if not self.plain_connection:
                 return self._riemann_direct()
-            n, rl, ug = self.dim, self.riemann_lowered, self.ug
-            out = _zeros(n, n, n, n)
+            n, K = self.dim, self._K
+            rl, ug = self._values("riemann_lowered"), self._values("ug")
+            simp = partial(_simp, K=K)
+            out = _zeros(n, n, n, n, zero=K.zero)
             for h in range(n):
                 for l in range(n):
                     for k in range(l + 1, n):
-                        row = _contract_last(rl[h][l][k], ug, _simp)
+                        row = _contract_last(rl[h][l][k], ug, simp)
                         out[h][l][k] = row
-                        out[h][k][l] = [_simp(-v) if v != 0 else sp.S.Zero
+                        out[h][k][l] = [simp(-v) if v != 0 else v
                                         for v in row]
             return out
-        return self._cached("riemann", compute)
+        return self._public("riemann", compute)
 
     def _riemann_direct(self):
         """Curvature of the (possibly torsionful/nonmetric) connection."""
@@ -423,19 +526,20 @@ class MetricContext:
         lowering the direct curvature.
         """
         def compute():
-            n = self.dim
+            n, K = self.dim, self._K
             if not self.plain_connection:
                 return _contract_last(self.riemann, self.lg, ratsimp)
             coords = self.coords
-            dg, c1, c2 = self._dmetric, self.christoffel1, self.christoffel2
+            dg = self._dmetric
+            c1, c2 = self._values("christoffel1"), self._values("christoffel2")
             d2 = {}
 
             def d2g(a, b, c, d):
                 c, d = min(c, d), max(c, d)
                 key = (a, b, c, d)
                 if key not in d2:
-                    d2[key] = (diff(dg[c][a][b], coords[d])
-                               if dg[c][a][b] != 0 else sp.S.Zero)
+                    d2[key] = (K.diff(dg[c][a][b], coords[d])
+                               if dg[c][a][b] != 0 else K.zero)
                 return d2[key]
 
             def component(i, k, l, m):
@@ -444,8 +548,8 @@ class MetricContext:
                     + sum(c1[k][l][p] * c2[i][m][p]
                           - c1[k][m][p] * c2[i][l][p] for p in range(n))
 
-            return _pair_fill(n, component, _simp)
-        return self._cached("riemann_lowered", compute)
+            return _pair_fill(n, component, partial(_simp, K=K), K.zero)
+        return self._public("riemann_lowered", compute)
 
     @property
     def ricci(self):
@@ -453,31 +557,34 @@ class MetricContext:
         connection, otherwise the trace of the direct curvature."""
         def compute():
             if self.plain_connection:
-                return _trace(self.riemann_lowered, self.ug)
+                return _trace(self._values("riemann_lowered"),
+                              self._values("ug"), self._K)
             return _trace(self.riemann, sp.eye(self.dim).tolist())
-        return self._cached("ricci", compute)
+        return self._public("ricci", compute)
 
     @property
     def ricci_scalar(self):
-        return self._cached("ricci_scalar",
-                            lambda: _trace(self.ricci, self.ug))
+        return self._public("ricci_scalar", lambda: _trace(
+            self._values("ricci"), self._values("ug"), self._K))
 
     @property
     def einstein(self):
         """Einstein tensor G_ij = R_ij - R g_ij / 2."""
         def compute():
-            n, ric, g, r = self.dim, self.ricci, self.lg, self.ricci_scalar
-            return [[trigsimp(ric[i][j] - r * g[i][j] / 2) for j in range(n)]
-                    for i in range(n)]
-        return self._cached("einstein", compute)
+            n, K, g = self.dim, self._K, self._g
+            ric, r = self._values("ricci"), self._values("ricci_scalar")
+            return [[K.trigsimp(ric[i][j] - r * g[i][j] / 2)
+                     for j in range(n)] for i in range(n)]
+        return self._public("einstein", compute)
 
     @property
     def weyl(self):
         """Weyl conformal tensor W[i][j][k][l], all covariant."""
-        return self._cached("weyl", lambda: self._weyl(lambda: (
-            self.riemann_lowered, self.lg, self.ricci, self.ricci_scalar)))
+        return self._public("weyl", lambda: self._weyl(lambda: (
+            self._values("riemann_lowered"), self._g, self._values("ricci"),
+            self._values("ricci_scalar")), self._K))
 
-    def _weyl(self, parts):
+    def _weyl(self, parts, K=TREES):
         """Weyl tensor from the all-covariant curvature, metric, Ricci tensor
         and scalar curvature ``parts()``, in coordinate or frame components.
         It is the trace-free part of a curvature with the pair symmetries of
@@ -489,7 +596,7 @@ class MetricContext:
         if n == 3:
             warnings.warn("the Weyl tensor vanishes identically in three "
                           "dimensions; returning zeros")
-            return _zeros(n, n, n, n)
+            return _zeros(n, n, n, n, zero=K.zero)
         if not self.plain_connection:
             raise ValueError("the Weyl tensor needs the metric connection "
                              "(no torsion or nonmetricity)")
@@ -503,7 +610,7 @@ class MetricContext:
                        - g[b][d] * ric[a][c] + g[a][d] * ric[b][c])
                     / (n - 2))
 
-        return _pair_fill(n, component, ratsimp)
+        return _pair_fill(n, component, K.ratsimp, K.zero)
 
     # -- frame quantities -------------------------------------------------------
 

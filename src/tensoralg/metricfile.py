@@ -117,6 +117,7 @@ def parse_metric_file(text: str) -> MetricFile:
     """Parse metric definition text, reporting errors with line numbers."""
     mf = MetricFile()
     section = None
+    torsion_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -142,6 +143,13 @@ def parse_metric_file(text: str) -> MetricFile:
             raise
         except ValueError as exc:
             raise MetricFileError(f"line {lineno}: {exc}") from exc
+        if section == "torsion":
+            torsion_lines.append(lineno)
+    n = len(mf.coords)
+    for lineno, entry in zip(torsion_lines, mf.torsion_entries):
+        if n and not all(1 <= index <= n for index in entry[:3]):
+            raise MetricFileError(
+                f"line {lineno}: torsion indices must lie in 1..{n}")
     return mf
 
 

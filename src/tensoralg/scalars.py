@@ -10,12 +10,25 @@ closure, and the zero test that the rest of the package relies on.
 As in Maxima's ``ratsimp``, the normal form lives in a field of rational
 functions: symbols and ``sin``/``cos``/``sinh``/``cosh`` applications are its
 generators, and any other kernel keeps the expression-tree path.
+
+A :class:`KernelField` is such a field closed under d/dx: each sin(u)
+comes with cos(u) and each sinh(u) with cosh(u).  A coordinate context
+whose metric lies in one (every catalog metric does) computes ``det``,
+``ug``, the Christoffel symbols, ``riemann_lowered``, ``riemann``,
+``ricci``, ``ricci_scalar``, ``einstein`` and ``weyl`` on its elements:
+:meth:`KernelField.diff` is a derivation over the generators,
+:meth:`KernelField.reduce_trig` the Pythagorean reduction as a ring
+operation, and an element becomes an expression once, through the form
+:func:`ratsimp` returns.  Frame stages, torsion, nonmetricity and input
+with ``sqrt``, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh`` keep
+expression trees and the functions below.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from fractions import Fraction
 
 import sympy as sp
@@ -284,12 +297,7 @@ def ratsimp(e: Expr) -> Expr:
     e = sp.sympify(e)
     frac = _as_fraction(e)
     if frac is not None:
-        numer, denom = frac.numer, frac.denom
-        if not numer:
-            return sp.S.Zero
-        if denom.LC < 0:
-            numer, denom = -numer, -denom
-        return numer.as_expr() / denom.as_expr()
+        return _frac_expr(frac)
     terms = sp.Add.make_args(e)
     if len(terms) > 2:
         acc = sp.S.Zero
@@ -299,14 +307,28 @@ def ratsimp(e: Expr) -> Expr:
     return sp.cancel(sp.together(e))
 
 
-def _as_fraction(e):
-    """``e`` as an element of Q(symbols and kernels of e), or None if it is
-    not a rational function of them or divides by zero."""
+def _frac_expr(frac):
+    """A field element as numerator over denominator, the denominator
+    leading with a positive coefficient: the pair ``sp.cancel`` returns."""
+    numer, denom = frac.numer, frac.denom
+    if not numer:
+        return sp.S.Zero
+    if denom.LC < 0:
+        numer, denom = -numer, -denom
+    return numer.as_expr() / denom.as_expr()
+
+
+_KERNELS = (sp.sin, sp.cos, sp.sinh, sp.cosh)
+
+
+def _generators(exprs):
+    """Symbols and sin/cos/sinh/cosh applications in ``exprs``, or None if
+    one of them is not a rational function of these."""
     found = set()
-    stack = [e]
+    stack = list(exprs)
     while stack:
         node = stack.pop()
-        if node.is_Symbol or node.func in (sp.sin, sp.cos, sp.sinh, sp.cosh):
+        if node.is_Symbol or node.func in _KERNELS:
             found.add(node)
         elif node.is_Add or node.is_Mul:
             stack.extend(node.args)
@@ -314,10 +336,22 @@ def _as_fraction(e):
             stack.append(node.base)
         elif not node.is_Rational:
             return None
+    return found
+
+
+def _ordered(gens):
     # sp.cancel's generator order; the first sort settles _sort_gens's ties
-    field = _fraction_field(_sort_gens(sorted(found, key=sp.default_sort_key)))
+    return _sort_gens(sorted(gens, key=sp.default_sort_key))
+
+
+def _as_fraction(e):
+    """``e`` as an element of Q(symbols and kernels of e), or None if it is
+    not a rational function of them or divides by zero."""
+    found = _generators([e])
+    if found is None:
+        return None
     try:
-        return field.from_expr(e)
+        return _fraction_field(_ordered(found)).from_expr(e)
     except ZeroDivisionError:
         return None
 
@@ -325,6 +359,274 @@ def _as_fraction(e):
 @functools.lru_cache(maxsize=128)
 def _fraction_field(gens):
     return FracField(gens, sp.QQ)
+
+
+#: The partner of each kernel: d/du of one is +-1 times the other.
+_PARTNERS = {sp.sin: (sp.cos, 1), sp.cos: (sp.sin, -1),
+             sp.sinh: (sp.cosh, 1), sp.cosh: (sp.sinh, 1)}
+
+#: Eliminated kernels: sin(u)^2 = 1 - cos(u)^2, cosh(u)^2 = 1 + sinh(u)^2.
+_SQUARES = {sp.sin: -1, sp.cosh: 1}
+
+
+def kernel_field(exprs, symbols=()):
+    """The :class:`KernelField` of ``exprs`` and ``symbols``, or None.
+
+    Its generators are the symbols, the symbols of kernel arguments and the
+    kernels of ``exprs``, each sin(u) with cos(u) and each sinh(u) with
+    cosh(u).  None when an expression is not a rational function of these
+    or a kernel argument is not a polynomial in symbols.
+    """
+    found = _generators(exprs)
+    if found is None:
+        return None
+    found.update(symbols)
+    for kernel in [g for g in found if not g.is_Symbol]:
+        arg = kernel.args[0]
+        inner = _generators([arg])
+        if (inner is None or not all(s.is_Symbol for s in inner)
+                or not arg.is_polynomial(*inner)):
+            return None
+        partner = _PARTNERS[kernel.func][0](arg)
+        if partner.func not in _KERNELS or partner.args != (arg,):
+            return None
+        found.update(inner)
+        found.add(partner)
+    return KernelField(_ordered(found))
+
+
+class KernelField:
+    """Q(symbols, sin/cos/sinh/cosh kernels), closed under d/dx.
+
+    Elements are sympy ``FracElement``s, so every sum and product is a
+    cancelled ratio: an element is the field image of what :func:`ratsimp`
+    returns for the same rational function, whatever generators the two
+    fields share, because the generators keep sympy's order.  The
+    operations mirror the expression-tree ones: :meth:`diff` for
+    :func:`diff`, :meth:`reduce_trig` for :func:`reduce_trig`,
+    :meth:`is_zero` for :func:`is_zero` and :meth:`expr` for the form
+    :func:`ratsimp` returns.
+    """
+
+    def __init__(self, gens):
+        self.field = _fraction_field(gens)
+        self.ring = self.field.ring
+        self.zero = self.field.zero
+        index = {g: i for i, g in enumerate(gens)}
+        # (i, j, sign): gens[i]^2 = 1 + sign*gens[j]^2
+        self._squares = []
+        # (i, j, sign, u): d gens[i] = sign*gens[j] du, u the argument
+        self._chains = []
+        for i, g in enumerate(gens):
+            if g.is_Symbol:
+                continue
+            partner, sign = _PARTNERS[g.func]
+            j = index[partner(g.args[0])]
+            self._chains.append((i, j, sign, self.ring.from_expr(g.args[0])))
+            if g.func in _SQUARES:
+                self._squares.append((i, j, _SQUARES[g.func]))
+        self._eliminated = [i for i, _, _ in self._squares]
+        self._derivations = {}
+
+    # -- conversions ----------------------------------------------------------
+
+    def element(self, e):
+        """The element of expression ``e``."""
+        return self.field.from_expr(e)
+
+    def expr(self, f):
+        """``f`` as the expression :func:`ratsimp` gives for it."""
+        return _frac_expr(f)
+
+    # -- calculus -------------------------------------------------------------
+
+    def diff(self, f, x):
+        """Partial derivative of ``f`` by the symbol ``x``: the derivation
+        that maps each generator to its derivative."""
+        if x not in self._derivations:
+            # [(i, d gens[i]/dx)], zero ones left out; kernel arguments are
+            # polynomials in symbols, so every entry is a polynomial
+            symbols = [(i, self.ring.one)
+                       for i, s in enumerate(self.ring.symbols) if s == x]
+            table = list(symbols)
+            for i, j, sign, arg in self._chains:
+                darg = _derive(arg, symbols)
+                if darg:
+                    table.append((i, darg * self.ring.gens[j] * sign))
+            self._derivations[x] = table
+        table = self._derivations[x]
+        p, q = f.numer, f.denom
+        dp, dq = _derive(p, table), _derive(q, table)
+        return self.field.new(dp * q - p * dq, q * q)
+
+    # -- the Pythagorean closure ----------------------------------------------
+
+    def has_trig(self, f):
+        """True when sin or cosh occurs in ``f``."""
+        degrees = (f.numer.degrees(), f.denom.degrees())
+        return any(d[i] > 0 for d in degrees for i in self._eliminated)
+
+    def reduce_trig(self, f):
+        """The ring form of :func:`reduce_trig`: sin^2 -> 1 - cos^2 and
+        cosh^2 -> 1 + sinh^2 in numerator and denominator, then each odd
+        sin/cosh of the denominator cleared by its conjugate, in the order
+        the expression-tree rationalisation takes them."""
+        num, den = self._reduce_even(f.numer), self._reduce_even(f.denom)
+        for _ in range(16):
+            odd = [i for i in self._eliminated
+                   if any(m[i] % 2 for m in den.itermonoms())]
+            if not odd:
+                break
+            i = odd[0] if len(odd) == 1 else self._first_odd(den, odd)
+            rest = self.ring.from_dict(
+                {m: c for m, c in den.iterterms() if not m[i]})
+            # den = rest + linear*k; the conjugate rest - linear*k, or k
+            # itself when rest vanishes, clears k from the denominator
+            multiplier = 2 * rest - den if rest else self.ring.gens[i]
+            num = self._reduce_even(num * multiplier)
+            den = self._reduce_even(den * multiplier)
+        return self.field.new(num, den)
+
+    def _reduce_even(self, p):
+        """sin(u)^2 -> 1 - cos(u)^2 and cosh(u)^2 -> 1 + sinh(u)^2 in the
+        polynomial ``p``, exhaustively."""
+        for i, j, sign in self._squares:
+            if all(m[i] < 2 for m in p.itermonoms()):
+                continue
+            terms = {}
+            for m, c in p.iterterms():
+                half, odd = divmod(m[i], 2)
+                for t in range(half + 1):
+                    monom = list(m)
+                    monom[i], monom[j] = odd, m[j] + 2 * t
+                    monom = tuple(monom)
+                    terms[monom] = (terms.get(monom, 0)
+                                    + c * math.comb(half, t) * sign ** t)
+            p = self.ring.from_dict(terms)
+        return p
+
+    def _first_odd(self, den, odd):
+        """The kernel of ``odd`` the tree rationalisation picks: the first
+        one met in sympy's term and factor order of the expanded ``den``."""
+        wanted = {self.ring.symbols[i]: i for i in odd}
+        for term in sp.Add.make_args(den.as_expr()):
+            for factor in sp.Mul.make_args(term):
+                base, ex = factor.as_base_exp()
+                if base in wanted and ex % 2 == 1:
+                    return wanted[base]
+        return odd[0]
+
+    def trigsimp(self, f):
+        return self.reduce_trig(f)
+
+    def ratsimp(self, f):
+        """Elements are in normal form already."""
+        return f
+
+    def is_zero(self, f):
+        """True iff the numerator vanishes after the Pythagorean reduction,
+        which is when :func:`is_zero` holds for the expression."""
+        return not self._reduce_even(f.numer)
+
+
+def _derive(p, table):
+    """sum_i dp/d gens[i] * d gens[i] for the polynomial ``p``."""
+    out = p.ring.zero
+    for i, d in table:
+        dp = p.diff(i)
+        if dp:
+            out = out + dp * d
+    return out
+
+
+class _Trees:
+    """Expression trees with the operations of :class:`KernelField`: the
+    scalar domain of input outside every kernel field."""
+
+    zero = sp.S.Zero
+
+    @staticmethod
+    def expr(e):
+        return e
+
+    @staticmethod
+    def diff(e, x):
+        return diff(e, x)
+
+    @staticmethod
+    def has_trig(e):
+        return e.has(sp.sin, sp.cosh)
+
+    @staticmethod
+    def reduce_trig(e):
+        return reduce_trig(e)
+
+    @staticmethod
+    def trigsimp(e):
+        return trigsimp(e)
+
+    @staticmethod
+    def ratsimp(e):
+        return ratsimp(e)
+
+    @staticmethod
+    def is_zero(e):
+        return is_zero(e)
+
+
+TREES = _Trees()
+
+
+def trigsimp(e: Expr) -> Expr:
+    """Rational normal form with the Pythagorean substitutions applied.
+
+    Only sin^2 -> 1 - cos^2 and cosh^2 -> 1 + sinh^2 are used; denominators
+    holding odd powers of the eliminated kernels are rationalized so the
+    substitution reaches them too.
+    """
+    e = sp.sympify(e)
+    reduced = _reduce_in_field(e)
+    return reduced if reduced is not None else _reduce_trig_tree(ratsimp(e))
+
+
+def reduce_trig(e: Expr) -> Expr:
+    """:func:`trigsimp` of an expression already in :func:`ratsimp` form.
+
+    A rational function of symbols and kernels is reduced in its
+    :class:`KernelField`; other input on expression trees.
+    """
+    e = sp.sympify(e)
+    reduced = _reduce_in_field(e)
+    return reduced if reduced is not None else _reduce_trig_tree(e)
+
+
+def _reduce_in_field(e):
+    field = kernel_field([e])
+    if field is None:
+        return None
+    try:
+        element = field.element(e)
+    except ZeroDivisionError:
+        return None
+    return field.expr(field.reduce_trig(element))
+
+
+def _reduce_trig_tree(e):
+    """:func:`reduce_trig` on expression trees."""
+    num, den = e.as_numer_denom()
+    num, den = _reduce_even_trig(num), _reduce_even_trig(den)
+    for _ in range(16):
+        kernels = _odd_kernels(den)
+        if not kernels:
+            break
+        k = kernels[0]
+        rest, linear = _split_linear(den, k)
+        # den = rest + linear*k; multiply by the conjugate (or by k itself
+        # when the kernel-free part vanishes) to clear k from the denominator.
+        multiplier = k if rest == 0 else rest - linear * k
+        num = _reduce_even_trig(num * multiplier)
+        den = _reduce_even_trig(den * multiplier)
+    return ratsimp(num / den)
 
 
 def _reduce_even_trig(poly):
@@ -358,34 +660,6 @@ def _odd_kernels(poly):
                 if base not in found:
                     found.append(base)
     return found
-
-
-def trigsimp(e: Expr) -> Expr:
-    """Rational normal form with the Pythagorean substitutions applied.
-
-    Only sin^2 -> 1 - cos^2 and cosh^2 -> 1 + sinh^2 are used; denominators
-    holding odd powers of the eliminated kernels are rationalized so the
-    substitution reaches them too.
-    """
-    return reduce_trig(ratsimp(e))
-
-
-def reduce_trig(e: Expr) -> Expr:
-    """:func:`trigsimp` of an expression already in :func:`ratsimp` form."""
-    num, den = e.as_numer_denom()
-    num, den = _reduce_even_trig(num), _reduce_even_trig(den)
-    for _ in range(16):
-        kernels = _odd_kernels(den)
-        if not kernels:
-            break
-        k = kernels[0]
-        rest, linear = _split_linear(den, k)
-        # den = rest + linear*k; multiply by the conjugate (or by k itself
-        # when the kernel-free part vanishes) to clear k from the denominator.
-        multiplier = k if rest == 0 else rest - linear * k
-        num = _reduce_even_trig(num * multiplier)
-        den = _reduce_even_trig(den * multiplier)
-    return ratsimp(num / den)
 
 
 def _split_linear(poly, kernel):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tensoralg import cli
+from tensoralg import catalog, cli, curvature, scalars
 
 POLAR_FILE = """\
 [chart] coords = r, phi
@@ -51,15 +51,70 @@ def test_compute_christoffel_component_naming(capsys):
     assert comps["r,phi,phi"] == "1/r"
 
 
-@pytest.mark.parametrize("name", ["exteriorschwarzschild", "spherical4d",
-                                  "toroidal", "ellipsoidal",
-                                  "confocalellipsoidal"])
+@pytest.mark.parametrize("name", catalog.list_entries())
 def test_compute_all_matches_golden_output(name, capsys):
-    code, out, _ = run_cli("compute", "--catalog", name, "--tensors", "all",
-                           "--format", "json", capsys=capsys)
-    assert code == 0
+    start = time.monotonic()
+    code, out, err = run_cli("compute", "--catalog", name, "--tensors", "all",
+                             "--format", "json", capsys=capsys)
+    seconds = time.monotonic() - start
+    assert code == 0 and err == ""
     golden = Path(__file__).parent / "golden" / f"{name}.json"
     assert out == golden.read_text(encoding="utf-8")
+    if name == "kerr_newman":
+        assert seconds < 20, f"kerr_newman compute took {seconds:.1f}s"
+
+
+def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
+    # once the metric entries are read into the field, no component is read
+    # back from an expression and no expression-tree simplifier runs
+    from sympy.polys.fields import FracElement, FracField
+
+    ctx = catalog.load("kerr_newman")
+    assert ctx.field is not None
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(FracField, "from_expr")
+    for name in ("_reduce_even_trig", "_odd_kernels", "_split_linear",
+                 "ratsimp", "trigsimp", "reduce_trig", "is_zero"):
+        counted(scalars, name)
+    for name in ("ratsimp", "trigsimp", "is_zero"):
+        counted(curvature, name)
+    monkeypatch.setattr(cli, "_load_context", lambda args: ctx)
+    code, out, _ = run_cli("compute", "--catalog", "kerr_newman", "--tensors",
+                           "all", "--format", "json", capsys=capsys)
+    assert code == 0
+    golden = Path(__file__).parent / "golden" / "kerr_newman.json"
+    assert out == golden.read_text(encoding="utf-8")
+    assert calls == {}
+
+    def leaves(value):
+        if isinstance(value, list):
+            return [leaf for sub in value for leaf in leaves(sub)]
+        return [value]
+
+    for stage in ("ug", "christoffel1", "christoffel2", "riemann_lowered",
+                  "riemann", "ricci", "ricci_scalar", "einstein", "weyl"):
+        assert all(isinstance(v, FracElement)
+                   for v in leaves(ctx._memo[stage])), stage
+
+
+@pytest.mark.parametrize("indices", ["0, 1, 1", "3, 1, 1"])
+def test_compute_refuses_torsion_index_out_of_range(tmp_path, capsys,
+                                                    indices):
+    path = tmp_path / "torsion.tm"
+    path.write_text(POLAR_FILE + f"[torsion] entry = {indices}, r\n")
+    code, out, err = run_cli("compute", "--metric", str(path), "--tensors",
+                             "ricci", capsys=capsys)
+    assert code == 1 and out == ""
+    assert "line 4: torsion indices must lie in 1..2" in err
 
 
 @pytest.mark.parametrize("name", ["conical", "toroidal"])

@@ -603,3 +603,36 @@ def test_memo_invalidated_by_torsion():
     ctx.set_torsion([[["0", "0"], ["r", "0"]], [["-r", "0"], ["0", "0"]]])
     after = ctx.connection
     assert before != after
+
+
+# ---------------------------------------------------------------------------
+# scalar domains
+
+
+STAGES = ("det", "ug", "christoffel1", "christoffel2", "riemann_lowered",
+          "riemann", "ricci", "ricci_scalar", "einstein", "weyl")
+
+
+@pytest.mark.parametrize("name", ["spherical", "toroidal",
+                                  "interiorschwarzschild"])
+def test_field_stages_equal_expression_tree_stages(name, monkeypatch):
+    # the same metric with its kernel field refused computes every stage
+    # on expression trees; the public arrays must be equal
+    in_field = catalog.load(name)
+    assert in_field.field is not None
+    monkeypatch.setattr(scalars, "kernel_field", lambda *args: None)
+    on_trees = catalog.load(name)
+    assert on_trees.field is None
+    for stage in STAGES[:-1] + (("weyl",) if in_field.dim >= 4 else ()):
+        assert getattr(in_field, stage) == getattr(on_trees, stage), stage
+        assert in_field.vanishing(stage) == on_trees.vanishing(stage), stage
+
+
+@pytest.mark.parametrize("entry", ["sqrt(x)", "sin(1/x)", "exp(x)"])
+def test_metric_outside_kernel_field_keeps_expression_trees(entry):
+    ctx = setup_metric(["x", "y"], [["1", "0"], ["0", entry]])
+    assert ctx.field is None
+    g = parse(entry)
+    x = sym("x")
+    expected = -sp.diff(g, x) / 2
+    assert is_zero(ctx.christoffel2[1][1][0] - expected)

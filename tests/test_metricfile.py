@@ -68,6 +68,28 @@ def test_torsion_and_nonmetricity_sections():
     assert ctx.nonmetricity_values is not None
 
 
+TORSION_FILE = """\
+[chart] coords = x, y
+[metric] row = 1, 0
+[metric] row = 0, 1
+[torsion] entry = {}, x
+"""
+
+
+@pytest.mark.parametrize("indices", ["0, 1, 1", "1, 1, 0", "3, 1, 1",
+                                     "1, 2, 3"])
+def test_torsion_index_out_of_range_names_its_line(indices):
+    # 0 would wrap to the last index and n + 1 would raise IndexError later
+    with pytest.raises(MetricFileError, match="line 4: torsion indices"):
+        parse_metric_file(TORSION_FILE.format(indices))
+
+
+def test_torsion_index_in_range_is_read():
+    ctx = parse_metric_file(TORSION_FILE.format("1, 2, 2")).to_context()
+    assert ctx.torsion_values[0][1][1] == sym("x")
+    assert ctx.torsion_values[1][0][1] == -sym("x")
+
+
 def test_error_messages_carry_line_numbers():
     bad = "[chart] coords = x, y\n[metric] rho = 1, 0\n"
     with pytest.raises(MetricFileError) as err:

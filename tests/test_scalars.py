@@ -260,6 +260,74 @@ def test_trig_rational_simplification_needs_no_expression_cancel(
         assert is_zero(r - t)
 
 
+def _kernel_exprs(max_leaves=8):
+    # sin/cos/sinh/cosh of two different arguments and of their sum, and
+    # negative odd powers that put odd kernels in denominators
+    x, y = sym("x"), sym("y")
+    leaves = st.one_of(
+        st.sampled_from([x, y]),
+        st.integers(-3, 3).map(sp.Integer),
+        st.tuples(st.sampled_from([sp.sin, sp.cos, sp.sinh, sp.cosh]),
+                  st.sampled_from([x, y, x + y])).map(lambda t: t[0](t[1])),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda t: t[0] + t[1]),
+            st.tuples(children, children).map(lambda t: t[0] * t[1]),
+            st.tuples(children, st.sampled_from([-3, -1, 2, 3]))
+            .map(lambda t: t[0] ** t[1]),
+        )
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+def _in_field(e):
+    """e's kernel field (with x and y) and element, or an unmet assumption
+    when e is not a finite rational function."""
+    assume(not e.has(sp.zoo, sp.nan))
+    field = scalars.kernel_field([e], (sym("x"), sym("y")))
+    assert field is not None
+    try:
+        return field, field.element(e)
+    except ZeroDivisionError:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_exprs(), st.sampled_from(["x", "y"]))
+def test_field_derivation_matches_tree_diff(e, name):
+    field, f = _in_field(e)
+    x = sym(name)
+    assert render(field.expr(field.diff(f, x))) == render(
+        ratsimp(sp.diff(e, x)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_exprs(max_leaves=6))
+def test_field_reduce_trig_matches_tree(e):
+    field, f = _in_field(e)
+    tree = scalars._reduce_trig_tree(ratsimp(e))
+    assert render(field.expr(field.reduce_trig(f))) == render(tree)
+    assert render(trigsimp(e)) == render(tree)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kernel_exprs(max_leaves=6), _kernel_exprs(max_leaves=6),
+       st.booleans())
+def test_field_zero_test_agrees_with_is_zero(a, b, vanish):
+    x, y = sym("x"), sym("y")
+    # a*(sin^2 + cos^2) - a and b*(cosh^2 - sinh^2) - b vanish only
+    # modulo the Pythagorean relations
+    e = (a * (sp.sin(x + y) ** 2 + sp.cos(x + y) ** 2) - a
+         + b * (sp.cosh(y) ** 2 - sp.sinh(y) ** 2) - b)
+    if not vanish:
+        e += a * b
+    field, f = _in_field(e)
+    assert field.is_zero(f) == is_zero(e)
+    if vanish:
+        assert field.is_zero(f)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_exprs(), _exprs(), st.fractions(min_value=-3, max_value=3,
                                         max_denominator=4))
