@@ -11,6 +11,7 @@ procedure for all supported types.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import sympy as sp
@@ -239,6 +240,36 @@ def _as_mvec(x):
     return MVec((((), sp.sympify(x)),))
 
 
+def _rewrite(config, word):
+    """The first out-of-order or reducible adjacent pair of ``word``
+    rewritten by the algebra's rule: (word, factor) terms whose sum equals
+    ``word``, or None when ``word`` is canonical.  A swap gives a
+    lexicographically smaller word and a correction a shorter one."""
+    kind = config.algebra_type
+    if kind == "universal":
+        return None
+    for p in range(len(word) - 1):
+        a, b = word[p], word[p + 1]
+        head, tail = word[:p], word[p + 2:]
+        if a == b and kind in ("grassmann", "clifford"):
+            return [(head + tail, config.aform[a - 1][a - 1]
+                     if kind == "clifford" else 0)]
+        if a > b:
+            swapped = head + (b, a) + tail
+            if kind in ("grassmann", "symmetric"):
+                return [(swapped, -1 if kind == "grassmann" else 1)]
+            if kind == "lie_envelop":
+                # u.v = v.u + 2 v_a(u, v)
+                entry = int(config.aform[a - 1][b - 1])
+                sign = (entry > 0) - (entry < 0)
+                return [(swapped, 1), (head + (abs(entry),) + tail, 2 * sign)]
+            # clifford: u.v = 2 f_s(u, v) - v.u; symplectic:
+            # u.v = v.u + 2 f_a(u, v)
+            return [(swapped, -1 if kind == "clifford" else 1),
+                    (head + tail, 2 * config.aform[a - 1][b - 1])]
+    return None
+
+
 def atensimp(config: AlgebraConfig, element: MVec) -> MVec:
     """Rewrite every word to canonical (non-decreasing index) form.
 
@@ -246,59 +277,39 @@ def atensimp(config: AlgebraConfig, element: MVec) -> MVec:
     rule, emitting scalar or vector correction terms; equal adjacent pairs
     reduce for grassmann (to 0) and clifford (to f_s).  The universal
     algebra has no rules, so its words are only collected.
+
+    Pending words are taken longest first and, among equal lengths,
+    lexicographically largest first.  Every rewrite only adds to words
+    later in that order, so each word collects its whole coefficient
+    before it is rewritten once, and a word whose coefficient sums to 0
+    is dropped.
     """
     element = _as_mvec(element)
-    kind = config.algebra_type
     for word, _ in element.terms:
         for i in word:
             _check_index(config, i)
-    done = {}
-    stack = list(element.terms)
-    while stack:
-        word, coeff = stack.pop()
-        rewritten = False
-        if kind != "universal":
-            for p in range(len(word) - 1):
-                a, b = word[p], word[p + 1]
-                head, tail = word[:p], word[p + 2:]
-                if a == b and kind in ("grassmann", "clifford"):
-                    if kind == "clifford":
-                        value = config.aform[a - 1][a - 1]
-                        if value != 0:
-                            stack.append((head + tail, coeff * value))
-                    rewritten = True
-                    break
-                if a > b:
-                    swapped = head + (b, a) + tail
-                    if kind == "grassmann":
-                        stack.append((swapped, -coeff))
-                    elif kind == "symmetric":
-                        stack.append((swapped, coeff))
-                    elif kind == "clifford":
-                        # u.v = 2 f_s(u, v) - v.u
-                        stack.append((swapped, -coeff))
-                        value = config.aform[a - 1][b - 1]
-                        if value != 0:
-                            stack.append((head + tail, 2 * coeff * value))
-                    elif kind == "symplectic":
-                        # u.v = v.u + 2 f_a(u, v)
-                        stack.append((swapped, coeff))
-                        value = config.aform[a - 1][b - 1]
-                        if value != 0:
-                            stack.append((head + tail, 2 * coeff * value))
-                    elif kind == "lie_envelop":
-                        # u.v = v.u + 2 v_a(u, v)
-                        stack.append((swapped, coeff))
-                        entry = int(config.aform[a - 1][b - 1])
-                        if entry != 0:
-                            sign = 1 if entry > 0 else -1
-                            stack.append((head + (abs(entry),) + tail,
-                                          2 * sign * coeff))
-                    rewritten = True
-                    break
-        if not rewritten:
-            done[word] = done.get(word, sp.S.Zero) + coeff
-    return MVec(tuple(done.items()))
+    pending, queue, done = {}, [], []
+
+    def add(word, coeff):
+        if word not in pending:
+            heapq.heappush(queue, (-len(word), [-i for i in word], word))
+        pending[word] = pending.get(word, 0) + coeff
+
+    for word, coeff in element.terms:
+        add(word, coeff)
+    while queue:
+        word = heapq.heappop(queue)[2]
+        coeff = pending.pop(word)
+        if coeff == 0:
+            continue
+        terms = _rewrite(config, word)
+        if terms is None:
+            done.append((word, coeff))
+            continue
+        for new, factor in terms:
+            if factor != 0:
+                add(new, factor * coeff)
+    return MVec(done)
 
 
 def commutator(config: AlgebraConfig, x: MVec, y: MVec) -> MVec:

@@ -4,17 +4,21 @@ A :class:`MetricContext` holds the coordinates and the covariant metric
 (entered directly or built from a rigid frame) and computes the standard
 curvature objects lazily: Christoffel symbols, Riemann/Ricci/Einstein/Weyl
 tensors, scalar curvature, and, in frame mode, the frame bracket, Ricci
-rotation coefficients and the frame-based Riemann tensor.  Torsion and
-nonmetricity enter through contortion and nonmetricity coefficients that
-replace the plain Christoffel connection.
+rotation coefficients and the frame-based Riemann tensor.
+
+The connection is written once, in coordinates, as Gamma_hk^j with h the
+derivative index: nabla_h V^j = d_h V^j + Gamma_hk^j V^k.  Torsion and
+nonmetricity enter only there (see :class:`MetricContext` for the signs),
+and the frame curvature of such a connection is the frame components of
+its coordinate curvature.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 import sympy as sp
 
@@ -44,11 +48,12 @@ class Chart:
         return len(self.coordinates)
 
 
+def _scalar(x):
+    return scalars.parse(x) if isinstance(x, str) else sp.sympify(x)
+
+
 def _as_matrix(rows, what="matrix"):
-    out = []
-    for row in rows:
-        out.append([scalars.parse(x) if isinstance(x, str) else sp.sympify(x)
-                    for x in row])
+    out = [[_scalar(x) for x in row] for row in rows]
     n = len(out)
     if any(len(r) != n for r in out):
         raise ValueError(f"{what} must be square")
@@ -86,11 +91,10 @@ def _simp(e, K=TREES):
     plain one's.  The closure starts from the normal form, so ``ratsimp``
     is not run twice.
 
-    ``K`` is the scalar domain.  A context whose metric lies in a
-    :class:`scalars.KernelField` and whose connection is the metric one
-    holds ``det``, ``ug``, the Christoffel symbols and every curvature
-    stage as field elements, and the rule compares the expressions of the
-    two candidates.  Frame stages, torsion, nonmetricity and metrics with
+    ``K`` is the scalar domain.  A context whose metric, torsion and
+    nonmetricity lie in a :class:`scalars.KernelField` holds every
+    coordinate stage as field elements, and the rule compares the
+    expressions of the two candidates.  Frame stages and input with
     ``sqrt``, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh`` keep
     expression trees.
     """
@@ -140,6 +144,19 @@ def _pair_fill(n, component, simp, zero=sp.S.Zero):
     return out
 
 
+def _frame_components(array, E, simp):
+    """out[d][a][b][c] = sum R[h][l][k][j] E[d][h] E[a][l] E[b][k] E[c][j]
+    for a 4-index coordinate array R: one slot is carried into the frame at
+    a time, the last one, and then moved to the front."""
+    n = len(E)
+    ET = [[E[a][i] for a in range(n)] for i in range(n)]
+    for _ in range(4):
+        array = _contract_last(array, ET, simp)
+        array = [[[[array[h][l][k][j] for k in range(n)] for l in range(n)]
+                  for h in range(n)] for j in range(n)]
+    return array
+
+
 def _trace(array, inv, K=TREES):
     """sum_km inv[k][m] * array[...][k][m]: the last two slots of an array of
     any rank contracted with an inverse metric.  Coordinate and frame arrays
@@ -160,15 +177,23 @@ class MetricContext:
     With a frame base ``fri`` and frame metric ``lfg``, g = F^T eta F is
     derived when ``lg`` is None and checked exactly against ``lg`` otherwise.
 
-    When the metric is a rational function of symbols and sin/cos/sinh/cosh
-    kernels, ``field`` is its :class:`scalars.KernelField`, built once here,
-    and the stages of the metric connection compute on its elements; their
-    public properties convert them to expressions once.  Otherwise
-    ``field`` is None and every stage works on expression trees.
+    A context has one scalar domain.  When the metric, torsion and
+    nonmetricity entries are rational functions of symbols and
+    sin/cos/sinh/cosh kernels, ``field`` is their
+    :class:`scalars.KernelField` and every coordinate stage computes on its
+    elements; public properties convert them to expressions once.
+    Otherwise ``field`` is None and the stages work on expression trees.
 
-    Results are cached; calling :meth:`set_torsion` or
-    :meth:`set_nonmetricity` invalidates the cache.  A context is meant to
-    be owned by one thread while it is being filled.
+    The connection ``connection2[h][k][j]`` = Gamma_hk^j, h the derivative
+    index, is the Christoffel symbol minus the contortion of tau and the
+    nonmetricity coefficients of mu: its torsion Gamma_hk^j - Gamma_kh^j is
+    tau_hk^j and nabla_h g_kl = -mu_h g_kl.  On a frame context too, and
+    the frame Riemann tensor of a connection with torsion or nonmetricity
+    is the frame components of ``riemann_lowered``.
+
+    Results are cached; :meth:`set_torsion` and :meth:`set_nonmetricity`
+    choose the domain again and drop the cache.  A context is meant to be
+    owned by one thread while it is being filled.
     """
 
     def __init__(self, chart, lg, *, fri=None, lfg=None, constants=(),
@@ -206,16 +231,7 @@ class MetricContext:
         self.nonmetricity_values = None
         self._memo = {}
         self._exprs = {}
-        self.field = scalars.kernel_field(
-            [x for row in self.lg for x in row],
-            self.coords + tuple(sym(c) if isinstance(c, str) else c
-                                for c in self.constants))
-        if self.field is not None:
-            try:
-                self._field_lg = [[self.field.element(x) for x in row]
-                                  for row in self.lg]
-            except ZeroDivisionError:
-                self.field = None
+        self._choose_domain()
         K, g = self._K, self._g
         for i in range(self.dim):
             for j in range(i):
@@ -234,18 +250,26 @@ class MetricContext:
     def dim(self):
         return self.chart.dim
 
-    @property
-    def _K(self):
-        """Scalar domain of the stages: the metric's kernel field for the
-        metric connection, expression trees otherwise."""
-        if self.field is not None and self.plain_connection:
-            return self.field
-        return TREES
-
-    @property
-    def _g(self):
-        """The metric in the stages' scalar domain."""
-        return self._field_lg if self._K is self.field else self.lg
+    def _choose_domain(self):
+        """Set the scalar domain ``_K`` of the stages, the kernel field of
+        metric, torsion, nonmetricity, coordinates and constants or else
+        expression trees, put those inputs in it (``_g``, ``_tau``,
+        ``_mu``) and drop every stage computed so far."""
+        inputs = (self.lg, self.torsion_values, self.nonmetricity_values)
+        self.field = scalars.kernel_field(
+            sp.flatten([value for value in inputs if value is not None]),
+            self.coords + tuple(sym(c) if isinstance(c, str) else c
+                                for c in self.constants))
+        self._K = self.field if self.field is not None else TREES
+        try:
+            values = [value if value is None else _map(self._K.element, value)
+                      for value in inputs]
+        except ZeroDivisionError:
+            self.field, self._K = None, TREES
+            values = inputs
+        self._g, self._tau, self._mu = values
+        self._memo.clear()
+        self._exprs.clear()
 
     @property
     def diagonal(self):
@@ -256,14 +280,8 @@ class MetricContext:
 
     @property
     def det(self):
-        def compute():
-            K, g, n = self._K, self._g, self.dim
-            if self.diagonal:
-                return K.ratsimp(math.prod(g[i][i] for i in range(n)))
-            if K is TREES:
-                return ratsimp(sp.Matrix(self.lg).det(method="berkowitz"))
-            return _det(g, K.zero)
-        return self._public("det", compute)
+        return self._public("det", lambda: self._K.ratsimp(
+            _det(self._g, self._K.zero)))
 
     def _cached(self, key, fn):
         """Stage ``key`` in the scalar domain, computed once by ``fn``."""
@@ -299,29 +317,22 @@ class MetricContext:
 
     def set_torsion(self, values):
         """Install a torsion tensor tau_ij^k (antisymmetric in i, j)."""
-        n = self.dim
-        tau = [[[scalars.parse(x) if isinstance(x, str) else sp.sympify(x)
-                 for x in row] for row in plane] for plane in values]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if not is_zero(tau[i][j][k] + tau[j][i][k]):
-                        raise ValueError(
-                            "torsion must be antisymmetric in its covariant "
-                            "indices")
+        tau = [[[_scalar(x) for x in row] for row in plane]
+               for plane in values]
+        if not all(is_zero(tau[i][j][k] + tau[j][i][k])
+                   for i, j, k in product(range(self.dim), repeat=3)):
+            raise ValueError(
+                "torsion must be antisymmetric in its covariant indices")
         self.torsion_values = tau
-        self._memo.clear()
-        self._exprs.clear()
+        self._choose_domain()
 
     def set_nonmetricity(self, values):
         """Install the nonmetricity vector mu_k."""
-        mu = [scalars.parse(x) if isinstance(x, str) else sp.sympify(x)
-              for x in values]
+        mu = [_scalar(x) for x in values]
         if len(mu) != self.dim:
             raise ValueError("nonmetricity vector has the wrong length")
         self.nonmetricity_values = mu
-        self._memo.clear()
-        self._exprs.clear()
+        self._choose_domain()
 
     # -- metric inverse -------------------------------------------------------
 
@@ -336,10 +347,6 @@ class MetricContext:
                     out[i][i] = K.ratsimp(1 / g[i][i])
                 return out
             det = self._values("det")
-            if K is TREES:
-                adj = sp.Matrix(self.lg).adjugate()
-                return [[trigsimp(adj[i, j] / det) for j in range(n)]
-                        for i in range(n)]
 
             def cofactor(i, j):
                 minor = [row[:j] + row[j + 1:]
@@ -385,58 +392,40 @@ class MetricContext:
     def contortion(self):
         """Contortion coefficients kappa[i][j][k] from the torsion tensor."""
         def compute():
-            if self.torsion_values is None:
+            if self._tau is None:
                 raise ValueError("no torsion tensor has been set")
-            n, tau, g = self.dim, self.torsion_values, self.lg
-            out = _zeros(n, n, n)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        s = sum(tau[i][j][m] * g[k][m] + tau[k][i][m] * g[j][m]
-                                + tau[k][j][m] * g[i][m] for m in range(n))
-                        out[i][j][k] = ratsimp(-s / 2)
-            return out
-        return self._cached("contortion", compute)
+            n, K, tau, g = self.dim, self._K, self._tau, self._g
+            return [[[K.ratsimp(-sum(
+                tau[i][j][m] * g[k][m] + tau[k][i][m] * g[j][m]
+                + tau[k][j][m] * g[i][m] for m in range(n)) / 2)
+                for k in range(n)] for j in range(n)] for i in range(n)]
+        return self._public("contortion", compute)
 
     @property
     def nonmetricity_coeffs(self):
         """Nonmetricity coefficients nu[i][j][k] from the vector mu."""
         def compute():
-            if self.nonmetricity_values is None:
+            if self._mu is None:
                 raise ValueError("no nonmetricity vector has been set")
-            n, mu, g = self.dim, self.nonmetricity_values, self.lg
-            out = _zeros(n, n, n)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        out[i][j][k] = ratsimp(
-                            (-g[i][k] * mu[j] - g[j][k] * mu[i]
-                             + g[i][j] * mu[k]) / 2)
-            return out
-        return self._cached("nonmetricity_coeffs", compute)
+            n, K, mu, g = self.dim, self._K, self._mu, self._g
+            return [[[K.ratsimp((-g[i][k] * mu[j] - g[j][k] * mu[i]
+                                 + g[i][j] * mu[k]) / 2)
+                      for k in range(n)] for j in range(n)] for i in range(n)]
+        return self._public("nonmetricity_coeffs", compute)
 
     @property
     def connection(self):
-        """First-kind connection coefficients c[a][b][c].
-
-        Coordinate base: Gamma - kappa - nu.  Frame base: gamma - nu, with
-        the rotation coefficients standing in for the Christoffel symbols.
-        """
+        """First-kind connection coefficients c[h][k][l] = Gamma - kappa - nu,
+        in coordinates also on a frame context."""
         def compute():
-            n = self.dim
-            if self.cframe_flag:
-                base = self.rotation_coeffs
-            else:
-                base = self.christoffel1
-            corrections = []
-            if self.torsion_values is not None and not self.cframe_flag:
-                corrections.append(self.contortion)
-            if self.nonmetricity_values is not None:
-                corrections.append(self.nonmetricity_coeffs)
-            return [[[ratsimp(base[a][b][c]
-                              - sum(corr[a][b][c] for corr in corrections))
-                      for c in range(n)] for b in range(n)] for a in range(n)]
-        return self._cached("connection", compute)
+            n, K = self.dim, self._K
+            c = self._values("christoffel1")
+            parts = [self._values(key) for key, given in (
+                ("contortion", self._tau), ("nonmetricity_coeffs", self._mu))
+                if given is not None]
+            return [[[K.ratsimp(c[a][b][d] - sum(p[a][b][d] for p in parts))
+                      for d in range(n)] for b in range(n)] for a in range(n)]
+        return self._public("connection", compute)
 
     @property
     def christoffel2(self):
@@ -449,12 +438,11 @@ class MetricContext:
 
     @property
     def connection2(self):
-        """Second-kind connection coefficients c[h][k]^[j] (coordinate base)."""
-        def compute():
-            if self.plain_connection:
-                return self.christoffel2
-            return _contract_last(self.connection, self.ug, _simp)
-        return self._cached("connection2", compute)
+        """Second-kind connection coefficients c[h][k]^[j] = Gamma_hk^j, h the
+        derivative index."""
+        return self._public("connection2", lambda: _contract_last(
+            self._values("connection"), self._values("ug"),
+            partial(_simp, K=self._K)))
 
     # -- curvature ------------------------------------------------------------
 
@@ -489,30 +477,27 @@ class MetricContext:
         return self._public("riemann", compute)
 
     def _riemann_direct(self):
-        """Curvature of the (possibly torsionful/nonmetric) connection."""
-        n, c2 = self.dim, self.connection2
-        coords = self.coords
-        dc = _zeros(n, n, n, n)  # dc[k][h][l][j] = d c2[h][l][j] / dx^k
+        """Curvature of the connection G = connection2:
+        R[h][l][k][j] = d_k G_lh^j - d_l G_kh^j + G_km^j G_lh^m - G_lm^j G_kh^m,
+        the part of [nabla_k, nabla_l] V^j that multiplies V^h."""
+        n, K, c2 = self.dim, self._K, self._values("connection2")
+        simp = partial(_simp, K=K)
+
+        def d(k, a, b, j):
+            # d c2[a][b][j] / dx^k, wanted once for each k != a
+            e = c2[a][b][j]
+            return K.diff(e, self.coords[k]) if e != 0 else K.zero
+
+        out = _zeros(n, n, n, n, zero=K.zero)
         for h in range(n):
             for l in range(n):
-                for j in range(n):
-                    if c2[h][l][j] == 0:
-                        continue
-                    for k in range(n):
-                        dc[k][h][l][j] = diff(c2[h][l][j], coords[k])
-        out = _zeros(n, n, n, n)
-        for h in range(n):
-            for l in range(n):
-                for k in range(l + 1):
+                for k in range(l):
                     for j in range(n):
-                        if l == k:
-                            continue
-                        val = dc[k][h][l][j] - dc[l][h][k][j] + sum(
-                            c2[m][k][j] * c2[h][l][m]
-                            - c2[m][l][j] * c2[h][k][m] for m in range(n))
-                        val = ratsimp(val)
+                        val = simp(d(k, l, h, j) - d(l, k, h, j) + sum(
+                            c2[k][m][j] * c2[l][h][m]
+                            - c2[l][m][j] * c2[k][h][m] for m in range(n)))
                         out[h][l][k][j] = val
-                        out[h][k][l][j] = ratsimp(-val)
+                        out[h][k][l][j] = simp(-val)
         return out
 
     @property
@@ -522,13 +507,14 @@ class MetricContext:
         For the metric connection this is evaluated from second derivatives
         of the metric plus a first-kind/second-kind Christoffel product,
         exploiting the antisymmetry of both index pairs and their exchange
-        symmetry; with torsion or nonmetricity present it falls back to
-        lowering the direct curvature.
+        symmetry; with torsion or nonmetricity present it lowers the
+        curvature of the connection.
         """
         def compute():
             n, K = self.dim, self._K
             if not self.plain_connection:
-                return _contract_last(self.riemann, self.lg, ratsimp)
+                return _contract_last(self._values("riemann"), self._g,
+                                      K.ratsimp)
             coords = self.coords
             dg = self._dmetric
             c1, c2 = self._values("christoffel1"), self._values("christoffel2")
@@ -556,10 +542,13 @@ class MetricContext:
         """Ricci tensor R[i][j] = R_ijk^k: R_ijkm g^km for the metric
         connection, otherwise the trace of the direct curvature."""
         def compute():
+            n, K = self.dim, self._K
             if self.plain_connection:
                 return _trace(self._values("riemann_lowered"),
-                              self._values("ug"), self._K)
-            return _trace(self.riemann, sp.eye(self.dim).tolist())
+                              self._values("ug"), K)
+            R = self._values("riemann")
+            return [[K.trigsimp(sum((R[i][j][k][k] for k in range(n)), K.zero))
+                     for j in range(n)] for i in range(n)]
         return self._public("ricci", compute)
 
     @property
@@ -697,15 +686,19 @@ class MetricContext:
 
         Index layout parallels the coordinate array: d is the transported
         label, (a, b) the antisymmetric derivative pair, c the lowered
-        fourth label.  Computed from the rotation coefficients, their
-        directional derivatives and the frame bracket, for the metric
-        connection on the independent components of P_abcd = R[a][c][d][b].
+        fourth label.  For the metric connection it is computed from the
+        rotation coefficients, their directional derivatives and the frame
+        bracket, on the independent components of P_abcd = R[a][c][d][b];
+        with torsion or nonmetricity it is the frame components of
+        :attr:`riemann_lowered`.
         """
         self._need_frame()
         def compute():
+            if not self.plain_connection:
+                return _frame_components(self.riemann_lowered,
+                                         self.frame_contravariant, trigsimp)
             n = self.dim
-            gam = (self.rotation_coeffs if self.plain_connection
-                   else self.connection)
+            gam = self.rotation_coeffs
             lam, E, ufg = self.frame_bracket, self.frame_contravariant, self.ufg
             coords = self.coords
 
@@ -725,18 +718,8 @@ class MetricContext:
                               ufg[m][mp] * lam[mp][a][b] for mp in range(n))
                               for m in range(n)))
 
-            if self.plain_connection:
-                return _pair_fill(n, lambda a, b, c, d: value(a, c, d, b),
-                                  trigsimp)
-            out = _zeros(n, n, n, n)
-            for d in range(n):
-                for c in range(n):
-                    for a in range(n):
-                        for b in range(a):
-                            val = trigsimp(value(d, a, b, c))
-                            out[d][a][b][c] = val
-                            out[d][b][a][c] = trigsimp(-val)
-            return out
+            return _pair_fill(n, lambda a, b, c, d: value(a, c, d, b),
+                              trigsimp)
         return self._cached("riemann_frame", compute)
 
     @property

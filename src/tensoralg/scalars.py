@@ -12,16 +12,15 @@ functions: symbols and ``sin``/``cos``/``sinh``/``cosh`` applications are its
 generators, and any other kernel keeps the expression-tree path.
 
 A :class:`KernelField` is such a field closed under d/dx: each sin(u)
-comes with cos(u) and each sinh(u) with cosh(u).  A coordinate context
-whose metric lies in one (every catalog metric does) computes ``det``,
-``ug``, the Christoffel symbols, ``riemann_lowered``, ``riemann``,
-``ricci``, ``ricci_scalar``, ``einstein`` and ``weyl`` on its elements:
-:meth:`KernelField.diff` is a derivation over the generators,
-:meth:`KernelField.reduce_trig` the Pythagorean reduction as a ring
-operation, and an element becomes an expression once, through the form
-:func:`ratsimp` returns.  Frame stages, torsion, nonmetricity and input
-with ``sqrt``, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh`` keep
-expression trees and the functions below.
+comes with cos(u) and each sinh(u) with cosh(u).  A context whose metric,
+torsion and nonmetricity lie in one (every catalog metric does) computes
+every coordinate stage, from ``det`` and the connection to ``weyl``, on
+its elements: :meth:`KernelField.diff` is a derivation over the
+generators, :meth:`KernelField.reduce_trig` the Pythagorean reduction as a
+ring operation, and an element becomes an expression once, through the
+form :func:`ratsimp` returns.  Frame stages and input with ``sqrt``,
+``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh`` keep expression
+trees and the functions below, through :data:`TREES`.
 """
 
 from __future__ import annotations
@@ -544,6 +543,10 @@ class _Trees:
     scalar domain of input outside every kernel field."""
 
     zero = sp.S.Zero
+
+    @staticmethod
+    def element(e):
+        return e
 
     @staticmethod
     def expr(e):

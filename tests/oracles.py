@@ -2,35 +2,57 @@
 
 Everything here deliberately avoids the symbolic machinery under test:
 curvature is reproduced by finite differences of a plain numeric metric
-function, and the Petrov decision tree is re-implemented over floating
-point numbers.  Agreement between these oracles and the symbolic results
-is what the cross-checks assert.
+function or connection, the Petrov decision tree is re-implemented over
+floating point numbers, and abstract-algebra words are reduced by the
+plain one-swap-at-a-time rewriting.  Agreement between these oracles and
+the symbolic results is what the cross-checks assert.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import sympy as sp
 
 from tensoralg import scalars
+from tensoralg.algebras import MVec
+
+
+def array_fn(entries, names):
+    """Numeric a(x) for a nested list of expressions in the coordinates
+    ``names``, evaluated through the independent expression walker."""
+    def a(point, constants):
+        values = dict(zip(names, point))
+        values.update(constants)
+
+        def walk(node):
+            if isinstance(node, list):
+                return [walk(sub) for sub in node]
+            return complex(scalars.evaluate(node, values)).real
+        return np.array(walk(entries))
+    return a
 
 
 def metric_fn(ctx):
-    """Numeric g(x) for a MetricContext, evaluated through the independent
-    expression walker."""
-    names = [c.name for c in ctx.coords]
-    entries = ctx.lg
+    """Numeric g(x) for a MetricContext."""
+    return array_fn(ctx.lg, [c.name for c in ctx.coords])
 
-    def g(point, constants):
-        values = dict(zip(names, point))
-        values.update(constants)
-        n = ctx.dim
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = complex(
-                    scalars.evaluate(entries[i][j], values)).real
-        return out
-    return g
+
+def contortion(g, tau):
+    """kappa[i][j][k] = -(tau_ij^m g_km + tau_ki^m g_jm + tau_kj^m g_im) / 2."""
+    n = len(g)
+    return np.array([[[-0.5 * sum(
+        tau[i, j, m] * g[k, m] + tau[k, i, m] * g[j, m]
+        + tau[k, j, m] * g[i, m] for m in range(n))
+        for k in range(n)] for j in range(n)] for i in range(n)])
+
+
+def nonmetricity_coeffs(g, mu):
+    """nu[i][j][k] = (-g_ik mu_j - g_jk mu_i + g_ij mu_k) / 2."""
+    n = len(g)
+    return np.array([[[0.5 * (-g[i, k] * mu[j] - g[j, k] * mu[i]
+                              + g[i, j] * mu[k])
+                       for k in range(n)] for j in range(n)]
+                     for i in range(n)])
 
 
 def fd_christoffel2(gfun, x, h=1e-6):
@@ -52,30 +74,105 @@ def fd_christoffel2(gfun, x, h=1e-6):
     return np.einsum("jl,hkl->hkj", ginv, first)
 
 
-def fd_riemann(gfun, x, h=1e-4):
-    """Riemann tensor R[h][l][k]^[j] by finite differences of the
-    Christoffel symbols."""
+def fd_connection2(gfun, taufun=None, mufun=None):
+    """Numeric connection Gamma(x)[h][k][j] = Gamma_hk^j, h the derivative
+    index: the Christoffel symbols of ``gfun`` minus the contortion of
+    ``taufun`` and the nonmetricity coefficients of ``mufun``, raised."""
+    def gamma(x):
+        g = gfun(x)
+        low = np.zeros((len(g),) * 3)
+        if taufun is not None:
+            low += contortion(g, taufun(x))
+        if mufun is not None:
+            low += nonmetricity_coeffs(g, mufun(x))
+        return fd_christoffel2(gfun, x) - np.einsum(
+            "jl,hkl->hkj", np.linalg.inv(g), low)
+    return gamma
+
+
+def fd_curvature(gamma, x, h=1e-4):
+    """Curvature R[h][l][k]^[j] of a numeric connection ``gamma`` by finite
+    differences: d_k G_lh^j - d_l G_kh^j + G_km^j G_lh^m - G_lm^j G_kh^m,
+    the part of [nabla_k, nabla_l] V^j that multiplies V^h."""
     x = np.asarray(x, dtype=float)
     n = len(x)
-    dgam = np.zeros((n, n, n, n))  # dgam[k][h][l][j]
+    dgam = np.zeros((n, n, n, n))  # dgam[k][a][b][j] = d G_ab^j / dx^k
     for a in range(n):
         xp, xm = x.copy(), x.copy()
         xp[a] += h
         xm[a] -= h
-        dgam[a] = (fd_christoffel2(gfun, xp) - fd_christoffel2(gfun, xm)) \
-            / (2 * h)
-    gam = fd_christoffel2(gfun, x)
+        dgam[a] = (gamma(xp) - gamma(xm)) / (2 * h)
+    gam = gamma(x)
     riem = np.zeros((n, n, n, n))
-    for hh in range(n):
-        for l in range(n):
-            for k in range(n):
-                for j in range(n):
-                    riem[hh, l, k, j] = (
-                        dgam[k, hh, l, j] - dgam[l, hh, k, j]
-                        + sum(gam[m, k, j] * gam[hh, l, m]
-                              - gam[m, l, j] * gam[hh, k, m]
-                              for m in range(n)))
+    for hh, l, k, j in np.ndindex(n, n, n, n):
+        riem[hh, l, k, j] = (
+            dgam[k, l, hh, j] - dgam[l, k, hh, j]
+            + sum(gam[k, m, j] * gam[l, hh, m] - gam[l, m, j] * gam[k, hh, m]
+                  for m in range(n)))
     return riem
+
+
+def fd_riemann(gfun, x, h=1e-4):
+    """Riemann tensor R[h][l][k]^[j] of the metric connection of ``gfun``."""
+    return fd_curvature(lambda y: fd_christoffel2(gfun, y), x, h)
+
+
+# ---------------------------------------------------------------------------
+# abstract-algebra reference
+
+
+def atensimp_reference(config, element):
+    """Words of ``element`` rewritten to non-decreasing index order one
+    adjacent swap at a time, each rewritten term pushed on a stack: no
+    memo, so a word reached along several paths is rewritten each time."""
+    kind = config.algebra_type
+    done = {}
+    stack = list(element.terms)
+    while stack:
+        word, coeff = stack.pop()
+        rewritten = False
+        if kind != "universal":
+            for p in range(len(word) - 1):
+                a, b = word[p], word[p + 1]
+                head, tail = word[:p], word[p + 2:]
+                if a == b and kind in ("grassmann", "clifford"):
+                    if kind == "clifford":
+                        value = config.aform[a - 1][a - 1]
+                        if value != 0:
+                            stack.append((head + tail, coeff * value))
+                    rewritten = True
+                    break
+                if a > b:
+                    swapped = head + (b, a) + tail
+                    if kind == "grassmann":
+                        stack.append((swapped, -coeff))
+                    elif kind == "symmetric":
+                        stack.append((swapped, coeff))
+                    elif kind == "clifford":
+                        # u.v = 2 f_s(u, v) - v.u
+                        stack.append((swapped, -coeff))
+                        value = config.aform[a - 1][b - 1]
+                        if value != 0:
+                            stack.append((head + tail, 2 * coeff * value))
+                    elif kind == "symplectic":
+                        # u.v = v.u + 2 f_a(u, v)
+                        stack.append((swapped, coeff))
+                        value = config.aform[a - 1][b - 1]
+                        if value != 0:
+                            stack.append((head + tail, 2 * coeff * value))
+                    elif kind == "lie_envelop":
+                        # u.v = v.u + 2 v_a(u, v)
+                        stack.append((swapped, coeff))
+                        entry = int(config.aform[a - 1][b - 1])
+                        if entry != 0:
+                            sign = 1 if entry > 0 else -1
+                            stack.append((head + (abs(entry),) + tail,
+                                          2 * sign * coeff))
+                    rewritten = True
+                    break
+        if not rewritten:
+            done[word] = done.get(word, sp.S.Zero) + coeff
+    return MVec(tuple(done.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from tensoralg.algebras import (AlgebraConfig, MVec, af, atensimp, av,
                                 commutator, init_atensor,
                                 multiplication_table, parse_mvec, sf)
@@ -186,6 +188,42 @@ def test_atensimp_idempotent(algebra, dims):
         e = _random_mvec(rng, cfg.adim)
         once = atensimp(cfg, e)
         assert atensimp(cfg, once) == once
+
+
+@st.composite
+def _elements(draw, adim, max_len):
+    word = st.lists(st.integers(1, adim), max_size=max_len).map(tuple)
+    coeff = st.sampled_from([1, -1, 2, sp.Rational(-1, 3), sp.Symbol("c")])
+    return MVec(draw(st.lists(st.tuples(word, coeff), min_size=1,
+                              max_size=3)))
+
+
+@pytest.mark.parametrize("algebra,dims", [
+    ("universal", (3,)), ("grassmann", (3,)), ("symmetric", (3,)),
+    ("clifford", (1, 1, 1)), ("clifford", (0, 0, 2)), ("symplectic", (2, 1)),
+    ("lie_envelop", (3,)),
+])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_atensimp_matches_stack_reference(algebra, dims, data):
+    # the reference rewrites every path to a word separately; collecting
+    # each word's coefficient first must give the same element
+    cfg = init_atensor(algebra, *dims)
+    element = data.draw(_elements(cfg.adim, 10))
+    assert atensimp(cfg, element) == oracles.atensimp_reference(cfg, element)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=16, max_size=16).map(tuple))
+def test_atensimp_reduces_long_lie_envelop_words(word):
+    # 16 letters are out of reach of the one-path-at-a-time reference;
+    # the result is canonical and agrees with reducing the halves first
+    cfg = init_atensor("lie_envelop", 3)
+    out = atensimp(cfg, MVec.word(word))
+    assert all(list(w) == sorted(w) for w, _ in out.terms)
+    halves = atensimp(cfg, MVec.word(word[:8])) * \
+        atensimp(cfg, MVec.word(word[8:]))
+    assert atensimp(cfg, halves) == out
 
 
 def test_commutator_axiom_replay():

@@ -117,6 +117,56 @@ def test_compute_refuses_torsion_index_out_of_range(tmp_path, capsys,
     assert "line 4: torsion indices must lie in 1..2" in err
 
 
+SCHWARZSCHILD_FRAME_FILE = """\
+[chart] coords = t, r, theta, phi
+[constants] m
+[frame] row = sqrt((r-2*m)/r), 0, 0, 0
+[frame] row = 0, sqrt(r/(r-2*m)), 0, 0
+[frame] row = 0, 0, r, 0
+[frame] row = 0, 0, 0, r*sin(theta)
+[frame] frame_metric = diag(-1,1,1,1)
+"""
+
+
+@pytest.mark.parametrize("section", ["[nonmetricity] mu = 0, 0, 0, 0\n",
+                                     "[torsion] entry = 1, 2, 3, 0\n"],
+                         ids=["nonmetricity", "torsion"])
+def test_compute_frame_file_with_zero_torsion_or_nonmetricity_is_vacuum(
+        tmp_path, capsys, section):
+    # the connection of a frame file is the coordinate one, so a zero
+    # torsion or nonmetricity leaves Schwarzschild a vacuum
+    path = tmp_path / "frame.tm"
+    path.write_text(SCHWARZSCHILD_FRAME_FILE + section)
+    code, out, _ = run_cli("compute", "--metric", str(path), "--tensors",
+                           "ricci", "--format", "json", capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["ricci"] == {"components": {},
+                                        "zero_components": 16}
+
+
+def test_compute_frame_and_coordinate_files_share_the_connection(tmp_path,
+                                                                  capsys):
+    # the same metric, torsion and nonmetricity entered as a frame and as a
+    # metric print the same coordinate tensors
+    sections = ("[torsion] entry = 1, 2, 3, z\n[torsion] entry = 2, 3, 1, r\n"
+                "[nonmetricity] mu = r, 0, 1\n")
+    files = {"frame": "[frame] row = 1, 0, 0\n[frame] row = 0, r, 0\n"
+                      "[frame] row = 0, 0, 1\n",
+             "metric": "[metric] row = 1, 0, 0\n[metric] row = 0, r^2, 0\n"
+                       "[metric] row = 0, 0, 1\n"}
+    docs = {}
+    for kind, rows in files.items():
+        path = tmp_path / f"{kind}.tm"
+        path.write_text("[chart] coords = r, phi, z\n" + rows + sections)
+        code, out, _ = run_cli("compute", "--metric", str(path), "--tensors",
+                               "christoffel2,riemann,ricci,scalar",
+                               "--format", "json", capsys=capsys)
+        assert code == 0
+        docs[kind] = json.loads(out)
+    assert docs["frame"] == docs["metric"]
+    assert docs["frame"]["riemann"]["components"]
+
+
 @pytest.mark.parametrize("name", ["conical", "toroidal"])
 def test_frame_rotation_coeffs_match_golden_within_budget(name, capsys):
     start = time.monotonic()

@@ -229,17 +229,11 @@ def test_contortion_and_nonmetricity_against_brute_force():
     tau_n = np.array([[[ev(parse(x)) for x in row] for row in plane]
                       for plane in tau])
     mu_n = np.array([ev(parse(x)) for x in mu])
-    n = 2
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                kappa = -0.5 * sum(
-                    tau_n[i, j, m] * g[k, m] + tau_n[k, i, m] * g[j, m]
-                    + tau_n[k, j, m] * g[i, m] for m in range(n))
-                nu = 0.5 * (-g[i, k] * mu_n[j] - g[j, k] * mu_n[i]
-                            + g[i, j] * mu_n[k])
-                assert abs(ev(ctx.contortion[i][j][k]) - kappa) < 1e-12
-                assert abs(ev(ctx.nonmetricity_coeffs[i][j][k]) - nu) < 1e-12
+    kappa = oracles.contortion(g, tau_n)
+    nu = oracles.nonmetricity_coeffs(g, mu_n)
+    for i, j, k in np.ndindex(2, 2, 2):
+        assert abs(ev(ctx.contortion[i][j][k]) - kappa[i, j, k]) < 1e-12
+        assert abs(ev(ctx.nonmetricity_coeffs[i][j][k]) - nu[i, j, k]) < 1e-12
 
 
 def test_connection_reductions():
@@ -258,12 +252,13 @@ def test_connection_reductions():
                                + ctx2.contortion[a][b][c])
 
 
-def test_frame_mode_connection_is_rotation_coefficients():
+def test_frame_mode_connection_is_coordinate_christoffel1():
+    # the connection carries coordinate indices on a frame context too
     ctx = setup_frame(["r", "phi"],
                       [["cos(phi)", "-r*sin(phi)"],
                        ["sin(phi)", "r*cos(phi)"]],
                       [["1", "0"], ["0", "1"]])
-    assert ctx.connection == ctx.rotation_coeffs
+    assert ctx.connection == ctx.christoffel1
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +449,90 @@ def test_non_plain_ricci_and_riemann_antisymmetry(coords, metric, tau, mu):
         assert is_zero(R[h][l][k][j] + R[h][k][l][j])
 
 
+# (coords, metric rows, constant values); the 3D chart is a sphere of
+# radius a times a line
+PLANE = (["x", "y"], [["1+x^2", "x*y"], ["x*y", "2+y^2"]], {})
+SPHERE_LINE = (["theta", "phi", "z"],
+               [["a^2", "0", "0"], ["0", "a^2*sin(theta)^2", "0"],
+                ["0", "0", "1"]], {"a": 1.3})
+# chart, torsion entries tau_ij^k (i < j), nonmetricity vector, sample point
+CONNECTIONS = {
+    "torsion-2d": (PLANE, {(0, 1, 0): "x", (0, 1, 1): "x*y"}, None,
+                   [0.7, -0.4]),
+    "nonmetricity-2d": (PLANE, None, ["x*y", "y+1"], [0.7, -0.4]),
+    "both-2d": (PLANE, {(0, 1, 0): "y"}, ["x*y", "y+1"], [0.7, -0.4]),
+    "torsion-3d": (SPHERE_LINE, {(0, 1, 2): "z", (1, 2, 0): "theta",
+                                 (0, 2, 1): "1"}, None, [0.8, 0.3, 0.6]),
+    "nonmetricity-3d": (SPHERE_LINE, None, ["z", "theta*phi", "1"],
+                        [0.8, 0.3, 0.6]),
+    "both-3d": (SPHERE_LINE, {(0, 1, 2): "z", (1, 2, 0): "theta"},
+                ["z", "theta*phi", "1"], [0.8, 0.3, 0.6]),
+}
+
+
+def _torsion(n, entries):
+    values = [[["0"] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), text in entries.items():
+        values[i][j][k] = text
+        values[j][i][k] = f"-({text})"
+    return values
+
+
+def _connection_context(ctx, tau, mu):
+    if tau:
+        ctx.set_torsion(_torsion(ctx.dim, tau))
+    if mu:
+        ctx.set_nonmetricity(mu)
+    return ctx
+
+
+@pytest.mark.parametrize("case", list(CONNECTIONS))
+def test_connection_riemann_matches_finite_differences(case):
+    # reference: the curvature of the numeric connection built from g, tau
+    # and mu with the brute-force contortion and nonmetricity formulas
+    (coords, rows, constants), tau, mu, point = CONNECTIONS[case]
+    ctx = _connection_context(
+        setup_metric(coords, rows, constants=tuple(constants)), tau, mu)
+
+    def numeric(entries):
+        fn = oracles.array_fn(entries, coords)
+        return lambda x: fn(x, constants)
+
+    gamma = oracles.fd_connection2(
+        numeric(ctx.lg), numeric(ctx.torsion_values) if tau else None,
+        numeric(ctx.nonmetricity_values) if mu else None)
+    fd = oracles.fd_curvature(gamma, point)
+    values = dict(zip(coords, point), **constants)
+    R = ctx.riemann
+    assert not _all_zero(R, 4)
+    for h, l, k, j in np.ndindex(fd.shape):
+        exact = complex(scalars.evaluate(R[h][l][k][j], values)).real
+        assert abs(exact - fd[h, l, k, j]) < 2e-5 * max(1, abs(exact)), \
+            (h, l, k, j)
+
+
+@pytest.mark.parametrize("case", list(CONNECTIONS))
+def test_connection_torsion_and_nonmetricity_conventions(case):
+    # G_hk^j - G_kh^j = tau_hk^j and nabla_h g_kl = -mu_h g_kl, with h the
+    # derivative index of connection2; a metric-compatible connection has a
+    # lowered curvature antisymmetric in its metric pair (h, j)
+    (coords, rows, constants), tau, mu, _ = CONNECTIONS[case]
+    ctx = _connection_context(
+        setup_metric(coords, rows, constants=tuple(constants)), tau, mu)
+    n, c2, g, x = ctx.dim, ctx.connection2, ctx.lg, ctx.coords
+    T = ctx.torsion_values or np.zeros((n, n, n), dtype=int).tolist()
+    M = ctx.nonmetricity_values or [0] * n
+    for h, k, l in np.ndindex(n, n, n):
+        assert is_zero(c2[h][k][l] - c2[k][h][l] - T[h][k][l]), (h, k, l)
+        nabla = sp.diff(g[k][l], x[h]) - sum(
+            c2[h][k][m] * g[m][l] + c2[h][l][m] * g[k][m] for m in range(n))
+        assert is_zero(nabla + M[h] * g[k][l]), (h, k, l)
+    if mu is None:
+        RL = ctx.riemann_lowered
+        for h, l, k, j in np.ndindex(n, n, n, n):
+            assert is_zero(RL[h][l][k][j] + RL[j][l][k][h]), (h, l, k, j)
+
+
 # ---------------------------------------------------------------------------
 # frame quantities
 
@@ -575,8 +654,8 @@ def test_weyl_frame_matches_coordinate_weyl():
 
 @pytest.mark.parametrize("frame", [TWISTED, SCHWARZSCHILD])
 def test_riemann_frame_pair_fill_matches_loop(frame):
-    # a zero nonmetricity vector leaves the connection as it is but sends
-    # riemann_frame down its component-by-component loop
+    # a zero nonmetricity vector leaves the connection as it is but makes
+    # riemann_frame the frame components of the coordinate curvature
     coords, rows, constants = frame
     filled = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
     looped = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
@@ -586,6 +665,56 @@ def test_riemann_frame_pair_fill_matches_loop(frame):
     assert not _all_zero(A, 4)
     for d, a, b, c in np.ndindex(4, 4, 4, 4):
         assert is_zero(A[d][a][b][c] - B[d][a][b][c]), (d, a, b, c)
+
+
+@pytest.mark.parametrize("tau, mu", [({(0, 1, 2): "0"}, None),
+                                     (None, ["0"] * 4)])
+def test_zero_torsion_or_nonmetricity_keeps_frame_curvature(tau, mu):
+    coords, rows, constants = SCHWARZSCHILD
+    plain = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
+    ctx = _connection_context(
+        setup_frame(coords, rows, MINUS_PLUS, constants=constants), tau, mu)
+    assert not ctx.plain_connection
+    A, B = plain.riemann, ctx.riemann
+    for h, l, k, j in np.ndindex(4, 4, 4, 4):
+        assert is_zero(A[h][l][k][j] - B[h][l][k][j]), (h, l, k, j)
+    assert _all_zero(ctx.ricci, 2)
+
+
+# frame rows and orthonormal frame metric, torsion entries, nonmetricity
+FRAME_CONNECTIONS = {
+    "polar-cylindrical-nonmetricity": (
+        (["r", "phi", "z"], [["1", "0", "0"], ["0", "r", "0"],
+                             ["0", "0", "1"]]), None, ["r", "0", "1"]),
+    "twisted-torsion-and-nonmetricity": (
+        (["x", "y", "z"], [["1", "y", "0"], ["0", "1", "0"],
+                           ["0", "0", "x"]]),
+        {(0, 1, 2): "z", (1, 2, 0): "x"}, ["0", "y", "x"]),
+}
+
+
+@pytest.mark.parametrize("case", list(FRAME_CONNECTIONS))
+def test_non_metric_frame_curvature_is_frame_components(case):
+    # reference: the coordinate curvature and Ricci tensor with every slot
+    # carried into the frame by e_(a)^i, in numpy at a sample point
+    (coords, rows), tau, mu = FRAME_CONNECTIONS[case]
+    ctx = _connection_context(
+        setup_frame(coords, rows, [["1", "0", "0"], ["0", "1", "0"],
+                                   ["0", "0", "1"]]), tau, mu)
+    point = [1.4, 0.6, -0.7]
+
+    def numeric(entries):
+        return oracles.array_fn(entries, coords)(point, {})
+
+    E = numeric(ctx.frame_contravariant)
+    Rf = numeric(ctx.riemann_frame)
+    assert np.abs(Rf).max() > 1e-3
+    assert np.allclose(Rf, np.einsum("hlkj,dh,al,bk,cj->dabc",
+                                     numeric(ctx.riemann_lowered), E, E, E, E),
+                       rtol=1e-9, atol=1e-9)
+    assert np.allclose(numeric(ctx.ricci_frame),
+                       np.einsum("hl,dh,al->da", numeric(ctx.ricci), E, E),
+                       rtol=1e-9, atol=1e-9)
 
 
 def test_frame_ops_require_frame(polar):
@@ -613,15 +742,24 @@ STAGES = ("det", "ug", "christoffel1", "christoffel2", "riemann_lowered",
           "riemann", "ricci", "ricci_scalar", "einstein", "weyl")
 
 
+def _load(name):
+    if name == "twisted":
+        coords, rows, constants = TWISTED
+        return setup_frame(coords, rows, MINUS_PLUS, constants=constants)
+    return catalog.load(name)
+
+
 @pytest.mark.parametrize("name", ["spherical", "toroidal",
-                                  "interiorschwarzschild"])
+                                  "interiorschwarzschild", "twisted"])
 def test_field_stages_equal_expression_tree_stages(name, monkeypatch):
     # the same metric with its kernel field refused computes every stage
-    # on expression trees; the public arrays must be equal
-    in_field = catalog.load(name)
+    # on expression trees; the public arrays must be equal.  The metric of
+    # the twisted frame is not diagonal, so det and ug take the cofactor
+    # path.
+    in_field = _load(name)
     assert in_field.field is not None
     monkeypatch.setattr(scalars, "kernel_field", lambda *args: None)
-    on_trees = catalog.load(name)
+    on_trees = _load(name)
     assert on_trees.field is None
     for stage in STAGES[:-1] + (("weyl",) if in_field.dim >= 4 else ()):
         assert getattr(in_field, stage) == getattr(on_trees, stage), stage
