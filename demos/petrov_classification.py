@@ -14,9 +14,10 @@ from tensoralg.curvature import MetricContext
 schw = catalog.load("exteriorschwarzschild", frame=True)
 print("exterior Schwarzschild:", petrov_of_metric(schw))
 
-# Under the hood: the Weyl tensor is computed in the orthonormal frame and
-# contracted with the constant null tetrad of that frame into the five
-# complex scalars.  For type D only psi_2 survives.
+# Under the hood: the Weyl tensor is computed in coordinates, carried into
+# the orthonormal frame and contracted with the constant null tetrad of
+# that frame into the five complex scalars.  For type D only psi_2
+# survives.
 work = MetricContext(schw.chart, [[-x for x in row] for row in schw.lg],
                      fri=schw.fri, lfg=[[-x for x in row] for row in schw.lfg])
 tetrad = np_tetrad(work)

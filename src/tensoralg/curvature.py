@@ -4,13 +4,14 @@ A :class:`MetricContext` holds the coordinates and the covariant metric
 (entered directly or built from a rigid frame) and computes the standard
 curvature objects lazily: Christoffel symbols, Riemann/Ricci/Einstein/Weyl
 tensors, scalar curvature, and, in frame mode, the frame bracket, Ricci
-rotation coefficients and the frame-based Riemann tensor.
+rotation coefficients and the frame components of the curvature.
 
 The connection is written once, in coordinates, as Gamma_hk^j with h the
 derivative index: nabla_h V^j = d_h V^j + Gamma_hk^j V^k.  Torsion and
-nonmetricity enter only there (see :class:`MetricContext` for the signs),
-and the frame curvature of such a connection is the frame components of
-its coordinate curvature.
+nonmetricity enter only there (see :class:`MetricContext` for the signs).
+The curvature is computed once, in coordinates, too: a frame is a change
+of basis, and the frame Riemann, Ricci and Weyl tensors are the frame
+components of the coordinate ones.
 """
 
 from __future__ import annotations
@@ -144,25 +145,61 @@ def _pair_fill(n, component, simp, zero=sp.S.Zero):
     return out
 
 
+def _last_first(array, j):
+    """array[...][j]: the slice of an array of any rank at index j of its
+    last slot."""
+    if isinstance(array[0], list):
+        return [_last_first(sub, j) for sub in array]
+    return array[j]
+
+
 def _frame_components(array, E, simp):
-    """out[d][a][b][c] = sum R[h][l][k][j] E[d][h] E[a][l] E[b][k] E[c][j]
-    for a 4-index coordinate array R: one slot is carried into the frame at
-    a time, the last one, and then moved to the front."""
+    """out[a][b]... = sum array[i][j]... E[a][i] E[b][j]... for a covariant
+    coordinate array of any rank: one slot is carried into the frame at a
+    time, the last one, and then moved to the front."""
     n = len(E)
     ET = [[E[a][i] for a in range(n)] for i in range(n)]
-    for _ in range(4):
+    rank, sub = 0, array
+    while isinstance(sub, list):
+        rank, sub = rank + 1, sub[0]
+    for _ in range(rank):
         array = _contract_last(array, ET, simp)
-        array = [[[[array[h][l][k][j] for k in range(n)] for l in range(n)]
-                  for h in range(n)] for j in range(n)]
+        array = [_last_first(array, j) for j in range(n)]
     return array
 
 
-def _trace(array, inv, K=TREES):
-    """sum_km inv[k][m] * array[...][k][m]: the last two slots of an array of
-    any rank contracted with an inverse metric.  Coordinate and frame arrays
-    share the slot layout, so this gives the Ricci tensor of either
-    all-covariant curvature and the scalar curvature of either Ricci tensor.
+def _frame_pairs(array, E, simp):
+    """Frame components of a 4-index covariant array with the pair
+    symmetries of the metric connection's curvature, in the
+    :func:`_pair_fill` layout P_abcd = array[b][d][c][a].
+
+    Each antisymmetric pair is carried into the frame by the bivectors
+    B_ab^ij = E_a^i E_b^j - E_a^j E_b^i, i < j: first
+    half[ij][cd] = sum_kl P_ijkl B_cd^kl, then P_abcd = sum_ij B_ab^ij
+    half[ij][cd] on the independent components only.  The bivectors and
+    half sums are only put in rational normal form; ``simp`` runs on the
+    components.
     """
+    n = len(E)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    B = {(a, b): [ratsimp(E[a][i] * E[b][j] - E[a][j] * E[b][i])
+                  for i, j in pairs] for a, b in pairs}
+
+    def carry(values, bivector):
+        return sum((v * b for v, b in zip(values, bivector) if b != 0),
+                   sp.S.Zero)
+
+    half = [{cd: ratsimp(carry([array[j][l][k][i] for k, l in pairs], bv))
+             for cd, bv in B.items()} for i, j in pairs]
+    return _pair_fill(n, lambda a, b, c, d: carry(
+        [h[c, d] for h in half], B[a, b]), simp)
+
+
+def _trace(array, inv, K):
+    """sum_km inv[k][m] * array[...][k][m]: the last two slots of an array of
+    any rank contracted with the inverse metric, which gives the Ricci
+    tensor of the all-covariant curvature and the scalar curvature of the
+    Ricci tensor."""
     if isinstance(array[0][0], list):
         return [_trace(sub, inv, K) for sub in array]
     n = len(inv)
@@ -188,8 +225,8 @@ class MetricContext:
     index, is the Christoffel symbol minus the contortion of tau and the
     nonmetricity coefficients of mu: its torsion Gamma_hk^j - Gamma_kh^j is
     tau_hk^j and nabla_h g_kl = -mu_h g_kl.  On a frame context too, and
-    the frame Riemann tensor of a connection with torsion or nonmetricity
-    is the frame components of ``riemann_lowered``.
+    the frame curvature of every connection is the frame components of the
+    coordinate curvature.
 
     Results are cached; :meth:`set_torsion` and :meth:`set_nonmetricity`
     choose the domain again and drop the cache.  A context is meant to be
@@ -568,55 +605,40 @@ class MetricContext:
 
     @property
     def weyl(self):
-        """Weyl conformal tensor W[i][j][k][l], all covariant."""
-        return self._public("weyl", lambda: self._weyl(lambda: (
-            self._values("riemann_lowered"), self._g, self._values("ricci"),
-            self._values("ricci_scalar")), self._K))
+        """Weyl conformal tensor W[i][j][k][l], all covariant.  It is the
+        trace-free part of a curvature with the pair symmetries of the
+        metric connection's, so torsion or nonmetricity is refused."""
+        def compute():
+            n, K, g = self.dim, self._K, self._g
+            if n < 3:
+                raise DimensionError(
+                    "the Weyl tensor needs at least three dimensions")
+            if n == 3:
+                warnings.warn("the Weyl tensor vanishes identically in three "
+                              "dimensions; returning zeros")
+                return _zeros(n, n, n, n, zero=K.zero)
+            if not self.plain_connection:
+                raise ValueError("the Weyl tensor needs the metric connection "
+                                 "(no torsion or nonmetricity)")
+            P, ric, r = (self._values(key) for key in (
+                "riemann_lowered", "ricci", "ricci_scalar"))
 
-    def _weyl(self, parts, K=TREES):
-        """Weyl tensor from the all-covariant curvature, metric, Ricci tensor
-        and scalar curvature ``parts()``, in coordinate or frame components.
-        It is the trace-free part of a curvature with the pair symmetries of
-        the metric connection's, so torsion or nonmetricity is refused."""
-        n = self.dim
-        if n < 3:
-            raise DimensionError(
-                "the Weyl tensor needs at least three dimensions")
-        if n == 3:
-            warnings.warn("the Weyl tensor vanishes identically in three "
-                          "dimensions; returning zeros")
-            return _zeros(n, n, n, n, zero=K.zero)
-        if not self.plain_connection:
-            raise ValueError("the Weyl tensor needs the metric connection "
-                             "(no torsion or nonmetricity)")
-        P, g, ric, r = parts()
+            def component(a, b, c, d):
+                return (P[b][d][c][a]
+                        + r * (g[b][d] * g[a][c] - g[a][d] * g[b][c])
+                        / ((n - 1) * (n - 2))
+                        + (g[b][c] * ric[a][d] - g[a][c] * ric[b][d]
+                           - g[b][d] * ric[a][c] + g[a][d] * ric[b][c])
+                        / (n - 2))
 
-        def component(a, b, c, d):
-            return (P[b][d][c][a]
-                    + r * (g[b][d] * g[a][c] - g[a][d] * g[b][c])
-                    / ((n - 1) * (n - 2))
-                    + (g[b][c] * ric[a][d] - g[a][c] * ric[b][d]
-                       - g[b][d] * ric[a][c] + g[a][d] * ric[b][c])
-                    / (n - 2))
-
-        return _pair_fill(n, component, K.ratsimp, K.zero)
+            return _pair_fill(n, component, K.ratsimp, K.zero)
+        return self._public("weyl", compute)
 
     # -- frame quantities -------------------------------------------------------
 
     def _need_frame(self):
         if not self.cframe_flag:
             raise ValueError("this context has no frame base")
-
-    @property
-    def ufg(self):
-        """Inverse frame metric."""
-        self._need_frame()
-        def compute():
-            m = sp.Matrix(self.lfg)
-            inv = m.inv()
-            n = self.dim
-            return [[ratsimp(inv[i, j]) for j in range(n)] for i in range(n)]
-        return self._cached("ufg", compute)
 
     @property
     def frame_contravariant(self):
@@ -638,10 +660,11 @@ class MetricContext:
 
     @property
     def frame_bracket(self):
-        """Frame bracket lambda[a][b][c] (antisymmetric in b, c).
-
-        Built from plain partial derivatives of the frame; when torsion is
-        present its contribution enters with a minus sign.  Only b < c is
+        """Frame bracket lambda[a][b][c] (antisymmetric in b, c):
+        lambda_abc = E_b^i E_c^k (d_k e_(a)i - d_i e_(a)k + tau_ik^m e_(a)m),
+        the antisymmetrised covariant derivative of the frame, so that the
+        rotation coefficients of a torsion context are the frame components
+        of ``connection2``.  Nonmetricity does not enter.  Only b < c is
         evaluated; the other half is its negative.
         """
         self._need_frame()
@@ -661,7 +684,7 @@ class MetricContext:
                             for k in range(n):
                                 core = dflow[a][i][k] - dflow[a][k][i]
                                 if tau is not None:
-                                    core -= sum(tau[i][k][m] * flow[a][m]
+                                    core += sum(tau[i][k][m] * flow[a][m]
                                                 for m in range(n))
                                 if core != 0:
                                     total += core * E[b][i] * E[c][k]
@@ -672,7 +695,9 @@ class MetricContext:
 
     @property
     def rotation_coeffs(self):
-        """Ricci rotation coefficients gamma[a][b][c] = (l_abc+l_bca-l_cab)/2."""
+        """Ricci rotation coefficients gamma[a][b][c] = (l_abc+l_bca-l_cab)/2,
+        without nonmetricity gamma_abc = E_b^i E_c^k (d_k e_(a)i -
+        Gamma_ki^m e_(a)m)."""
         self._need_frame()
         def compute():
             n, lam = self.dim, self.frame_bracket
@@ -680,67 +705,34 @@ class MetricContext:
                       for c in range(n)] for b in range(n)] for a in range(n)]
         return self._cached("rotation_coeffs", compute)
 
+    def _frame_stage(self, key, stage, carry):
+        """Stage ``key``: the frame components of coordinate stage ``stage``,
+        carried into the frame by ``carry``."""
+        self._need_frame()
+        return self._cached(key, lambda: carry(
+            getattr(self, stage), self.frame_contravariant, trigsimp))
+
     @property
     def riemann_frame(self):
-        """Frame-base Riemann tensor R[d][a][b][c].
-
-        Index layout parallels the coordinate array: d is the transported
-        label, (a, b) the antisymmetric derivative pair, c the lowered
-        fourth label.  For the metric connection it is computed from the
-        rotation coefficients, their directional derivatives and the frame
-        bracket, on the independent components of P_abcd = R[a][c][d][b];
-        with torsion or nonmetricity it is the frame components of
-        :attr:`riemann_lowered`.
-        """
-        self._need_frame()
-        def compute():
-            if not self.plain_connection:
-                return _frame_components(self.riemann_lowered,
-                                         self.frame_contravariant, trigsimp)
-            n = self.dim
-            gam = self.rotation_coeffs
-            lam, E, ufg = self.frame_bracket, self.frame_contravariant, self.ufg
-            coords = self.coords
-
-            def ddir(a, expr):
-                if expr == 0:
-                    return sp.S.Zero
-                return sum(E[a][i] * diff(expr, coords[i]) for i in range(n))
-
-            def up(m, x, y):
-                return sum(ufg[m][mp] * gam[mp][x][y] for mp in range(n))
-
-            def value(d, a, b, c):
-                return (ddir(a, gam[c][d][b]) - ddir(b, gam[c][d][a])
-                        - sum(gam[c][m][a] * up(m, d, b)
-                              - gam[c][m][b] * up(m, d, a) for m in range(n))
-                        - sum(gam[c][d][m] * sum(
-                              ufg[m][mp] * lam[mp][a][b] for mp in range(n))
-                              for m in range(n)))
-
-            return _pair_fill(n, lambda a, b, c, d: value(a, c, d, b),
-                              trigsimp)
-        return self._cached("riemann_frame", compute)
+        """Frame-base Riemann tensor R[d][a][b][c] =
+        R_hlkj e_(d)^h e_(a)^l e_(b)^k e_(c)^j, the frame components of
+        :attr:`riemann_lowered` in its slot layout.  For the metric
+        connection only the independent (pair, pair) components are
+        evaluated; torsion or nonmetricity breaks the pair exchange
+        symmetry, and then every slot is carried into the frame."""
+        return self._frame_stage(
+            "riemann_frame", "riemann_lowered",
+            _frame_pairs if self.plain_connection else _frame_components)
 
     @property
     def ricci_frame(self):
-        """Frame-label Ricci tensor from the frame Riemann tensor."""
-        return self._cached("ricci_frame",
-                            lambda: _trace(self.riemann_frame, self.ufg))
-
-    @property
-    def ricci_scalar_frame(self):
-        """Scalar curvature computed through the frame pipeline."""
-        return self._cached("ricci_scalar_frame",
-                            lambda: _trace(self.ricci_frame, self.ufg))
+        """Frame components of the Ricci tensor."""
+        return self._frame_stage("ricci_frame", "ricci", _frame_components)
 
     @property
     def weyl_frame(self):
-        """Weyl tensor in frame components, laid out like :attr:`weyl`."""
-        self._need_frame()
-        return self._cached("weyl_frame", lambda: self._weyl(lambda: (
-            self.riemann_frame, self.lfg, self.ricci_frame,
-            self.ricci_scalar_frame)))
+        """Frame components of the Weyl tensor, laid out like :attr:`weyl`."""
+        return self._frame_stage("weyl_frame", "weyl", _frame_pairs)
 
 
 def setup_metric(coords, matrix, constants=()) -> MetricContext:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import scalars
-from .curvature import MetricContext, setup_frame, setup_metric
+from .curvature import MetricContext, setup_metric
 
 
 class MetricFileError(ValueError):
@@ -48,9 +48,11 @@ class MetricFile:
         if frame or (not self.metric_rows and self.frame_rows):
             if not self.frame_rows:
                 raise MetricFileError("no [frame] rows to build the metric from")
-            lfg = self.frame_metric or _identity_rows(n)
-            ctx = setup_frame(self.coords, self.frame_rows, lfg,
-                              constants=tuple(self.constants))
+            # metric rows given beside the frame are checked against it
+            ctx = MetricContext(self.coords, self.metric_rows or None,
+                                fri=self.frame_rows,
+                                lfg=self.frame_metric or _identity_rows(n),
+                                constants=tuple(self.constants))
         else:
             if len(self.metric_rows) != n:
                 raise MetricFileError(

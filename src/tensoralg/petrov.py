@@ -1,9 +1,9 @@
 """Petrov classification of 4-metrics.
 
-The Weyl tensor is computed in the components of an orthonormal Lorentz
-frame; there the Newman-Penrose null tetrad has constant components, and
-the five complex Weyl scalars are contractions of the frame Weyl tensor with
-it.  The algebraic type follows from a decision tree driven by which scalars
+The Weyl tensor is computed in coordinates and carried into the
+components of an orthonormal Lorentz frame; there the Newman-Penrose null
+tetrad has constant components, and the five complex Weyl scalars are
+contractions of the frame Weyl tensor with it.  The algebraic type follows from a decision tree driven by which scalars
 (and which derived invariants) vanish.  Every zero test goes through the
 exact kernel; an expression that can be neither proved zero nor certified
 nonzero numerically aborts the classification instead of guessing.
@@ -299,7 +299,8 @@ def petrov_of_metric(ctx: MetricContext) -> PetrovType:
     every Weyl scalar; the decision tree only asks whether homogeneous
     polynomials in the scalars vanish, so the type does not depend on that
     sign.  :func:`np_tetrad` checks the frame before any curvature is
-    computed.
+    computed; the Weyl tensor is then the coordinate one in frame
+    components, and no rotation coefficients are computed.
     """
     tetrad = np_tetrad(ctx)
     return classify(weyl_scalars(ctx.weyl_frame, tetrad))

@@ -117,6 +117,21 @@ def fd_riemann(gfun, x, h=1e-4):
     return fd_curvature(lambda y: fd_christoffel2(gfun, y), x, h)
 
 
+def weyl(R, g):
+    """Weyl tensor W[h][l][k][j], all covariant, from the curvature
+    R[h][l][k]^[j] of the metric connection of the numeric metric ``g``:
+    the lowered curvature minus its metric and Ricci traces."""
+    n = len(g)
+    rl = np.einsum("hlkm,mj->hlkj", R, g)
+    ric = np.einsum("ijkk->ij", R)
+    r = np.einsum("ij,ij->", np.linalg.inv(g), ric)
+    gg = np.einsum("hl,jk->hlkj", g, g) - np.einsum("jl,hk->hlkj", g, g)
+    gric = (np.einsum("hk,jl->hlkj", g, ric) - np.einsum("jk,hl->hlkj", g, ric)
+            - np.einsum("hl,jk->hlkj", g, ric)
+            + np.einsum("jl,hk->hlkj", g, ric))
+    return rl + r * gg / ((n - 1) * (n - 2)) + gric / (n - 2)
+
+
 # ---------------------------------------------------------------------------
 # abstract-algebra reference
 

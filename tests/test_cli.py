@@ -128,6 +128,40 @@ SCHWARZSCHILD_FRAME_FILE = """\
 """
 
 
+SCHWARZSCHILD_METRIC_ROWS = """\
+[metric] row = (2*m-r)/r, 0, 0, 0
+[metric] row = 0, r/(r-2*m), 0, 0
+[metric] row = 0, 0, r^2, 0
+[metric] row = 0, 0, 0, r^2*sin(theta)^2
+"""
+
+
+def test_compute_frame_checks_the_metric_rows_of_its_file(tmp_path, capsys):
+    # the frame rows give g = diag(1, sin(r)^2), not the metric rows: each
+    # alone would print a scalar curvature (0 and 2)
+    path = tmp_path / "mixed.tm"
+    path.write_text(POLAR_FILE
+                    + "[frame] row = 1, 0\n[frame] row = 0, sin(r)\n")
+    code, out, _ = run_cli("compute", "--metric", str(path), "--tensors",
+                           "scalar", capsys=capsys)
+    assert code == 0 and out == "scalar = 0\n"
+    code, out, err = run_cli("compute", "--metric", str(path), "--frame",
+                             "--tensors", "scalar", capsys=capsys)
+    assert code == 1 and out == ""
+    assert "frame is not orthonormal for the metric" in err
+
+
+def test_compute_frame_file_with_matching_metric_rows(tmp_path, capsys):
+    path = tmp_path / "schwarzschild.tm"
+    path.write_text(SCHWARZSCHILD_FRAME_FILE + SCHWARZSCHILD_METRIC_ROWS)
+    code, out, _ = run_cli("compute", "--metric", str(path), "--frame",
+                           "--tensors", "ricci", "--format", "json",
+                           capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["ricci"] == {"components": {},
+                                        "zero_components": 16}
+
+
 @pytest.mark.parametrize("section", ["[nonmetricity] mu = 0, 0, 0, 0\n",
                                      "[torsion] entry = 1, 2, 3, 0\n"],
                          ids=["nonmetricity", "torsion"])

@@ -381,22 +381,14 @@ def test_weyl_matches_finite_differences_nondiagonal():
     gfun_raw = oracles.metric_fn(ctx)
     def gfun(x):
         return gfun_raw(x, {})
-    R = oracles.fd_riemann(gfun, point)
-    g = gfun(np.array(point))
-    ug = np.linalg.inv(g)
-    n = 4
-    rl = np.einsum("hlkm,mj->hlkj", R, g)
-    ric = np.einsum("ijkk->ij", R)
-    r = np.einsum("ij,ij->", ug, ric)
+    ref = oracles.weyl(oracles.fd_riemann(gfun, point),
+                       gfun(np.array(point)))
     values = dict(zip("txyz", point))
     W = ctx.weyl
-    for i, j, k, l in np.ndindex(n, n, n, n):
-        ref = (rl[i, j, k, l]
-               + r * (g[j, i] * g[l, k] - g[j, l] * g[i, k]) / ((n - 1) * (n - 2))
-               + (g[k, i] * ric[l, j] - g[k, l] * ric[i, j]
-                  - g[j, i] * ric[l, k] + g[j, l] * ric[i, k]) / (n - 2))
+    for i, j, k, l in np.ndindex(4, 4, 4, 4):
         exact = complex(scalars.evaluate(W[i][j][k][l], values)).real
-        assert abs(exact - ref) < 2e-5 * max(1, abs(ref))
+        assert abs(exact - ref[i, j, k, l]) < 2e-5 * max(
+            1, abs(ref[i, j, k, l]))
     assert not _all_zero(W, 4)
 
 
@@ -590,13 +582,21 @@ def test_frame_bracket_antisymmetric_last_pair():
                 assert is_zero(lam[a][b][c] + lam[a][c][b])
 
 
+def _frame_trace(ctx):
+    """eta^ab ricci_frame[a][b]: the scalar curvature from the frame Ricci
+    tensor."""
+    ufg, ric = sp.Matrix(ctx.lfg).inv(), ctx.ricci_frame
+    return sum(ufg[a, b] * ric[a][b]
+               for a in range(ctx.dim) for b in range(ctx.dim))
+
+
 def test_frame_coordinate_agreement_polar():
     coord = setup_metric(["r", "phi"], [["1", "0"], ["0", "r^2"]])
     frame = setup_frame(["r", "phi"],
                         [["cos(phi)", "-r*sin(phi)"],
                          ["sin(phi)", "r*cos(phi)"]],
                         [["1", "0"], ["0", "1"]])
-    assert is_zero(coord.ricci_scalar - frame.ricci_scalar_frame)
+    assert is_zero(coord.ricci_scalar - _frame_trace(frame))
 
 
 def test_frame_coordinate_agreement_sphere():
@@ -606,8 +606,8 @@ def test_frame_coordinate_agreement_sphere():
     frame = setup_frame(["theta", "phi"],
                         [["a", "0"], ["0", "a*sin(theta)"]],
                         [["1", "0"], ["0", "1"]], constants=("a",))
-    assert is_zero(frame.ricci_scalar_frame - coord.ricci_scalar)
-    assert is_zero(frame.ricci_scalar_frame - 2 / sym("a") ** 2)
+    assert is_zero(_frame_trace(frame) - coord.ricci_scalar)
+    assert is_zero(_frame_trace(frame) - 2 / sym("a") ** 2)
 
 
 def test_frame_coordinate_agreement_schwarzschild():
@@ -619,8 +619,8 @@ def test_frame_coordinate_agreement_schwarzschild():
          ["0", "0", "0", "r*sin(theta)"]],
         [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
          ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
-    assert is_zero(frame.ricci_scalar)          # coordinate pipeline
-    assert is_zero(frame.ricci_scalar_frame)    # frame pipeline
+    assert is_zero(frame.ricci_scalar)
+    assert is_zero(_frame_trace(frame) - frame.ricci_scalar)
 
 
 MINUS_PLUS = [["-1", "0", "0", "0"], ["0", "1", "0", "0"],
@@ -654,8 +654,8 @@ def test_weyl_frame_matches_coordinate_weyl():
 
 @pytest.mark.parametrize("frame", [TWISTED, SCHWARZSCHILD])
 def test_riemann_frame_pair_fill_matches_loop(frame):
-    # a zero nonmetricity vector leaves the connection as it is but makes
-    # riemann_frame the frame components of the coordinate curvature
+    # a zero nonmetricity vector leaves the connection as it is, but every
+    # slot of its curvature is then carried into the frame on its own
     coords, rows, constants = frame
     filled = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
     looped = setup_frame(coords, rows, MINUS_PLUS, constants=constants)
@@ -681,40 +681,114 @@ def test_zero_torsion_or_nonmetricity_keeps_frame_curvature(tau, mu):
     assert _all_zero(ctx.ricci, 2)
 
 
-# frame rows and orthonormal frame metric, torsion entries, nonmetricity
+IDENTITY3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+POLAR_FRAME = (["r", "phi"], [["1", "0"], ["0", "r"]], ())
+SPHERE_FRAME = (["theta", "phi"], [["a", "0"], ["0", "a*sin(theta)"]],
+                ("a",))
+TWISTED3 = (["x", "y", "z"], [["1", "y", "0"], ["0", "1", "0"],
+                              ["0", "0", "x"]], ())
+CONSTANT_VALUES = {"m": 1.1, "a": 1.7}
+# frame, frame metric, torsion entries, nonmetricity vector, sample point
 FRAME_CONNECTIONS = {
+    "schwarzschild": (SCHWARZSCHILD, MINUS_PLUS, None, None,
+                      [0.3, 5.0, 0.9, 0.4]),
+    "twisted": (TWISTED, MINUS_PLUS, None, None, [0.3, 1.4, 0.6, -0.7]),
+    "sphere": (SPHERE_FRAME, [["1", "0"], ["0", "1"]], None, None,
+               [0.9, 0.4]),
     "polar-cylindrical-nonmetricity": (
         (["r", "phi", "z"], [["1", "0", "0"], ["0", "r", "0"],
-                             ["0", "0", "1"]]), None, ["r", "0", "1"]),
+                             ["0", "0", "1"]], ()),
+        IDENTITY3, None, ["r", "0", "1"], [1.4, 0.6, -0.7]),
     "twisted-torsion-and-nonmetricity": (
-        (["x", "y", "z"], [["1", "y", "0"], ["0", "1", "0"],
-                           ["0", "0", "x"]]),
-        {(0, 1, 2): "z", (1, 2, 0): "x"}, ["0", "y", "x"]),
+        TWISTED3, IDENTITY3, {(0, 1, 2): "z", (1, 2, 0): "x"},
+        ["0", "y", "x"], [1.4, 0.6, -0.7]),
 }
+
+
+def _frame_case(case):
+    """The context of a frame case and numeric F(x), eta, g(x) and the
+    numeric connection Gamma(x)[h][k][j] built from them."""
+    (coords, rows, constants), eta, tau, mu, point = case
+    ctx = _connection_context(
+        setup_frame(coords, rows, eta, constants=constants), tau, mu)
+
+    def numeric(entries):
+        fn = oracles.array_fn(entries, coords)
+        return lambda x: fn(x, CONSTANT_VALUES)
+
+    F, eta = numeric(rows), np.array(eta, dtype=float)
+
+    def gfun(x):
+        return F(x).T @ eta @ F(x)
+
+    gamma = oracles.fd_connection2(
+        gfun, numeric(ctx.torsion_values) if tau else None,
+        numeric(ctx.nonmetricity_values) if mu else None)
+    return ctx, numeric, F, eta, gfun, gamma, np.array(point)
+
+
+def _close(got, ref):
+    # the relative tolerance of the finite-difference tests above
+    assert np.all(np.abs(got - ref) < 2e-5 * np.maximum(1, np.abs(ref)))
 
 
 @pytest.mark.parametrize("case", list(FRAME_CONNECTIONS))
 def test_non_metric_frame_curvature_is_frame_components(case):
-    # reference: the coordinate curvature and Ricci tensor with every slot
-    # carried into the frame by e_(a)^i, in numpy at a sample point
-    (coords, rows), tau, mu = FRAME_CONNECTIONS[case]
-    ctx = _connection_context(
-        setup_frame(coords, rows, [["1", "0", "0"], ["0", "1", "0"],
-                                   ["0", "0", "1"]]), tau, mu)
-    point = [1.4, 0.6, -0.7]
-
-    def numeric(entries):
-        return oracles.array_fn(entries, coords)(point, {})
-
-    E = numeric(ctx.frame_contravariant)
-    Rf = numeric(ctx.riemann_frame)
+    # reference: the finite-difference curvature of the numeric connection,
+    # lowered with g, with every slot carried into the frame by the inverse
+    # of the numeric frame rows; and the coordinate curvature carried into
+    # the frame in numpy
+    ctx, numeric, F, _, gfun, gamma, point = _frame_case(
+        FRAME_CONNECTIONS[case])
+    E = np.linalg.inv(F(point)).T
+    R, g = oracles.fd_curvature(gamma, point), gfun(point)
+    RL = np.einsum("hlkm,mj->hlkj", R, g)
+    Rf = numeric(ctx.riemann_frame)(point)
     assert np.abs(Rf).max() > 1e-3
+    _close(Rf, np.einsum("hlkj,dh,al,bk,cj->dabc", RL, E, E, E, E))
+    _close(numeric(ctx.ricci_frame)(point),
+           np.einsum("hlkk,dh,al->da", R, E, E))
+    if ctx.plain_connection and ctx.dim == 4:
+        _close(numeric(ctx.weyl_frame)(point),
+               np.einsum("hlkj,dh,al,bk,cj->dabc", oracles.weyl(R, g),
+                         E, E, E, E))
+    E = numeric(ctx.frame_contravariant)(point)
     assert np.allclose(Rf, np.einsum("hlkj,dh,al,bk,cj->dabc",
-                                     numeric(ctx.riemann_lowered), E, E, E, E),
-                       rtol=1e-9, atol=1e-9)
-    assert np.allclose(numeric(ctx.ricci_frame),
-                       np.einsum("hl,dh,al->da", numeric(ctx.ricci), E, E),
-                       rtol=1e-9, atol=1e-9)
+                                     numeric(ctx.riemann_lowered)(point),
+                                     E, E, E, E), rtol=1e-9, atol=1e-9)
+    assert np.allclose(numeric(ctx.ricci_frame)(point),
+                       np.einsum("hl,dh,al->da", numeric(ctx.ricci)(point),
+                                 E, E), rtol=1e-9, atol=1e-9)
+
+
+ROTATION_FRAMES = {
+    "twisted-torsion": (TWISTED3, IDENTITY3,
+                        {(0, 1, 2): "z", (1, 2, 0): "x"}, None,
+                        [1.4, 0.6, -0.7]),
+    "polar": (POLAR_FRAME, [["1", "0"], ["0", "1"]], None, None, [1.3, 0.4]),
+    "schwarzschild": FRAME_CONNECTIONS["schwarzschild"],
+}
+
+
+@pytest.mark.parametrize("case", list(ROTATION_FRAMES))
+def test_rotation_coeffs_are_frame_components_of_the_connection(case):
+    # reference: gamma_abc = E_b^i E_c^k (d_k e_(a)i - Gamma_ki^m e_(a)m)
+    # with the numeric connection and central differences of the frame
+    ctx, numeric, F, eta, _, gamma, point = _frame_case(
+        ROTATION_FRAMES[case])
+
+    def lowered(x):
+        return eta @ F(x)
+
+    h, n = 1e-6, ctx.dim
+    de = np.array([(lowered(point + h * step) - lowered(point - h * step))
+                   / (2 * h) for step in np.eye(n)])  # de[k][a][i]
+    cov = (np.einsum("kai->aik", de)
+           - np.einsum("kim,am->aik", gamma(point), lowered(point)))
+    E = np.linalg.inv(F(point)).T
+    got = numeric(ctx.rotation_coeffs)(point)
+    assert np.abs(got).max() > 1e-3
+    _close(got, np.einsum("aik,bi,ck->abc", cov, E, E))
 
 
 def test_frame_ops_require_frame(polar):

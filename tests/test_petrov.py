@@ -315,9 +315,11 @@ def test_petrov_builds_no_second_context(monkeypatch):
     monkeypatch.setattr(petrov.MetricContext, "__init__", counting_init)
     assert petrov_of_metric(ctx) is PetrovType.D
     assert built == []
-    # the frame pipeline alone: no coordinate curvature is computed
-    assert "weyl_frame" in ctx._memo
-    assert "weyl" not in ctx._memo and "riemann_lowered" not in ctx._memo
+    # the coordinate Weyl tensor carried into the frame: no rotation
+    # coefficients are computed
+    assert "weyl_frame" in ctx._memo and "weyl" in ctx._memo
+    assert "frame_bracket" not in ctx._memo
+    assert "rotation_coeffs" not in ctx._memo
 
 
 def test_petrov_anti_de_sitter_is_O(anti_de_sitter):
