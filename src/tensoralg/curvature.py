@@ -11,7 +11,12 @@ derivative index: nabla_h V^j = d_h V^j + Gamma_hk^j V^k.  Torsion and
 nonmetricity enter only there (see :class:`MetricContext` for the signs).
 The curvature is computed once, in coordinates, too: a frame is a change
 of basis, and the frame Riemann, Ricci and Weyl tensors are the frame
-components of the coordinate ones.
+components of the coordinate ones, as the Ricci rotation coefficients are
+those of the covariant derivative of the frame.
+
+A context computes in one scalar domain: a :class:`scalars.KernelField`
+when its inputs lie in one, with the square roots of a frame as field
+generators, and expression trees otherwise.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from itertools import product
 import sympy as sp
 
 from . import scalars
-from .scalars import TREES, diff, is_zero, ratsimp, sym, trigsimp
+from .scalars import TREES, is_zero, ratsimp, sym, trigsimp
 
 
 class DimensionError(ValueError):
@@ -95,9 +100,9 @@ def _simp(e, K=TREES):
     ``K`` is the scalar domain.  A context whose metric, torsion and
     nonmetricity lie in a :class:`scalars.KernelField` holds every
     coordinate stage as field elements, and the rule compares the
-    expressions of the two candidates.  Frame stages and input with
-    ``sqrt``, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh`` keep
-    expression trees.
+    expressions of the two candidates.  A frame that lies in one, square
+    roots included, holds its frame stages as elements of the same field.
+    Input outside every kernel field keeps expression trees.
     """
     e = K.ratsimp(e)
     if K.has_trig(e):
@@ -153,22 +158,37 @@ def _last_first(array, j):
     return array[j]
 
 
-def _frame_components(array, E, simp):
+def _dot(xs, ys, zero):
+    """sum x*y over the pairs of ``xs`` and ``ys``, skipping literal 0."""
+    return sum((x * y for x, y in zip(xs, ys) if x != 0 and y != 0), zero)
+
+
+def _partial_reduce(K):
+    """The reduction of the partial sums of a change of basis in the scalar
+    domain ``K``: the closure in a kernel field, where it keeps the
+    squares of roots out of the products, and the rational normal form on
+    trees, where the closure costs more than it saves."""
+    return K.ratsimp if K is TREES else K.trigsimp
+
+
+def _frame_components(array, E, K=TREES):
     """out[a][b]... = sum array[i][j]... E[a][i] E[b][j]... for a covariant
     coordinate array of any rank: one slot is carried into the frame at a
-    time, the last one, and then moved to the front."""
+    time, the last one, and then moved to the front.  ``K`` is the scalar
+    domain."""
     n = len(E)
     ET = [[E[a][i] for a in range(n)] for i in range(n)]
     rank, sub = 0, array
     while isinstance(sub, list):
         rank, sub = rank + 1, sub[0]
-    for _ in range(rank):
-        array = _contract_last(array, ET, simp)
+    for step in range(rank):
+        array = _contract_last(array, ET, K.trigsimp if step == rank - 1
+                               else _partial_reduce(K))
         array = [_last_first(array, j) for j in range(n)]
     return array
 
 
-def _frame_pairs(array, E, simp):
+def _frame_pairs(array, E, K=TREES):
     """Frame components of a 4-index covariant array with the pair
     symmetries of the metric connection's curvature, in the
     :func:`_pair_fill` layout P_abcd = array[b][d][c][a].
@@ -177,22 +197,20 @@ def _frame_pairs(array, E, simp):
     B_ab^ij = E_a^i E_b^j - E_a^j E_b^i, i < j: first
     half[ij][cd] = sum_kl P_ijkl B_cd^kl, then P_abcd = sum_ij B_ab^ij
     half[ij][cd] on the independent components only.  The bivectors and
-    half sums are only put in rational normal form; ``simp`` runs on the
-    components.
+    half sums are only put in rational normal form; the components are
+    reduced by ``K.trigsimp``, ``K`` the scalar domain.
     """
     n = len(E)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    B = {(a, b): [ratsimp(E[a][i] * E[b][j] - E[a][j] * E[b][i])
+    reduce = _partial_reduce(K)
+    B = {(a, b): [reduce(E[a][i] * E[b][j] - E[a][j] * E[b][i])
                   for i, j in pairs] for a, b in pairs}
 
-    def carry(values, bivector):
-        return sum((v * b for v, b in zip(values, bivector) if b != 0),
-                   sp.S.Zero)
-
-    half = [{cd: ratsimp(carry([array[j][l][k][i] for k, l in pairs], bv))
+    half = [{cd: K.ratsimp(_dot([array[j][l][k][i] for k, l in pairs], bv,
+                                K.zero))
              for cd, bv in B.items()} for i, j in pairs]
-    return _pair_fill(n, lambda a, b, c, d: carry(
-        [h[c, d] for h in half], B[a, b]), simp)
+    return _pair_fill(n, lambda a, b, c, d: _dot(
+        [h[c, d] for h in half], B[a, b], K.zero), K.trigsimp, K.zero)
 
 
 def _trace(array, inv, K):
@@ -220,6 +238,10 @@ class MetricContext:
     :class:`scalars.KernelField` and every coordinate stage computes on its
     elements; public properties convert them to expressions once.
     Otherwise ``field`` is None and the stages work on expression trees.
+    A frame context whose frame rows lie in a kernel field with square
+    roots as generators (see :func:`scalars.kernel_field`) takes that field
+    for every stage, frame stages included, and derives its metric there;
+    any other frame keeps its frame stages on expression trees.
 
     The connection ``connection2[h][k][j]`` = Gamma_hk^j, h the derivative
     index, is the Christoffel symbol minus the contortion of tau and the
@@ -244,24 +266,17 @@ class MetricContext:
         self.lfg = _as_matrix(lfg, "frame metric") if lfg is not None else None
         self.cframe_flag = self.fri is not None
         if self.cframe_flag:
-            f, eta = self.fri, self.lfg
-            if eta is None or len(f) != n or len(eta) != n:
+            eta = self.lfg
+            if eta is None or len(self.fri) != n or len(eta) != n:
                 raise ValueError(
                     "frame matrices must match the chart dimension")
             for a in range(n):
                 for b in range(a):
                     if not is_zero(eta[a][b] - eta[b][a]):
                         raise ValueError("frame metric must be symmetric")
-            g = [[sum(eta[a][b] * f[a][i] * f[b][j]
-                      for a in range(n) for b in range(n))
-                  for j in range(n)] for i in range(n)]
-            if self.lg is None:
-                self.lg = [[trigsimp(x) for x in row] for row in g]
-            elif not all(is_zero(self.lg[i][j] - g[i][j])
-                         for i in range(n) for j in range(n)):
-                raise ValueError("frame is not orthonormal for the metric")
         elif self.lg is None:
             raise ValueError("a metric or a frame base is needed")
+        self._given_lg = self.lg
         self.constants = tuple(constants)
         self.notes = notes
         self.torsion_values = None
@@ -288,15 +303,30 @@ class MetricContext:
         return self.chart.dim
 
     def _choose_domain(self):
-        """Set the scalar domain ``_K`` of the stages, the kernel field of
-        metric, torsion, nonmetricity, coordinates and constants or else
-        expression trees, put those inputs in it (``_g``, ``_tau``,
-        ``_mu``) and drop every stage computed so far."""
-        inputs = (self.lg, self.torsion_values, self.nonmetricity_values)
+        """Set the scalar domain ``_K`` of the stages and ``_FK`` of the
+        frame stages, put the inputs in them (``_g``, ``_tau``, ``_mu``,
+        ``_fri``, ``_eta``) and drop every stage computed so far.
+
+        A frame context whose frame, frame metric, torsion and nonmetricity
+        lie in one kernel field, roots admitted, computes every stage in it
+        and derives the metric there.  Otherwise the frame stays on
+        expression trees, where the metric is derived, and ``_K`` is the
+        kernel field of metric, torsion, nonmetricity, coordinates and
+        constants, or else expression trees too."""
+        self._memo.clear()
+        self._exprs.clear()
+        extra = (self.torsion_values, self.nonmetricity_values)
+        symbols = self.coords + tuple(sym(c) if isinstance(c, str) else c
+                                      for c in self.constants)
+        if self.cframe_flag and self._frame_in_field(extra, symbols):
+            return
+        if self.cframe_flag:
+            self._tree_metric()
+        self._fri, self._eta, self._FK = self.fri, self.lfg, TREES
+        inputs = (self.lg,) + extra
         self.field = scalars.kernel_field(
             sp.flatten([value for value in inputs if value is not None]),
-            self.coords + tuple(sym(c) if isinstance(c, str) else c
-                                for c in self.constants))
+            symbols)
         self._K = self.field if self.field is not None else TREES
         try:
             values = [value if value is None else _map(self._K.element, value)
@@ -305,8 +335,54 @@ class MetricContext:
             self.field, self._K = None, TREES
             values = inputs
         self._g, self._tau, self._mu = values
-        self._memo.clear()
-        self._exprs.clear()
+
+    def _frame_metric(self, f, eta, zero):
+        """g_ij = sum_ab eta_ab f_ai f_bj."""
+        n = self.dim
+        return [[sum((eta[a][b] * f[a][i] * f[b][j] for a in range(n)
+                      for b in range(n) if eta[a][b] != 0), zero)
+                 for j in range(n)] for i in range(n)]
+
+    def _frame_in_field(self, extra, symbols):
+        """Put the frame context in the kernel field of its frame, frame
+        metric, given metric, torsion and nonmetricity, roots admitted, and
+        derive or check the metric there; False when there is no such
+        field."""
+        inputs = (self.fri, self.lfg, self._given_lg) + extra
+        K = scalars.kernel_field(
+            sp.flatten([value for value in inputs if value is not None]),
+            symbols, True)
+        if K is None:
+            return False
+        try:
+            f, eta, given, tau, mu = [
+                value if value is None else _map(K.element, value)
+                for value in inputs]
+        except ZeroDivisionError:
+            return False
+        g = _map(K.trigsimp, self._frame_metric(f, eta, K.zero))
+        if given is None:
+            self.lg = _map(K.expr, g)
+        elif not all(K.is_zero(given[i][j] - g[i][j])
+                     for i, j in product(range(self.dim), repeat=2)):
+            raise ValueError("frame is not orthonormal for the metric")
+        else:
+            g = given
+        self.field = self._K = self._FK = K
+        self._g, self._tau, self._mu, self._fri, self._eta = (
+            g, tau, mu, f, eta)
+        return True
+
+    def _tree_metric(self):
+        """Derive the metric of a frame outside every kernel field on
+        expression trees, or check a given one there."""
+        g = self._frame_metric(self.fri, self.lfg, sp.S.Zero)
+        if self._given_lg is None:
+            if self.lg is None:
+                self.lg = _map(trigsimp, g)
+        elif not all(is_zero(self.lg[i][j] - g[i][j])
+                     for i, j in product(range(self.dim), repeat=2)):
+            raise ValueError("frame is not orthonormal for the metric")
 
     @property
     def diagonal(self):
@@ -326,11 +402,12 @@ class MetricContext:
             self._memo[key] = fn()
         return self._memo[key]
 
-    def _public(self, key, fn):
+    def _public(self, key, fn, K=None):
         """Stage ``key`` as expressions: field elements are converted once,
-        here, and expression trees are returned as they are."""
+        here, and expression trees are returned as they are.  ``K`` is the
+        stage's scalar domain, by default the context's."""
         value = self._cached(key, fn)
-        K = self._K
+        K = self._K if K is None else K
         if K is TREES:
             return value
         if key not in self._exprs:
@@ -342,6 +419,12 @@ class MetricContext:
         public property, so the work is done (and timed) there."""
         getattr(self, key)
         return self._memo[key]
+
+    def _frame_values(self, key):
+        """Stage ``key`` in the frame's scalar domain: as expressions when
+        the frame is on expression trees and the context is not."""
+        value = getattr(self, key)
+        return self._memo[key] if self._FK is self._K else value
 
     def vanishing(self, key):
         """For each component of stage ``key``, whether it is zero.  On a
@@ -476,10 +559,14 @@ class MetricContext:
     @property
     def connection2(self):
         """Second-kind connection coefficients c[h][k]^[j] = Gamma_hk^j, h the
-        derivative index."""
-        return self._public("connection2", lambda: _contract_last(
-            self._values("connection"), self._values("ug"),
-            partial(_simp, K=self._K)))
+        derivative index: the Christoffel symbols on a plain connection."""
+        def compute():
+            if self.plain_connection:
+                return self._values("christoffel2")
+            return _contract_last(self._values("connection"),
+                                  self._values("ug"),
+                                  partial(_simp, K=self._K))
+        return self._public("connection2", compute)
 
     # -- curvature ------------------------------------------------------------
 
@@ -645,72 +732,94 @@ class MetricContext:
         """Contravariant frame components E[a][i] = e_(a)^i, from F^-1 =
         g^-1 F^T eta: the constructor ties g = F^T eta F."""
         self._need_frame()
-        return self._cached("frame_contravariant", lambda: _contract_last(
-            self.frame_lowered, self.ug, trigsimp))
+        return self._public("frame_contravariant", lambda: _contract_last(
+            self._frame_values("frame_lowered"), self._frame_values("ug"),
+            self._FK.trigsimp), self._FK)
 
     @property
     def frame_lowered(self):
         """Covariant frame with the frame label lowered: e_(a)i."""
         self._need_frame()
         def compute():
-            n, eta, f = self.dim, self.lfg, self.fri
-            return [[ratsimp(sum(eta[a][b] * f[b][i] for b in range(n)))
+            n, K, eta, f = self.dim, self._FK, self._eta, self._fri
+            return [[K.ratsimp(sum((eta[a][b] * f[b][i] for b in range(n)
+                                    if eta[a][b] != 0), K.zero))
                      for i in range(n)] for a in range(n)]
-        return self._cached("frame_lowered", compute)
+        return self._public("frame_lowered", compute, self._FK)
 
     @property
     def frame_bracket(self):
-        """Frame bracket lambda[a][b][c] (antisymmetric in b, c):
-        lambda_abc = E_b^i E_c^k (d_k e_(a)i - d_i e_(a)k + tau_ik^m e_(a)m),
-        the antisymmetrised covariant derivative of the frame, so that the
-        rotation coefficients of a torsion context are the frame components
-        of ``connection2``.  Nonmetricity does not enter.  Only b < c is
-        evaluated; the other half is its negative.
-        """
+        """Frame bracket lambda[a][b][c] = gamma_abc - gamma_acb
+        (antisymmetric in b, c), from the rotation coefficients.  It is
+        E_b^i E_c^k (d_k e_(a)i - d_i e_(a)k + tau_ik^m e_(a)m): the
+        nonmetricity coefficients are symmetric in the two lower indices
+        the difference takes apart."""
         self._need_frame()
         def compute():
-            n = self.dim
-            flow, E = self.frame_lowered, self.frame_contravariant
-            coords = self.coords
-            dflow = [[[diff(flow[a][i], coords[k]) if flow[a][i] != 0 else sp.S.Zero
-                       for k in range(n)] for i in range(n)] for a in range(n)]
-            tau = self.torsion_values
-            out = _zeros(n, n, n)
+            n, K, gamma = self.dim, self._FK, self._frame_values(
+                "rotation_coeffs")
+            out = _zeros(n, n, n, zero=K.zero)
             for a in range(n):
                 for b in range(n):
                     for c in range(b + 1, n):
-                        total = sp.S.Zero
-                        for i in range(n):
-                            for k in range(n):
-                                core = dflow[a][i][k] - dflow[a][k][i]
-                                if tau is not None:
-                                    core += sum(tau[i][k][m] * flow[a][m]
-                                                for m in range(n))
-                                if core != 0:
-                                    total += core * E[b][i] * E[c][k]
-                        out[a][b][c] = trigsimp(total)
+                        out[a][b][c] = K.ratsimp(gamma[a][b][c]
+                                                 - gamma[a][c][b])
                         out[a][c][b] = -out[a][b][c]
             return out
-        return self._cached("frame_bracket", compute)
+        return self._public("frame_bracket", compute, self._FK)
 
     @property
     def rotation_coeffs(self):
-        """Ricci rotation coefficients gamma[a][b][c] = (l_abc+l_bca-l_cab)/2,
-        without nonmetricity gamma_abc = E_b^i E_c^k (d_k e_(a)i -
-        Gamma_ki^m e_(a)m)."""
+        """Ricci rotation coefficients gamma[a][b][c] =
+        E_b^i E_c^k nabla_k e_(a)i, with nabla_k e_(a)i = d_k e_(a)i -
+        Gamma_ki^m e_(a)m and Gamma = :attr:`connection2`: the frame
+        components of the covariant derivative of the frame.
+
+        They are carried into the frame for a < b only, one coordinate slot
+        at a time.  The rest is gamma_bac = (nabla_c g)_ab - gamma_abc, with
+        (nabla_c g)_ab = -mu_(c) eta_ab: gamma is antisymmetric in a, b for
+        a metric connection, and gamma_aac vanishes there by construction,
+        also when the frame has kernels (``abs``) trees cannot decide."""
         self._need_frame()
         def compute():
-            n, lam = self.dim, self.frame_bracket
-            return [[[trigsimp((lam[a][b][c] + lam[b][c][a] - lam[c][a][b]) / 2)
-                      for c in range(n)] for b in range(n)] for a in range(n)]
-        return self._cached("rotation_coeffs", compute)
+            n, K, coords, eta = self.dim, self._FK, self.coords, self._eta
+            e, G, E = (self._frame_values(key) for key in (
+                "frame_lowered", "connection2", "frame_contravariant"))
+            mu = self._mu if self._FK is self._K else self.nonmetricity_values
+            # mu_(c) = E_c^k mu_k, the frame components of nabla g = -mu g
+            mu = None if mu is None else [K.trigsimp(_dot(E[c], mu, K.zero))
+                                          for c in range(n)]
+            reduce = _partial_reduce(K)
+
+            def nabla(a, i, k):
+                d = K.diff(e[a][i], coords[k]) if e[a][i] != 0 else K.zero
+                return d - _dot(G[k][i], e[a], K.zero)
+
+            out = _zeros(n, n, n, zero=K.zero)
+            for a in range(n):
+                if mu is not None:
+                    for c in range(n):
+                        out[a][a][c] = K.trigsimp(-mu[c] * eta[a][a] / 2)
+                if a == n - 1:
+                    break
+                D = [[nabla(a, i, k) for i in range(n)] for k in range(n)]
+                for b in range(a + 1, n):
+                    Y = [reduce(_dot(E[b], D[k], K.zero)) for k in range(n)]
+                    for c in range(n):
+                        g = K.trigsimp(_dot(E[c], Y, K.zero))
+                        out[a][b][c] = g
+                        out[b][a][c] = (K.ratsimp(-g) if mu is None else
+                                        K.trigsimp(-mu[c] * eta[a][b] - g))
+            return out
+        return self._public("rotation_coeffs", compute, self._FK)
 
     def _frame_stage(self, key, stage, carry):
         """Stage ``key``: the frame components of coordinate stage ``stage``,
         carried into the frame by ``carry``."""
         self._need_frame()
-        return self._cached(key, lambda: carry(
-            getattr(self, stage), self.frame_contravariant, trigsimp))
+        return self._public(key, lambda: carry(
+            self._frame_values(stage),
+            self._frame_values("frame_contravariant"), self._FK), self._FK)
 
     @property
     def riemann_frame(self):

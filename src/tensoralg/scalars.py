@@ -12,15 +12,19 @@ functions: symbols and ``sin``/``cos``/``sinh``/``cosh`` applications are its
 generators, and any other kernel keeps the expression-tree path.
 
 A :class:`KernelField` is such a field closed under d/dx: each sin(u)
-comes with cos(u) and each sinh(u) with cosh(u).  A context whose metric,
-torsion and nonmetricity lie in one (every catalog metric does) computes
-every coordinate stage, from ``det`` and the connection to ``weyl``, on
-its elements: :meth:`KernelField.diff` is a derivation over the
-generators, :meth:`KernelField.reduce_trig` the Pythagorean reduction as a
-ring operation, and an element becomes an expression once, through the
-form :func:`ratsimp` returns.  Frame stages and input with ``sqrt``,
-``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh`` keep expression
-trees and the functions below, through :data:`TREES`.
+comes with cos(u) and each sinh(u) with cosh(u).  For a frame it may also
+hold square roots of rational functions, each a generator whose square is
+known, admitted only while the normal form stays canonical.  A context
+whose metric, torsion and nonmetricity lie in one (every catalog metric
+does) computes every coordinate stage, from ``det`` and the connection to
+``weyl``, on its elements, and a frame context whose frame lies in one
+computes its frame stages there too: :meth:`KernelField.diff` is a
+derivation over the generators, :meth:`KernelField.reduce_trig` the
+reduction by the known squares as a ring operation, and an element becomes
+an expression once, through the form :func:`ratsimp` returns.  Other input
+(dependent roots, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh``,
+and roots in a metric) keeps expression trees and the functions below,
+through :data:`TREES`.
 """
 
 from __future__ import annotations
@@ -320,9 +324,11 @@ def _frac_expr(frac):
 _KERNELS = (sp.sin, sp.cos, sp.sinh, sp.cosh)
 
 
-def _generators(exprs):
+def _generators(exprs, radicands=None):
     """Symbols and sin/cos/sinh/cosh applications in ``exprs``, or None if
-    one of them is not a rational function of these."""
+    one of them is not a rational function of these.  Given a set
+    ``radicands``, a half-integer power is admitted too, and its base is
+    added to the set."""
     found = set()
     stack = list(exprs)
     while stack:
@@ -333,6 +339,9 @@ def _generators(exprs):
             stack.extend(node.args)
         elif node.is_Pow and node.exp.is_Integer:
             stack.append(node.base)
+        elif (radicands is not None and node.is_Pow and node.exp.is_Rational
+              and node.exp.q == 2):
+            radicands.add(node.base)
         elif not node.is_Rational:
             return None
     return found
@@ -368,17 +377,30 @@ _PARTNERS = {sp.sin: (sp.cos, 1), sp.cos: (sp.sin, -1),
 _SQUARES = {sp.sin: -1, sp.cosh: 1}
 
 
-def kernel_field(exprs, symbols=()):
+def kernel_field(exprs, symbols=(), radicals=False):
     """The :class:`KernelField` of ``exprs`` and ``symbols``, or None.
 
     Its generators are the symbols, the symbols of kernel arguments and the
     kernels of ``exprs``, each sin(u) with cos(u) and each sinh(u) with
     cosh(u).  None when an expression is not a rational function of these
     or a kernel argument is not a polynomial in symbols.
+
+    With ``radicals``, a half-integer power of such a rational function
+    a/b is admitted too: its root is the generator q = b*sqrt(a/b), with
+    q^2 = a*b.  The field is returned only when its normal form stays
+    canonical, that is when the radicands a*b and the relations
+    1 - cos(u)^2 and 1 + sinh(u)^2 are independent modulo squares: no
+    branch of a root is ever chosen.
     """
-    found = _generators(exprs)
+    radicands = set() if radicals else None
+    found = _generators(exprs, radicands)
     if found is None:
         return None
+    for radicand in radicands or ():
+        inner = _generators([radicand])
+        if inner is None:
+            return None
+        found.update(inner)
     found.update(symbols)
     for kernel in [g for g in found if not g.is_Symbol]:
         arg = kernel.args[0]
@@ -391,11 +413,76 @@ def kernel_field(exprs, symbols=()):
             return None
         found.update(inner)
         found.add(partner)
-    return KernelField(_ordered(found))
+    field = KernelField(_ordered(found))
+    return _adjoin_roots(field, radicands) if radicands else field
+
+
+def _adjoin_roots(base, radicands):
+    """``base`` with the root of each radicand adjoined, or None when a
+    radicand is not a ratio a/b of polynomials in the generators that are
+    not eliminated, or the radicands a*b are not independent modulo
+    squares together with the relations of ``base``."""
+    pairs = {}
+    for radicand in radicands:
+        try:
+            f = base.reduce_trig(base.element(radicand))
+        except ZeroDivisionError:
+            return None
+        if not f.numer or base.has_trig(f):
+            return None
+        a, b = f.numer, f.denom
+        if b.LC < 0:
+            a, b = -a, -b
+        pairs[radicand] = (a, b)
+    distinct = set(pairs.values())
+    if not _independent([square for _, square in base._squares]
+                        + [a * b for a, b in distinct]):
+        return None
+    roots = {}
+    for a, b in distinct:
+        a_expr, b_expr = a.as_expr(), b.as_expr()
+        q = sp.sqrt(a_expr) if b == 1 else b_expr * sp.sqrt(a_expr / b_expr)
+        roots[a, b] = (q, a_expr * b_expr)
+    field = KernelField(_ordered(set(base.field.symbols)
+                                 | {q for q, _ in roots.values()}),
+                        roots.values())
+    index = {g: i for i, g in enumerate(field.field.symbols)}
+    for radicand, (a, b) in pairs.items():
+        # sqrt(a/b) = q/b
+        field._roots[radicand] = field.field.new(
+            field.ring.gens[index[roots[a, b][0]]], b.set_ring(field.ring))
+    return field
+
+
+def _independent(polys):
+    """True when the polynomials are independent in the multiplicative
+    group modulo squares: the parity vectors of their irreducible factors,
+    of the primes of their contents and of their signs are linearly
+    independent over GF(2)."""
+    index, basis = {}, []
+    for p in polys:
+        content, factors = p.factor_list()
+        content = sp.Rational(content)
+        odd = [f for f, k in factors if k % 2]
+        odd += [prime for n in (content.p, content.q)
+                for prime, k in sp.factorint(abs(n)).items() if k % 2]
+        if content < 0:
+            odd.append(-1)
+        row = 0
+        for key in odd:
+            row |= 1 << index.setdefault(key, len(index))
+        # basis rows have distinct leading bits, in descending order
+        for b in basis:
+            row = min(row, row ^ b)
+        if not row:
+            return False
+        basis.append(row)
+        basis.sort(reverse=True)
+    return True
 
 
 class KernelField:
-    """Q(symbols, sin/cos/sinh/cosh kernels), closed under d/dx.
+    """Q(symbols, sin/cos/sinh/cosh kernels, roots), closed under d/dx.
 
     Elements are sympy ``FracElement``s, so every sum and product is a
     cancelled ratio: an element is the field image of what :func:`ratsimp`
@@ -405,32 +492,67 @@ class KernelField:
     :func:`diff`, :meth:`reduce_trig` for :func:`reduce_trig`,
     :meth:`is_zero` for :func:`is_zero` and :meth:`expr` for the form
     :func:`ratsimp` returns.
+
+    One relation table holds every generator whose square is known,
+    gens[i]^2 = p_i with p_i a polynomial in the other generators:
+    sin(u)^2 = 1 - cos(u)^2, cosh(u)^2 = 1 + sinh(u)^2 and, for a root q
+    given in ``roots`` as (q, p), q^2 = p, with dq = q dp/(2p).
     """
 
-    def __init__(self, gens):
+    def __init__(self, gens, roots=()):
         self.field = _fraction_field(gens)
         self.ring = self.field.ring
         self.zero = self.field.zero
         index = {g: i for i, g in enumerate(gens)}
-        # (i, j, sign): gens[i]^2 = 1 + sign*gens[j]^2
+        roots = dict(roots)
+        # (i, p): gens[i]^2 = p
         self._squares = []
+        # (i, p): gens[i] is a root with gens[i]^2 = p
+        self._radicals = []
         # (i, j, sign, u): d gens[i] = sign*gens[j] du, u the argument
         self._chains = []
         for i, g in enumerate(gens):
+            if g in roots:
+                square = self.ring.from_expr(roots[g])
+                self._squares.append((i, square))
+                self._radicals.append((i, square))
+                continue
             if g.is_Symbol:
                 continue
             partner, sign = _PARTNERS[g.func]
             j = index[partner(g.args[0])]
             self._chains.append((i, j, sign, self.ring.from_expr(g.args[0])))
             if g.func in _SQUARES:
-                self._squares.append((i, j, _SQUARES[g.func]))
-        self._eliminated = [i for i, _, _ in self._squares]
+                self._squares.append(
+                    (i, 1 + _SQUARES[g.func] * self.ring.gens[j] ** 2))
+        self._eliminated = [i for i, _ in self._squares]
+        self._radical_set = {i for i, _ in self._radicals}
+        # radicand expression -> element of its root
+        self._roots = {}
         self._derivations = {}
 
     # -- conversions ----------------------------------------------------------
 
     def element(self, e):
         """The element of expression ``e``."""
+        if not self._roots:
+            return self.field.from_expr(e)
+        return self._element(e)
+
+    def _element(self, e):
+        """``e`` with each half-integer power of a radicand read as a power
+        of its root."""
+        if e.is_Add:
+            return sum((self._element(a) for a in e.args), self.zero)
+        if e.is_Mul:
+            out = self.field.one
+            for a in e.args:
+                out *= self._element(a)
+            return out
+        if e.is_Pow and not e.exp.is_Integer:
+            return self._roots[e.base] ** int(2 * e.exp)
+        if e.is_Pow:
+            return self._element(e.base) ** int(e.exp)
         return self.field.from_expr(e)
 
     def expr(self, f):
@@ -441,10 +563,29 @@ class KernelField:
 
     def diff(self, f, x):
         """Partial derivative of ``f`` by the symbol ``x``: the derivation
-        that maps each generator to its derivative."""
+        that maps each generator to its derivative.  A root q of f brings
+        the denominator 2p of dq = q dp/(2p); the derivative is taken over
+        the product w of those denominators."""
+        table, radicals = self._derivation(x)
+        p, q = f.numer, f.denom
+        used = [r for r in radicals
+                if any(m[r[0]] for g in (p, q) for m in g.itermonoms())]
+        w = self.ring.one
+        if used:
+            for _, _, den in used:
+                w *= den
+            table = [(i, d * w) for i, d in table]
+            for i, num, den in used:
+                table.append((i, num * w.exquo(den)))
+        dp, dq = _derive(p, table), _derive(q, table)
+        return self.field.new(dp * q - p * dq, q * q * w)
+
+    def _derivation(self, x):
+        """[(i, d gens[i]/dx)] for the symbols and kernels, zero ones left
+        out, and [(i, q p', 2p)] for the roots q = gens[i] with q^2 = p,
+        p' = dp/dx nonzero.  Kernel arguments are polynomials in symbols,
+        so every entry is a polynomial."""
         if x not in self._derivations:
-            # [(i, d gens[i]/dx)], zero ones left out; kernel arguments are
-            # polynomials in symbols, so every entry is a polynomial
             symbols = [(i, self.ring.one)
                        for i, s in enumerate(self.ring.symbols) if s == x]
             table = list(symbols)
@@ -452,31 +593,37 @@ class KernelField:
                 darg = _derive(arg, symbols)
                 if darg:
                     table.append((i, darg * self.ring.gens[j] * sign))
-            self._derivations[x] = table
-        table = self._derivations[x]
-        p, q = f.numer, f.denom
-        dp, dq = _derive(p, table), _derive(q, table)
-        return self.field.new(dp * q - p * dq, q * q)
+            radicals = []
+            for i, square in self._radicals:
+                dsquare = _derive(square, table)
+                if dsquare:
+                    radicals.append(
+                        (i, self.ring.gens[i] * dsquare, 2 * square))
+            self._derivations[x] = (table, radicals)
+        return self._derivations[x]
 
-    # -- the Pythagorean closure ----------------------------------------------
+    # -- the algebraic closure ------------------------------------------------
 
     def has_trig(self, f):
-        """True when sin or cosh occurs in ``f``."""
+        """True when sin, cosh or a root occurs in ``f``."""
         degrees = (f.numer.degrees(), f.denom.degrees())
         return any(d[i] > 0 for d in degrees for i in self._eliminated)
 
     def reduce_trig(self, f):
-        """The ring form of :func:`reduce_trig`: sin^2 -> 1 - cos^2 and
-        cosh^2 -> 1 + sinh^2 in numerator and denominator, then each odd
-        sin/cosh of the denominator cleared by its conjugate, in the order
-        the expression-tree rationalisation takes them."""
+        """The ring form of :func:`reduce_trig`: each square of the relation
+        table replaced in numerator and denominator, then each odd sin,
+        cosh or root of the denominator cleared by its conjugate, the
+        kernels in the order the expression-tree rationalisation takes
+        them."""
         num, den = self._reduce_even(f.numer), self._reduce_even(f.denom)
         for _ in range(16):
             odd = [i for i in self._eliminated
                    if any(m[i] % 2 for m in den.itermonoms())]
             if not odd:
                 break
-            i = odd[0] if len(odd) == 1 else self._first_odd(den, odd)
+            roots = [i for i in odd if i in self._radical_set]
+            i = (roots[0] if roots else odd[0] if len(odd) == 1
+                 else self._first_odd(den, odd))
             rest = self.ring.from_dict(
                 {m: c for m, c in den.iterterms() if not m[i]})
             # den = rest + linear*k; the conjugate rest - linear*k, or k
@@ -487,21 +634,20 @@ class KernelField:
         return self.field.new(num, den)
 
     def _reduce_even(self, p):
-        """sin(u)^2 -> 1 - cos(u)^2 and cosh(u)^2 -> 1 + sinh(u)^2 in the
-        polynomial ``p``, exhaustively."""
-        for i, j, sign in self._squares:
+        """gens[i]^2 -> p_i in the polynomial ``p`` for each relation of
+        the table, exhaustively: p_i holds no eliminated generator."""
+        for i, square in self._squares:
             if all(m[i] < 2 for m in p.itermonoms()):
                 continue
-            terms = {}
+            # p = sum_h part_h * gens[i]^(2h)
+            parts = {}
             for m, c in p.iterterms():
                 half, odd = divmod(m[i], 2)
-                for t in range(half + 1):
-                    monom = list(m)
-                    monom[i], monom[j] = odd, m[j] + 2 * t
-                    monom = tuple(monom)
-                    terms[monom] = (terms.get(monom, 0)
-                                    + c * math.comb(half, t) * sign ** t)
-            p = self.ring.from_dict(terms)
+                parts.setdefault(half, {})[m[:i] + (odd,) + m[i + 1:]] = c
+            p = self.ring.zero
+            for half, part in parts.items():
+                part = self.ring.from_dict(part)
+                p += part * square ** half if half else part
         return p
 
     def _first_odd(self, den, odd):
@@ -523,8 +669,9 @@ class KernelField:
         return f
 
     def is_zero(self, f):
-        """True iff the numerator vanishes after the Pythagorean reduction,
-        which is when :func:`is_zero` holds for the expression."""
+        """True iff the numerator vanishes after the reduction by the
+        relation table, which is when :func:`is_zero` holds for the
+        expression."""
         return not self._reduce_even(f.numer)
 
 

@@ -761,12 +761,23 @@ def test_non_metric_frame_curvature_is_frame_components(case):
                                  E, E), rtol=1e-9, atol=1e-9)
 
 
+def _catalog_frame(name):
+    ent = catalog.entry(name)
+    return (list(ent.coords), [list(row) for row in ent.fri], ent.constants)
+
+
 ROTATION_FRAMES = {
     "twisted-torsion": (TWISTED3, IDENTITY3,
                         {(0, 1, 2): "z", (1, 2, 0): "x"}, None,
                         [1.4, 0.6, -0.7]),
     "polar": (POLAR_FRAME, [["1", "0"], ["0", "1"]], None, None, [1.3, 0.4]),
     "schwarzschild": FRAME_CONNECTIONS["schwarzschild"],
+    "polar-cylindrical-nonmetricity":
+        FRAME_CONNECTIONS["polar-cylindrical-nonmetricity"],
+    "twisted-torsion-and-nonmetricity":
+        FRAME_CONNECTIONS["twisted-torsion-and-nonmetricity"],
+    "kerr_newman": (_catalog_frame("kerr_newman"), MINUS_PLUS, None, None,
+                    [0.3, 5.0, 0.9, 0.4]),
 }
 
 
@@ -789,6 +800,14 @@ def test_rotation_coeffs_are_frame_components_of_the_connection(case):
     got = numeric(ctx.rotation_coeffs)(point)
     assert np.abs(got).max() > 1e-3
     _close(got, np.einsum("aik,bi,ck->abc", cov, E, E))
+    # the frame bracket E_b^i E_c^k (d_k e_(a)i - d_i e_(a)k + tau_ik^m
+    # e_(a)m), which nonmetricity does not enter
+    bracket = np.einsum("kai->aik", de) - np.einsum("iak->aik", de)
+    if ctx.torsion_values is not None:
+        bracket += np.einsum("ikm,am->aik", numeric(ctx.torsion_values)(point),
+                             lowered(point))
+    _close(numeric(ctx.frame_bracket)(point),
+           np.einsum("aik,bi,ck->abc", bracket, E, E))
 
 
 def test_frame_ops_require_frame(polar):
@@ -838,6 +857,62 @@ def test_field_stages_equal_expression_tree_stages(name, monkeypatch):
     for stage in STAGES[:-1] + (("weyl",) if in_field.dim >= 4 else ()):
         assert getattr(in_field, stage) == getattr(on_trees, stage), stage
         assert in_field.vanishing(stage) == on_trees.vanishing(stage), stage
+
+
+def test_kerr_frame_stages_stay_in_the_field(monkeypatch):
+    # the roots of the Kerr frame are field generators: once the frame is
+    # read into the field, no frame stage reads a component back from an
+    # expression or runs an expression-tree simplifier
+    from sympy.polys.fields import FracElement, FracField
+
+    from tensoralg import curvature
+
+    ctx = catalog.load("kerr_newman", frame=True)
+    assert ctx.field is not None
+    assert any(g.is_Pow for g in ctx.field.field.symbols)
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(FracField, "from_expr")
+    for name in ("_reduce_even_trig", "_odd_kernels", "_split_linear",
+                 "ratsimp", "trigsimp", "reduce_trig", "is_zero", "diff"):
+        counted(scalars, name)
+    for name in ("ratsimp", "trigsimp", "is_zero"):
+        counted(curvature, name)
+    ctx.rotation_coeffs
+    ctx.riemann_frame
+    ctx.weyl_frame
+    assert calls == {}
+
+    def leaves(value):
+        if isinstance(value, list):
+            return [leaf for sub in value for leaf in leaves(sub)]
+        return [value]
+
+    for stage in ("frame_lowered", "frame_contravariant", "rotation_coeffs",
+                  "riemann_frame", "weyl_frame"):
+        assert all(isinstance(v, FracElement)
+                   for v in leaves(ctx._memo[stage])), stage
+    assert not all(sp.flatten(ctx.vanishing("rotation_coeffs")))
+
+
+@pytest.mark.parametrize("name", ["exteriorschwarzschild", "oblatespheroidal"])
+def test_frame_outside_kernel_field_keeps_expression_trees(name):
+    # the Schwarzschild roots of r/(r-2m) and (r-2m)/r are dependent, and
+    # the spheroidal frames have abs: their frame stages stay on trees,
+    # while the metric is in the field
+    ctx = catalog.load(name, frame=True)
+    assert ctx.field is not None
+    assert not any(g.is_Pow for g in ctx.field.field.symbols)
+    assert all(isinstance(v, sp.Expr) for row in ctx.frame_contravariant
+               for v in row)
 
 
 @pytest.mark.parametrize("entry", ["sqrt(x)", "sin(1/x)", "exp(x)"])

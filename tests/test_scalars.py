@@ -380,3 +380,82 @@ def test_is_zero_soundness(e):
         v = _safe_eval(z, _sample_point(rng))
         if v is not None:
             assert abs(v) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# roots as kernel-field generators
+
+KERR_POINT = {"a": 1.7, "m": 1.1, "r": 5.0, "theta": 0.9, "t": 0.3,
+              "phi": 0.4}
+# the radicand (x^2+y)/(3-y) is a/b with b = y - 3 < 0 here
+ROOT_POINT = {"x": 1.3, "y": 0.5, "u": 0.7}
+
+
+def _root_field(*texts):
+    exprs = [parse(t) for t in texts]
+    return scalars.kernel_field(exprs, (), True), exprs
+
+
+@pytest.mark.parametrize("text, name, point", [
+    ("sqrt(a^2-2*m*r+r^2)/sqrt(r^2+a^2*cos(theta)^2)", "r", KERR_POINT),
+    ("sqrt(a^2-2*m*r+r^2)/sqrt(r^2+a^2*cos(theta)^2)", "theta", KERR_POINT),
+    ("x*sqrt((x^2+y)/(3-y))^3 + sin(u)/sqrt(x*cos(u))", "x", ROOT_POINT),
+    ("x*sqrt((x^2+y)/(3-y))^3 + sin(u)/sqrt(x*cos(u))", "y", ROOT_POINT),
+    ("x*sqrt((x^2+y)/(3-y))^3 + sin(u)/sqrt(x*cos(u))", "u", ROOT_POINT),
+])
+def test_root_derivative_matches_central_differences(text, name, point):
+    # dq/dx = q (ab)'/(2ab) for the root q = b sqrt(a/b)
+    field, (e,) = _root_field(text)
+    assert field is not None
+    d = field.expr(field.reduce_trig(field.diff(field.element(e),
+                                                sym(name))))
+    h = 1e-6
+    up, down = dict(point), dict(point)
+    up[name] += h
+    down[name] -= h
+    numeric = (complex(evaluate(e, up)) - complex(evaluate(e, down))) / (2 * h)
+    got = complex(evaluate(d, point))
+    assert abs(got - numeric) < 1e-5 * max(1, abs(numeric)), (got, numeric)
+
+
+@pytest.mark.parametrize("radicand", [
+    "a^2-2*m*r+r^2", "r^2+a^2*cos(theta)^2", "(x+2)/(1-y)",
+    "(u^2-1)*(1-x^2)/(y-3)", "x*cosh(u)^2-7"])
+def test_root_squares_to_its_radicand(radicand):
+    field, (root, p) = _root_field(f"sqrt({radicand})", radicand)
+    assert field is not None
+    q, p = field.element(root), field.element(p)
+    assert field.is_zero(q * q - p)
+    inverse = field.reduce_trig(1 / q)
+    assert field.is_zero(field.reduce_trig(inverse * q) - 1)
+    assert not field.is_zero(q - 1)
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt((x+2)/(y-1))", "sqrt((x+2)/(1-y))", "x/sqrt((x+2)/(1-y))^3"])
+def test_root_of_a_ratio_agrees_with_its_element_where_b_is_negative(text):
+    # sqrt(a/b) is q/b with q = b sqrt(a/b), not sqrt(ab)/b, which is its
+    # negative where b < 0: here b = y - 1 = -1 and a/b = 3
+    point = {"x": 1, "y": 0}
+    field, (e,) = _root_field(text)
+    assert field is not None
+    f = field.element(e)
+    want = complex(evaluate(e, point))
+    for value, power in ((f, 1), (field.reduce_trig(f), 1),
+                         (field.reduce_trig(f * f * f), 3)):
+        got = complex(evaluate(field.expr(value), point))
+        assert abs(got - want ** power) < 1e-12, (value, got, want)
+
+
+@pytest.mark.parametrize("texts", [
+    ("sqrt((r-2*m)/r)", "sqrt(r/(r-2*m))"),
+    ("sqrt(x*y)", "sqrt(x)", "sqrt(y)"),
+    ("sqrt(1-cos(x)^2)", "sin(x)"),
+    ("sqrt(4*x^2*y^2)",),
+    ("sqrt(sqrt(x))",),
+])
+def test_dependent_radicands_stay_on_trees(texts):
+    # a root that is a product of the others, or of sin(x), up to a square
+    # would need a branch to be written through them
+    field, _ = _root_field(*texts)
+    assert field is None
