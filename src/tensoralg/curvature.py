@@ -113,15 +113,16 @@ def _simp(e, K=TREES):
     return e
 
 
-def _contract_last(array, matrix, simp):
+def _contract_last(array, matrix, K, simp):
     """out[...][j] = simp(sum_m array[...][m] * matrix[m][j]) for an array of
-    any rank; sums that are literally 0 skip the simplifier."""
+    any rank, the sums formed by ``K.dot``; sums that are literally 0 skip
+    the simplifier."""
     if isinstance(array[0], list):
-        return [_contract_last(sub, matrix, simp) for sub in array]
+        return [_contract_last(sub, matrix, K, simp) for sub in array]
     n = len(matrix)
     out = []
     for j in range(n):
-        val = sum(array[m] * matrix[m][j] for m in range(n))
+        val = K.dot(array, [row[j] for row in matrix])
         out.append(simp(val) if val != 0 else val)
     return out
 
@@ -158,11 +159,6 @@ def _last_first(array, j):
     return array[j]
 
 
-def _dot(xs, ys, zero):
-    """sum x*y over the pairs of ``xs`` and ``ys``, skipping literal 0."""
-    return sum((x * y for x, y in zip(xs, ys) if x != 0 and y != 0), zero)
-
-
 def _partial_reduce(K):
     """The reduction of the partial sums of a change of basis in the scalar
     domain ``K``: the closure in a kernel field, where it keeps the
@@ -182,7 +178,7 @@ def _frame_components(array, E, K=TREES):
     while isinstance(sub, list):
         rank, sub = rank + 1, sub[0]
     for step in range(rank):
-        array = _contract_last(array, ET, K.trigsimp if step == rank - 1
+        array = _contract_last(array, ET, K, K.trigsimp if step == rank - 1
                                else _partial_reduce(K))
         array = [_last_first(array, j) for j in range(n)]
     return array
@@ -206,11 +202,10 @@ def _frame_pairs(array, E, K=TREES):
     B = {(a, b): [reduce(E[a][i] * E[b][j] - E[a][j] * E[b][i])
                   for i, j in pairs] for a, b in pairs}
 
-    half = [{cd: K.ratsimp(_dot([array[j][l][k][i] for k, l in pairs], bv,
-                                K.zero))
+    half = [{cd: K.ratsimp(K.dot([array[j][l][k][i] for k, l in pairs], bv))
              for cd, bv in B.items()} for i, j in pairs]
-    return _pair_fill(n, lambda a, b, c, d: _dot(
-        [h[c, d] for h in half], B[a, b], K.zero), K.trigsimp, K.zero)
+    return _pair_fill(n, lambda a, b, c, d: K.dot(
+        [h[c, d] for h in half], B[a, b]), K.trigsimp, K.zero)
 
 
 def _trace(array, inv, K):
@@ -220,9 +215,7 @@ def _trace(array, inv, K):
     Ricci tensor."""
     if isinstance(array[0][0], list):
         return [_trace(sub, inv, K) for sub in array]
-    n = len(inv)
-    return K.trigsimp(sum((inv[k][m] * array[k][m] for k in range(n)
-                           for m in range(n) if inv[k][m] != 0), K.zero))
+    return K.trigsimp(K.dot(sum(inv, []), sum(array, [])))
 
 
 class MetricContext:
@@ -336,12 +329,14 @@ class MetricContext:
             values = inputs
         self._g, self._tau, self._mu = values
 
-    def _frame_metric(self, f, eta, zero):
-        """g_ij = sum_ab eta_ab f_ai f_bj."""
+    def _frame_metric(self, f, eta, K):
+        """g_ij = sum_a f_ai e_(a)j, with e_(a)j = sum_b eta_ab f_bj."""
         n = self.dim
-        return [[sum((eta[a][b] * f[a][i] * f[b][j] for a in range(n)
-                      for b in range(n) if eta[a][b] != 0), zero)
-                 for j in range(n)] for i in range(n)]
+        columns = [[row[i] for row in f] for i in range(n)]
+        lowered = [[K.dot(eta[a], columns[j]) for a in range(n)]
+                   for j in range(n)]
+        return [[K.dot(columns[i], lowered[j]) for j in range(n)]
+                for i in range(n)]
 
     def _frame_in_field(self, extra, symbols):
         """Put the frame context in the kernel field of its frame, frame
@@ -360,7 +355,7 @@ class MetricContext:
                 for value in inputs]
         except ZeroDivisionError:
             return False
-        g = _map(K.trigsimp, self._frame_metric(f, eta, K.zero))
+        g = _map(K.trigsimp, self._frame_metric(f, eta, K))
         if given is None:
             self.lg = _map(K.expr, g)
         elif not all(K.is_zero(given[i][j] - g[i][j])
@@ -376,7 +371,7 @@ class MetricContext:
     def _tree_metric(self):
         """Derive the metric of a frame outside every kernel field on
         expression trees, or check a given one there."""
-        g = self._frame_metric(self.fri, self.lfg, sp.S.Zero)
+        g = self._frame_metric(self.fri, self.lfg, TREES)
         if self._given_lg is None:
             if self.lg is None:
                 self.lg = _map(trigsimp, g)
@@ -552,7 +547,7 @@ class MetricContext:
         """Second-kind Christoffel symbols Gamma[h][k]^[j]."""
         def compute():
             return _contract_last(self._values("christoffel1"),
-                                  self._values("ug"),
+                                  self._values("ug"), self._K,
                                   partial(_simp, K=self._K))
         return self._public("christoffel2", compute)
 
@@ -564,7 +559,7 @@ class MetricContext:
             if self.plain_connection:
                 return self._values("christoffel2")
             return _contract_last(self._values("connection"),
-                                  self._values("ug"),
+                                  self._values("ug"), self._K,
                                   partial(_simp, K=self._K))
         return self._public("connection2", compute)
 
@@ -593,7 +588,7 @@ class MetricContext:
             for h in range(n):
                 for l in range(n):
                     for k in range(l + 1, n):
-                        row = _contract_last(rl[h][l][k], ug, simp)
+                        row = _contract_last(rl[h][l][k], ug, K, simp)
                         out[h][l][k] = row
                         out[h][k][l] = [simp(-v) if v != 0 else v
                                         for v in row]
@@ -637,7 +632,7 @@ class MetricContext:
         def compute():
             n, K = self.dim, self._K
             if not self.plain_connection:
-                return _contract_last(self._values("riemann"), self._g,
+                return _contract_last(self._values("riemann"), self._g, K,
                                       K.ratsimp)
             coords = self.coords
             dg = self._dmetric
@@ -655,8 +650,8 @@ class MetricContext:
             def component(i, k, l, m):
                 return (d2g(i, m, k, l) + d2g(k, l, i, m)
                         - d2g(i, l, k, m) - d2g(k, m, i, l)) / 2 \
-                    + sum(c1[k][l][p] * c2[i][m][p]
-                          - c1[k][m][p] * c2[i][l][p] for p in range(n))
+                    + K.dot(c1[k][l] + c1[k][m],
+                            c2[i][m] + [-v for v in c2[i][l]])
 
             return _pair_fill(n, component, partial(_simp, K=K), K.zero)
         return self._public("riemann_lowered", compute)
@@ -732,9 +727,10 @@ class MetricContext:
         """Contravariant frame components E[a][i] = e_(a)^i, from F^-1 =
         g^-1 F^T eta: the constructor ties g = F^T eta F."""
         self._need_frame()
+        K = self._FK
         return self._public("frame_contravariant", lambda: _contract_last(
-            self._frame_values("frame_lowered"), self._frame_values("ug"),
-            self._FK.trigsimp), self._FK)
+            self._frame_values("frame_lowered"), self._frame_values("ug"), K,
+            K.trigsimp), K)
 
     @property
     def frame_lowered(self):
@@ -742,8 +738,7 @@ class MetricContext:
         self._need_frame()
         def compute():
             n, K, eta, f = self.dim, self._FK, self._eta, self._fri
-            return [[K.ratsimp(sum((eta[a][b] * f[b][i] for b in range(n)
-                                    if eta[a][b] != 0), K.zero))
+            return [[K.ratsimp(K.dot(eta[a], [row[i] for row in f]))
                      for i in range(n)] for a in range(n)]
         return self._public("frame_lowered", compute, self._FK)
 
@@ -787,13 +782,13 @@ class MetricContext:
                 "frame_lowered", "connection2", "frame_contravariant"))
             mu = self._mu if self._FK is self._K else self.nonmetricity_values
             # mu_(c) = E_c^k mu_k, the frame components of nabla g = -mu g
-            mu = None if mu is None else [K.trigsimp(_dot(E[c], mu, K.zero))
+            mu = None if mu is None else [K.trigsimp(K.dot(E[c], mu))
                                           for c in range(n)]
             reduce = _partial_reduce(K)
 
             def nabla(a, i, k):
                 d = K.diff(e[a][i], coords[k]) if e[a][i] != 0 else K.zero
-                return d - _dot(G[k][i], e[a], K.zero)
+                return d - K.dot(G[k][i], e[a])
 
             out = _zeros(n, n, n, zero=K.zero)
             for a in range(n):
@@ -804,9 +799,9 @@ class MetricContext:
                     break
                 D = [[nabla(a, i, k) for i in range(n)] for k in range(n)]
                 for b in range(a + 1, n):
-                    Y = [reduce(_dot(E[b], D[k], K.zero)) for k in range(n)]
+                    Y = [reduce(K.dot(E[b], D[k])) for k in range(n)]
                     for c in range(n):
-                        g = K.trigsimp(_dot(E[c], Y, K.zero))
+                        g = K.trigsimp(K.dot(E[c], Y))
                         out[a][b][c] = g
                         out[b][a][c] = (K.ratsimp(-g) if mu is None else
                                         K.trigsimp(-mu[c] * eta[a][b] - g))

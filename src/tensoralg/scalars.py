@@ -633,10 +633,11 @@ class KernelField:
             den = self._reduce_even(den * multiplier)
         return self.field.new(num, den)
 
-    def _reduce_even(self, p):
+    def _reduce_even(self, p, squares=None):
         """gens[i]^2 -> p_i in the polynomial ``p`` for each relation of
-        the table, exhaustively: p_i holds no eliminated generator."""
-        for i, square in self._squares:
+        the table, or of ``squares``, exhaustively: p_i holds no eliminated
+        generator."""
+        for i, square in self._squares if squares is None else squares:
             if all(m[i] < 2 for m in p.itermonoms()):
                 continue
             # p = sum_h part_h * gens[i]^(2h)
@@ -667,6 +668,24 @@ class KernelField:
     def ratsimp(self, f):
         """Elements are in normal form already."""
         return f
+
+    def dot(self, xs, ys):
+        """sum x*y over the pairs of ``xs`` and ``ys``, cancelled once: the
+        terms are added by denominator and the groups over their least
+        common multiple, so no product or partial sum takes a gcd."""
+        groups = {}
+        for x, y in zip(xs, ys):
+            if x and y:
+                den = x.denom * y.denom
+                groups[den] = groups.get(den, self.ring.zero) + x.numer * y.numer
+        num, den = self.ring.zero, self.ring.one
+        for d, part in groups.items():
+            if d != den:
+                g = den.gcd(d)
+                num, den = num * d.exquo(g), den * d.exquo(g)
+                part = part * (den.exquo(d))
+            num += part
+        return self.field.new(self._reduce_even(num, self._radicals), den)
 
     def is_zero(self, f):
         """True iff the numerator vanishes after the reduction by the
@@ -718,6 +737,11 @@ class _Trees:
     @staticmethod
     def ratsimp(e):
         return ratsimp(e)
+
+    @staticmethod
+    def dot(xs, ys):
+        return sum((x * y for x, y in zip(xs, ys) if x != 0 and y != 0),
+                   sp.S.Zero)
 
     @staticmethod
     def is_zero(e):
