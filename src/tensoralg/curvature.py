@@ -192,9 +192,10 @@ def _frame_pairs(array, E, K=TREES):
     Each antisymmetric pair is carried into the frame by the bivectors
     B_ab^ij = E_a^i E_b^j - E_a^j E_b^i, i < j: first
     half[ij][cd] = sum_kl P_ijkl B_cd^kl, then P_abcd = sum_ij B_ab^ij
-    half[ij][cd] on the independent components only.  The bivectors and
-    half sums are only put in rational normal form; the components are
-    reduced by ``K.trigsimp``, ``K`` the scalar domain.
+    half[ij][cd] on the independent components only, in the scalar domain
+    ``K``.  The bivectors are reduced by :func:`_partial_reduce`, the half
+    sums are only put in rational normal form, and the components are
+    reduced by ``K.trigsimp``.
     """
     n = len(E)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

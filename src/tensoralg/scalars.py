@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from fractions import Fraction
 
 import sympy as sp
@@ -385,12 +384,12 @@ def kernel_field(exprs, symbols=(), radicals=False):
     cosh(u).  None when an expression is not a rational function of these
     or a kernel argument is not a polynomial in symbols.
 
-    With ``radicals``, a half-integer power of such a rational function
-    a/b is admitted too: its root is the generator q = b*sqrt(a/b), with
-    q^2 = a*b.  The field is returned only when its normal form stays
-    canonical, that is when the radicands a*b and the relations
-    1 - cos(u)^2 and 1 + sinh(u)^2 are independent modulo squares: no
-    branch of a root is ever chosen.
+    With ``radicals``, a half-integer power is admitted too when its base
+    reduces to a ratio a/b of polynomials in the generators other than sin
+    and cosh: its root is the generator q = b*sqrt(a/b), with q^2 = a*b.  The field is returned only
+    when its normal form stays canonical, that is when the radicands a*b
+    and the relations 1 - cos(u)^2 and 1 + sinh(u)^2 are independent
+    modulo squares: no branch of a root is ever chosen.
     """
     radicands = set() if radicals else None
     found = _generators(exprs, radicands)
@@ -611,10 +610,10 @@ class KernelField:
 
     def reduce_trig(self, f):
         """The ring form of :func:`reduce_trig`: each square of the relation
-        table replaced in numerator and denominator, then each odd sin,
-        cosh or root of the denominator cleared by its conjugate, the
-        kernels in the order the expression-tree rationalisation takes
-        them."""
+        table replaced in numerator and denominator, then each odd root,
+        sin or cosh of the denominator cleared by its conjugate, the roots
+        first and the kernels in the order the expression-tree
+        rationalisation takes them."""
         num, den = self._reduce_even(f.numer), self._reduce_even(f.denom)
         for _ in range(16):
             odd = [i for i in self._eliminated
@@ -672,7 +671,10 @@ class KernelField:
     def dot(self, xs, ys):
         """sum x*y over the pairs of ``xs`` and ``ys``, cancelled once: the
         terms are added by denominator and the groups over their least
-        common multiple, so no product or partial sum takes a gcd."""
+        common multiple, so no product or partial sum takes a gcd.  The
+        squares of roots are replaced in the numerator before the gcd;
+        unlike sin^2 and cosh^2 (see ``curvature._simp``), no caller keeps
+        them."""
         groups = {}
         for x, y in zip(xs, ys):
             if x and y:
@@ -690,7 +692,7 @@ class KernelField:
     def is_zero(self, f):
         """True iff the numerator vanishes after the reduction by the
         relation table, which is when :func:`is_zero` holds for the
-        expression."""
+        expression of a field without roots."""
         return not self._reduce_even(f.numer)
 
 
