@@ -314,8 +314,11 @@ class MetricContext:
                                       for c in self.constants)
         if self.cframe_flag and self._frame_in_field(extra, symbols):
             return
-        if self.cframe_flag:
-            self._tree_metric()
+        # a metric derived once is kept; a given one is checked each time
+        if self.cframe_flag and (self.lg is None
+                                 or self._given_lg is not None):
+            self.lg = self._frame_metric(TREES, self.fri, self.lfg,
+                                         self._given_lg)
         self._fri, self._eta, self._FK = self.fri, self.lfg, TREES
         inputs = (self.lg,) + extra
         self.field = scalars.kernel_field(
@@ -330,14 +333,22 @@ class MetricContext:
             values = inputs
         self._g, self._tau, self._mu = values
 
-    def _frame_metric(self, f, eta, K):
-        """g_ij = sum_a f_ai e_(a)j, with e_(a)j = sum_b eta_ab f_bj."""
+    def _frame_metric(self, K, f, eta, given):
+        """The metric g_ij = sum_a f_ai e_(a)j, e_(a)j = sum_b eta_ab f_bj,
+        of the frame ``f`` in the scalar domain ``K``: derived, or the
+        ``given`` one once it is checked exactly against it."""
         n = self.dim
         columns = [[row[i] for row in f] for i in range(n)]
         lowered = [[K.dot(eta[a], columns[j]) for a in range(n)]
                    for j in range(n)]
-        return [[K.dot(columns[i], lowered[j]) for j in range(n)]
-                for i in range(n)]
+        g = [[K.dot(columns[i], lowered[j]) for j in range(n)]
+             for i in range(n)]
+        if given is None:
+            return _map(K.trigsimp, g)
+        if not all(K.is_zero(given[i][j] - g[i][j])
+                   for i, j in product(range(n), repeat=2)):
+            raise ValueError("frame is not orthonormal for the metric")
+        return given
 
     def _frame_in_field(self, extra, symbols):
         """Put the frame context in the kernel field of its frame, frame
@@ -356,29 +367,13 @@ class MetricContext:
                 for value in inputs]
         except ZeroDivisionError:
             return False
-        g = _map(K.trigsimp, self._frame_metric(f, eta, K))
+        g = self._frame_metric(K, f, eta, given)
         if given is None:
             self.lg = _map(K.expr, g)
-        elif not all(K.is_zero(given[i][j] - g[i][j])
-                     for i, j in product(range(self.dim), repeat=2)):
-            raise ValueError("frame is not orthonormal for the metric")
-        else:
-            g = given
         self.field = self._K = self._FK = K
         self._g, self._tau, self._mu, self._fri, self._eta = (
             g, tau, mu, f, eta)
         return True
-
-    def _tree_metric(self):
-        """Derive the metric of a frame outside every kernel field on
-        expression trees, or check a given one there."""
-        g = self._frame_metric(self.fri, self.lfg, TREES)
-        if self._given_lg is None:
-            if self.lg is None:
-                self.lg = _map(trigsimp, g)
-        elif not all(is_zero(self.lg[i][j] - g[i][j])
-                     for i, j in product(range(self.dim), repeat=2)):
-            raise ValueError("frame is not orthonormal for the metric")
 
     @property
     def diagonal(self):
