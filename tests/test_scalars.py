@@ -451,11 +451,13 @@ def test_root_of_a_ratio_agrees_with_its_element_where_b_is_negative(text):
     ("sqrt((r-2*m)/r)", "sqrt(r/(r-2*m))"),
     ("sqrt(x*y)", "sqrt(x)", "sqrt(y)"),
     ("sqrt(1-cos(x)^2)", "sin(x)"),
-    ("sqrt(4*x^2*y^2)",),
+    ("sqrt(x^3*y)", "sqrt(x*y)"),
+    ("sqrt(x^2*y^2+2*x*y+1)",),
     ("sqrt(sqrt(x))",),
 ])
 def test_dependent_radicands_stay_on_trees(texts):
     # a root that is a product of the others, or of sin(x), up to a square
-    # would need a branch to be written through them
+    # (a square itself included) would need a branch to be written through
+    # them; a nested root is no rational function of the generators
     field, _ = _root_field(*texts)
     assert field is None
