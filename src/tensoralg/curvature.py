@@ -209,6 +209,22 @@ def _frame_pairs(array, E, K=TREES):
         [h[c, d] for h in half], B[a, b]), K.trigsimp, K.zero)
 
 
+def _in_field(inputs, symbols, radicals=False):
+    """The kernel field of ``inputs`` (nested lists of expressions, or None)
+    and ``symbols``, with their values in it, or None when there is no such
+    field."""
+    K = scalars.kernel_field(
+        sp.flatten([value for value in inputs if value is not None]),
+        symbols, radicals)
+    if K is None:
+        return None
+    try:
+        return K, [value if value is None else _map(K.element, value)
+                   for value in inputs]
+    except ZeroDivisionError:
+        return None
+
+
 def _trace(array, inv, K):
     """sum_km inv[k][m] * array[...][k][m]: the last two slots of an array of
     any rank contracted with the inverse metric, which gives the Ricci
@@ -312,26 +328,28 @@ class MetricContext:
         extra = (self.torsion_values, self.nonmetricity_values)
         symbols = self.coords + tuple(sym(c) if isinstance(c, str) else c
                                       for c in self.constants)
-        if self.cframe_flag and self._frame_in_field(extra, symbols):
-            return
-        # a metric derived once is kept; a given one is checked each time
-        if self.cframe_flag and (self.lg is None
-                                 or self._given_lg is not None):
-            self.lg = self._frame_metric(TREES, self.fri, self.lfg,
-                                         self._given_lg)
+        if self.cframe_flag:
+            found = _in_field((self.fri, self.lfg, self._given_lg) + extra,
+                              symbols, True)
+            if found is not None:
+                K, (f, eta, given, tau, mu) = found
+                g = self._frame_metric(K, f, eta, given)
+                if given is None:
+                    self.lg = _map(K.expr, g)
+                self.field = self._K = self._FK = K
+                self._g, self._tau, self._mu, self._fri, self._eta = (
+                    g, tau, mu, f, eta)
+                return
+            # a metric derived once is kept; a given one is checked again
+            if self.lg is None or self._given_lg is not None:
+                self.lg = self._frame_metric(TREES, self.fri, self.lfg,
+                                             self._given_lg)
         self._fri, self._eta, self._FK = self.fri, self.lfg, TREES
         inputs = (self.lg,) + extra
-        self.field = scalars.kernel_field(
-            sp.flatten([value for value in inputs if value is not None]),
-            symbols)
-        self._K = self.field if self.field is not None else TREES
-        try:
-            values = [value if value is None else _map(self._K.element, value)
-                      for value in inputs]
-        except ZeroDivisionError:
-            self.field, self._K = None, TREES
-            values = inputs
-        self._g, self._tau, self._mu = values
+        found = _in_field(inputs, symbols)
+        self.field = None if found is None else found[0]
+        self._K = TREES if found is None else found[0]
+        self._g, self._tau, self._mu = inputs if found is None else found[1]
 
     def _frame_metric(self, K, f, eta, given):
         """The metric g_ij = sum_a f_ai e_(a)j, e_(a)j = sum_b eta_ab f_bj,
@@ -349,31 +367,6 @@ class MetricContext:
                    for i, j in product(range(n), repeat=2)):
             raise ValueError("frame is not orthonormal for the metric")
         return given
-
-    def _frame_in_field(self, extra, symbols):
-        """Put the frame context in the kernel field of its frame, frame
-        metric, given metric, torsion and nonmetricity, roots admitted, and
-        derive or check the metric there; False when there is no such
-        field."""
-        inputs = (self.fri, self.lfg, self._given_lg) + extra
-        K = scalars.kernel_field(
-            sp.flatten([value for value in inputs if value is not None]),
-            symbols, True)
-        if K is None:
-            return False
-        try:
-            f, eta, given, tau, mu = [
-                value if value is None else _map(K.element, value)
-                for value in inputs]
-        except ZeroDivisionError:
-            return False
-        g = self._frame_metric(K, f, eta, given)
-        if given is None:
-            self.lg = _map(K.expr, g)
-        self.field = self._K = self._FK = K
-        self._g, self._tau, self._mu, self._fri, self._eta = (
-            g, tau, mu, f, eta)
-        return True
 
     @property
     def diagonal(self):
