@@ -702,6 +702,16 @@ FRAME_CONNECTIONS = {
     "twisted-torsion-and-nonmetricity": (
         TWISTED3, IDENTITY3, {(0, 1, 2): "z", (1, 2, 0): "x"},
         ["0", "y", "x"], [1.4, 0.6, -0.7]),
+    # frames with roots as kernel-field generators, some of them in g
+    "roots-3d": ((["x", "y", "z"], [["sqrt(x*y)", "0", "z"],
+                                    ["0", "sqrt((x+1)/(y-3))", "0"],
+                                    ["x", "0", "1"]], ()),
+                 IDENTITY3, None, None, [0.7, 4.3, 0.2]),
+    "roots-4d": ((["t", "x", "y", "z"], [["sqrt(1+x^2)", "0", "0", "y"],
+                                         ["0", "1/sqrt(1+x^2)", "0", "0"],
+                                         ["0", "0", "sqrt(x)*cos(y)", "0"],
+                                         ["0", "0", "0", "x"]], ()),
+                 MINUS_PLUS, None, None, [0.1, 0.7, 0.4, 0.2]),
 }
 
 
@@ -778,6 +788,8 @@ ROTATION_FRAMES = {
         FRAME_CONNECTIONS["twisted-torsion-and-nonmetricity"],
     "kerr_newman": (_catalog_frame("kerr_newman"), MINUS_PLUS, None, None,
                     [0.3, 5.0, 0.9, 0.4]),
+    "roots-3d": FRAME_CONNECTIONS["roots-3d"],
+    "roots-4d": FRAME_CONNECTIONS["roots-4d"],
 }
 
 
