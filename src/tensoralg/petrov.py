@@ -5,22 +5,21 @@ components of an orthonormal Lorentz frame; there the Newman-Penrose null
 tetrad has constant components, and the five complex Weyl scalars are
 contractions of the frame Weyl tensor with it.  The algebraic type follows from a decision tree driven by which scalars
 (and which derived invariants) vanish.  Every zero test goes through the
-exact kernel; an expression that can be neither proved zero nor certified
-nonzero numerically aborts the classification instead of guessing.
+exact kernel: an expression is zero when :func:`scalars.is_zero` proves it,
+nonzero when :func:`scalars.certify_nonzero` finds an interval enclosure of
+its value that excludes 0, and otherwise the classification is refused
+instead of guessed.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 import sympy as sp
 
-from . import scalars
 from .curvature import MetricContext
-from .scalars import is_zero, ratsimp, trigsimp
+from .scalars import certify_nonzero, is_zero, ratsimp, trigsimp
 
 
 class PetrovType(Enum):
@@ -137,32 +136,10 @@ def invariant_J(psi) -> sp.Expr:
         + psi[2] * (psi[1] * psi[3] - psi[2] ** 2))
 
 
-def _nonzero_certificate(e) -> bool:
-    """Try to certify that ``e`` is not identically zero by evaluating it at
-    sample points (independently of the symbolic kernel).  An exact rational
-    value certifies when it is nonzero; a floating value must exceed 1e-9."""
-    names = sorted(s.name for s in sp.sympify(e).free_symbols)
-    rng = random.Random(0x5EED)
-    for _ in range(12):
-        point = {n: Fraction(rng.randint(11, 97), rng.randint(7, 23))
-                 for n in names}
-        try:
-            v = scalars.evaluate(e, point)
-            if isinstance(v, (int, Fraction)) and v != 0:
-                return True  # exact arithmetic: any nonzero value certifies
-            v = complex(v)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            continue
-        if v == v and abs(v) > 1e-9:
-            return True
-    return False
-
-
 def _vanishes(e) -> bool:
-    e = sp.sympify(e)
     if is_zero(e):
         return True
-    if _nonzero_certificate(e):
+    if certify_nonzero(e):
         return False
     raise UnclassifiableError(e)
 

@@ -5,7 +5,10 @@ coefficients) is built from the expressions handled here: exact rationals,
 symbols, the imaginary unit, and a fixed set of elementary functions.  The
 heavy lifting of polynomial arithmetic is delegated to sympy; this module
 pins down the grammar, the rational normal form, the limited trigonometric
-closure, and the zero test that the rest of the package relies on.
+closure, and the zero test that the rest of the package relies on:
+:func:`is_zero` asks whether the normal form is 0, and an interval
+enclosure that excludes 0 at a rational point (:func:`certify_nonzero`)
+settles the nonzero side first, so no float threshold enters a decision.
 
 As in Maxima's ``ratsimp``, the normal form lives in a field of rational
 functions: symbols and ``sin``/``cos``/``sinh``/``cosh`` applications are its
@@ -34,6 +37,7 @@ import functools
 from fractions import Fraction
 
 import sympy as sp
+from mpmath.ctx_iv import MPIntervalContext
 from sympy.polys.fields import FracField
 from sympy.polys.polyutils import _sort_gens
 from sympy.printing.str import StrPrinter
@@ -612,17 +616,14 @@ class KernelField:
         """The ring form of :func:`reduce_trig`: each square of the relation
         table replaced in numerator and denominator, then each odd root,
         sin or cosh of the denominator cleared by its conjugate, the roots
-        first and the kernels in the order the expression-tree
-        rationalisation takes them."""
+        first and then the kernels in generator order."""
         num, den = self._reduce_even(f.numer), self._reduce_even(f.denom)
         for _ in range(16):
             odd = [i for i in self._eliminated
                    if any(m[i] % 2 for m in den.itermonoms())]
             if not odd:
                 break
-            roots = [i for i in odd if i in self._radical_set]
-            i = (roots[0] if roots else odd[0] if len(odd) == 1
-                 else self._first_odd(den, odd))
+            i = next((i for i in odd if i in self._radical_set), odd[0])
             rest = self.ring.from_dict(
                 {m: c for m, c in den.iterterms() if not m[i]})
             # den = rest + linear*k; the conjugate rest - linear*k, or k
@@ -649,17 +650,6 @@ class KernelField:
                 part = self.ring.from_dict(part)
                 p += part * square ** half if half else part
         return p
-
-    def _first_odd(self, den, odd):
-        """The kernel of ``odd`` the tree rationalisation picks: the first
-        one met in sympy's term and factor order of the expanded ``den``."""
-        wanted = {self.ring.symbols[i]: i for i in odd}
-        for term in sp.Add.make_args(den.as_expr()):
-            for factor in sp.Mul.make_args(term):
-                base, ex = factor.as_base_exp()
-                if base in wanted and ex % 2 == 1:
-                    return wanted[base]
-        return odd[0]
 
     def trigsimp(self, f):
         return self.reduce_trig(f)
@@ -856,39 +846,26 @@ _zero_cache: dict = {}
 
 
 def is_zero(e: Expr) -> bool:
-    """True iff ``trigsimp(ratsimp(e))`` is the literal constant 0."""
+    """True iff ``trigsimp(ratsimp(e))`` is the literal constant 0.
+
+    A certificate of :func:`certify_nonzero` settles the nonzero side
+    without simplifying; only an expression it cannot certify is reduced.
+    """
     e = sp.sympify(e)
     if e.is_Number:
         return e == 0
-    key = e
-    if key in _zero_cache:
-        return _zero_cache[key]
-    result = None
-    # Cheap numeric probe first: a value clearly away from zero settles it.
-    try:
-        v = complex(sp.N(e.subs(_probe_point(e)), 20))
-        if v == v and abs(v) > 1e-8:  # not NaN and clearly nonzero
-            result = False
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        pass
-    if result is None:
-        result = trigsimp(e) == 0
+    if e in _zero_cache:
+        return _zero_cache[e]
+    result = not certify_nonzero(e) and trigsimp(e) == 0
     if len(_zero_cache) >= _ZERO_CACHE_MAX:
         del _zero_cache[next(iter(_zero_cache))]
-    _zero_cache[key] = result
+    _zero_cache[e] = result
     return result
 
 
-def _probe_point(e):
-    subs = {}
-    for i, s in enumerate(sorted(e.free_symbols, key=lambda s: s.name)):
-        subs[s] = sp.Rational(137 + 29 * i, 100 + 7 * i)
-    return subs
-
-
 # ---------------------------------------------------------------------------
-# independent numeric evaluation (used by tests as a cross-check and by the
-# Petrov routine to certify expressions as nonzero)
+# independent numeric evaluation (used by tests as a cross-check) and the
+# interval certificate of a nonzero expression
 
 
 def evaluate(e: Expr, values: dict | None = None) -> complex:
@@ -901,43 +878,125 @@ def evaluate(e: Expr, values: dict | None = None) -> complex:
     vals = {}
     for k, v in (values or {}).items():
         vals[k.name if isinstance(k, sp.Symbol) else k] = v
-    return _eval(sp.sympify(e), vals)
+    return _eval(sp.sympify(e), vals, _EXACT)
 
 
-_EVAL_FUNCS = {
-    sp.sin: cmath.sin, sp.cos: cmath.cos, sp.tan: cmath.tan,
-    sp.sinh: cmath.sinh, sp.cosh: cmath.cosh, sp.tanh: cmath.tanh,
-    sp.exp: cmath.exp, sp.log: cmath.log, sp.sqrt: cmath.sqrt,
-    sp.Abs: abs, sp.sign: lambda z: 0 if z == 0 else z / abs(z),
-}
+def certify_nonzero(e: Expr) -> bool:
+    """True when ``e`` is provably not identically zero.
+
+    ``e`` is evaluated in interval arithmetic (``mpmath.iv``, 80 bits) at
+    each point of :data:`_POINTS` in turn; an enclosure that excludes 0
+    contains the exact value, so that value is nonzero.  A complex
+    enclosure excludes 0 when its real or its imaginary part does.  A point
+    where the enclosure fails (a pole, a root or ``log`` of a negative
+    interval, a root of a complex one, a node such as ``sign`` that has no
+    interval form) is skipped.  False means only that no point gave a
+    certificate.
+    """
+    e = sp.sympify(e)
+    names = sorted(s.name for s in e.free_symbols)
+    for point in _POINTS:
+        vals = {n: _INTERVAL[sp.Rational](point(i))
+                for i, n in enumerate(names)}
+        try:
+            v = _eval(e, vals, _INTERVAL)
+        except (ValueError, ZeroDivisionError):
+            continue
+        if 0 not in v.real or 0 not in v.imag:
+            return True
+    return False
 
 
-def _eval(e, vals):
-    if e is sp.I:
-        return 1j
-    if e is PI:
-        return cmath.pi
-    if e.is_Integer:
-        return int(e)
+#: The certificate's points: the value of the i-th symbol in name order.
+#: The values ascend at the first point and descend at the second, so that
+#: a radicand such as (r - 2m)/r is positive at one of them; at the third
+#: every value lies between 0 and 1.
+_POINTS = (lambda i: sp.Rational(13 + 19 * i, 9),
+           lambda i: sp.Rational(47, 13 + 11 * i),
+           lambda i: sp.Rational(5 + 3 * i, 11 + 7 * i))
+
+
+def _eval(e, vals, arith):
+    """The value of ``e`` in the arithmetic ``arith``: a table from ``sp.I``
+    and :data:`PI` to their values and from ``sp.Rational``, ``sp.Pow`` and
+    each function to the function giving the value.  Exponents are exact."""
+    if e is sp.I or e is PI:
+        return arith[e]
     if e.is_Rational:
-        return Fraction(e.p, e.q)
+        return arith[sp.Rational](e)
     if e.is_Symbol:
         try:
             return vals[e.name]
         except KeyError:
             raise ValueError(f"no value supplied for symbol {e.name}")
     if e.is_Add:
-        return sum(_eval(a, vals) for a in e.args)
+        return sum(_eval(a, vals, arith) for a in e.args)
     if e.is_Mul:
         out = 1
         for a in e.args:
-            out *= _eval(a, vals)
+            out *= _eval(a, vals, arith)
         return out
     if e.is_Pow:
-        base, ex = _eval(e.base, vals), _eval(e.exp, vals)
-        if isinstance(base, Fraction) and isinstance(ex, (int, Fraction)) and ex == int(ex):
-            return base ** int(ex)
-        return complex(base) ** complex(ex)
-    if e.func in _EVAL_FUNCS:
-        return _EVAL_FUNCS[e.func](_eval(e.args[0], vals))
+        return arith[sp.Pow](_eval(e.base, vals, arith),
+                             _eval(e.exp, vals, _EXACT))
+    if e.func in arith:
+        return arith[e.func](_eval(e.args[0], vals, arith))
     raise ValueError(f"cannot evaluate node {e.func.__name__}({e})")
+
+
+def _exact_power(base, ex):
+    """``base ** ex``; an int, Fraction or float base keeps its type under
+    an integer power, so a negative value stays on the real axis and not on
+    the side of a root's branch cut that a -0.0 imaginary part picks."""
+    if isinstance(ex, (int, Fraction)) and ex == int(ex):
+        if isinstance(base, (int, Fraction)):
+            return Fraction(base) ** int(ex)
+        if isinstance(base, float):
+            return base ** int(ex)
+    return complex(base) ** complex(ex)
+
+
+#: Exact rationals, and cmath where a value is irrational.
+_EXACT = {
+    sp.I: 1j, PI: cmath.pi, sp.Pow: _exact_power,
+    sp.Rational: lambda q: int(q) if q.is_Integer else Fraction(q.p, q.q),
+    sp.sin: cmath.sin, sp.cos: cmath.cos, sp.tan: cmath.tan,
+    sp.sinh: cmath.sinh, sp.cosh: cmath.cosh, sp.tanh: cmath.tanh,
+    sp.exp: cmath.exp, sp.log: cmath.log, sp.Abs: abs,
+    sp.sign: lambda z: 0 if z == 0 else z / abs(z),
+}
+
+_IV = MPIntervalContext()
+_IV.prec = 80
+
+
+def _interval_power(base, ex):
+    """``base ** ex`` for an integer or half-integer ``ex``."""
+    if isinstance(ex, Fraction) and ex.denominator == 2 \
+            and not isinstance(base, _IV.mpc):
+        base, ex = _IV.sqrt(base), int(2 * ex)
+    if not isinstance(ex, int):
+        raise ValueError(f"no interval power {ex} of {base}")
+    return (_pole_free(base) if ex < 0 else base) ** ex
+
+
+def _pole_free(x):
+    """``x`` as a divisor or an argument of ``log``: a pole if it holds 0."""
+    if 0 in x:
+        raise ZeroDivisionError("pole")
+    return x
+
+
+#: Enclosures in ``mpmath.iv``, which has no sinh, cosh or tanh: they are
+#: built from ``iv.exp``, and tan and tanh are quotients whose poles
+#: :func:`_pole_free` finds.
+_INTERVAL = {
+    sp.I: _IV.mpc(0, 1), PI: _IV.pi,
+    sp.Rational: lambda q: _IV.mpf(q.p) / q.q,
+    sp.Pow: _interval_power, sp.sin: _IV.sin, sp.cos: _IV.cos,
+    sp.tan: lambda x: _IV.sin(x) / _pole_free(_IV.cos(x)),
+    sp.sinh: lambda x: (_IV.exp(x) - _IV.exp(-x)) / 2,
+    sp.cosh: lambda x: (_IV.exp(x) + _IV.exp(-x)) / 2,
+    sp.tanh: lambda x: 1 - 2 / _pole_free(_IV.exp(2 * x) + 1),
+    sp.exp: _IV.exp, sp.log: lambda x: _IV.ln(_pole_free(x)), sp.Abs: abs,
+}

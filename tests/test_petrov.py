@@ -187,6 +187,7 @@ def test_kerr_psi_pattern():
     psis = weyl_scalars(ctx.weyl_frame, np_tetrad(ctx))
     assert all(is_zero(psis[k]) for k in (0, 1, 3, 4))
     assert is_zero(psis[2] + parse("m/(r + %i*a*cos(theta))^3"))
+    assert scalars.certify_nonzero(psis[2])
     assert classify(psis) is PetrovType.D
 
 
@@ -283,6 +284,18 @@ def test_unclassifiable_raises_with_expression():
     with pytest.raises(UnclassifiableError) as err:
         classify([0, 0, murky, 0, 0])
     assert err.value.expression is not None
+
+
+def test_magnified_rounding_is_refused_not_read_as_nonzero():
+    # psi4 is identically 0, so the scalars are (0, 0, 1, 0, 0), type D; the
+    # kernel cannot prove the angle addition, and psi4's enclosures hold 0
+    # at every point however large the factor: refused, where a float
+    # sample read 10^12 times its rounding as nonzero and answered II
+    x = sym("x")
+    psi4 = 10 ** 12 * (sp.sin(2 * x) - 2 * sp.sin(x) * sp.cos(x))
+    with pytest.raises(UnclassifiableError) as err:
+        classify([0, 0, 1, 0, psi4])
+    assert err.value.expression == psi4
 
 
 def test_tiny_exact_value_certifies_nonzero():

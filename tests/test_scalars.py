@@ -6,8 +6,9 @@ import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 
 from tensoralg import catalog, scalars
-from tensoralg.scalars import (ExprSyntaxError, diff, evaluate, is_zero,
-                               parse, ratsimp, render, sym, trigsimp)
+from tensoralg.scalars import (ExprSyntaxError, certify_nonzero, diff,
+                               evaluate, is_zero, parse, ratsimp, render, sym,
+                               trigsimp)
 
 
 def test_parse_product_of_powers():
@@ -157,6 +158,9 @@ def test_evaluate_independent_walker():
     assert abs(v - (math.sin(0.5) + 2j)) < 1e-12
     with pytest.raises(ValueError):
         evaluate(parse("x"), {})
+    # 1/y at y = -1 is -1 on the real axis, so its root is %i
+    for y in (-1, -1.0):
+        assert evaluate(parse("sqrt(1/y)"), {"y": y}) == pytest.approx(1j)
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +465,86 @@ def test_dependent_radicands_stay_on_trees(texts):
     # them; a nested root is no rational function of the generators
     field, _ = _root_field(*texts)
     assert field is None
+
+
+# ---------------------------------------------------------------------------
+# the nonzero certificate
+
+_IDENTITIES = (
+    lambda u: sp.sin(u) ** 2 + sp.cos(u) ** 2 - 1,
+    lambda u: sp.cosh(u) ** 2 - sp.sinh(u) ** 2 - 1,
+    lambda u: sp.sin(2 * u) - 2 * sp.sin(u) * sp.cos(u),
+    lambda u: sp.tan(u) - sp.sin(u) / sp.cos(u),
+)
+
+
+def _rational_functions():
+    # (c0 + c1 x + c2 y) / (d + x^2 + y^2) with some c nonzero and d > 0
+    x, y = sym("x"), sym("y")
+    coeffs = st.lists(st.integers(-9, 9), min_size=3, max_size=3).filter(any)
+    return st.tuples(coeffs, st.integers(1, 20)).map(
+        lambda t: (t[0][0] + t[0][1] * x + t[0][2] * y) / (t[1] + x ** 2
+                                                          + y ** 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_IDENTITIES),
+       st.sampled_from(["x", "y", "2*x - y", "x*y/3"]),
+       st.integers(0, 15), _rational_functions())
+def test_scaled_zero_identities_never_certify(identity, argument, k, w):
+    # an enclosure of an identically zero value always holds 0, however
+    # large the scale that magnifies its rounding
+    e = identity(parse(argument)) * 10 ** k * w
+    assert not certify_nonzero(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=5)
+       .filter(bool), st.integers(1, 16), st.integers(1, 19),
+       st.integers(1, 3))
+def test_nonzero_tuple_products_certify(q, a, b, power):
+    # the Weyl-scalar family q*(x + a)/(x^2 + b) and its powers
+    x = sym("x")
+    w = sp.Rational(q.numerator, q.denominator) * (x + a) / (x ** 2 + b)
+    assert certify_nonzero(w ** power)
+
+
+@pytest.mark.parametrize("text", [
+    "-m/(r + %i*a*cos(theta))^3", "%i*x", "sqrt((r-2*m)/r) - 1/2",
+    "cosh(u)*tanh(u) + tan(x)*exp(-x) + log(x)"])
+def test_nonzero_expressions_certify(text):
+    assert certify_nonzero(parse(text))
+
+
+def test_certificate_skips_a_point_where_the_enclosure_fails(monkeypatch):
+    # poles and a negative radicand at the first point; a later one
+    # certifies
+    first, *rest = scalars._POINTS
+    x0 = first(0)
+    x = sym("x")
+    for e in (1 / (x - x0), sp.cos(1 / (x - x0)) + 2, sp.sqrt(x - 2 * x0)):
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_POINTS", (first,))
+            assert not certify_nonzero(e)
+        with monkeypatch.context() as m:
+            m.setattr(scalars, "_POINTS", tuple(rest))
+            assert certify_nonzero(e)
+        assert certify_nonzero(e)
+
+
+def test_node_without_interval_form_is_skipped():
+    # sign has no interval form, so no point certifies, and is_zero decides
+    # by the normal form
+    e = sp.sign(sym("x")) + 2
+    assert not certify_nonzero(e)
+    assert not is_zero(e)
+
+
+def test_sin_2theta_spherical_component_does_not_certify():
+    # riemann_lowered[1][1][2][2] of the flat spherical chart written with
+    # g_phiphi = r^2 sin(2 theta)^2/(4 cos(theta)^2): identically zero, yet
+    # sin(2 theta) and sin(theta) are independent kernels of the field
+    e = parse("(-r^2*sin(theta)^2*sin(2*theta)^2"
+              " - 2*r^2*sin(theta)*sin(2*theta)*cos(theta)*cos(2*theta)"
+              " + r^2*sin(2*theta)^2*cos(theta)^2)/(2*cos(theta)^4)")
+    assert not certify_nonzero(e)
