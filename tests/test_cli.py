@@ -214,6 +214,20 @@ def test_frame_rotation_coeffs_match_golden_within_budget(name, capsys):
     assert seconds < 15, f"rotation coefficients took {seconds:.1f}s"
 
 
+@pytest.mark.parametrize("name", [
+    "exteriorschwarzschild", "interiorschwarzschild", "oblatespheroidal",
+    "oblatespheroidalsqrt", "prolatespheroidal", "prolatespheroidalsqrt"])
+def test_tree_frame_stages_match_golden(name, capsys):
+    # these frames keep their frame stages on expression trees: a dependent
+    # radicand pair (Schwarzschild) or abs (spheroidal)
+    code, out, err = run_cli("compute", "--catalog", name, "--frame",
+                             "--tensors", "all", "--format", "json",
+                             capsys=capsys)
+    assert code == 0 and err == ""
+    golden = Path(__file__).parent / "golden" / f"{name}_frame.json"
+    assert out == golden.read_text(encoding="utf-8")
+
+
 def test_compute_all_skips_weyl_with_nonmetricity(tmp_path, capsys):
     path = tmp_path / "nonmetric.tm"
     path.write_text("[chart] coords = t, x, y, z\n"
