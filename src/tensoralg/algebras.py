@@ -153,7 +153,8 @@ class MVec:
             coeff = sp.sympify(coeff)
             collected[word] = collected.get(word, sp.S.Zero) + coeff
         self.terms = tuple(sorted(
-            ((w, c) for w, c in collected.items() if c != 0),
+            ((w, c) for w, c in collected.items()
+             if c != 0 and not scalars.is_zero(c)),
             key=lambda t: (len(t[0]), t[0])))
 
     @staticmethod
@@ -222,7 +223,8 @@ class MVec:
             elif coeff == -1:
                 piece = "-" + body
             elif word:
-                piece = f"{scalars.render(coeff)}*{body}"
+                text = scalars.render(coeff)
+                piece = f"({text})*{body}" if coeff.is_Add else f"{text}*{body}"
             else:
                 piece = scalars.render(coeff)
             chunks.append(piece)

@@ -29,7 +29,7 @@ from itertools import product
 import sympy as sp
 
 from . import scalars
-from .scalars import TREES, is_zero, ratsimp, sym, trigsimp
+from .scalars import TREES, sym
 
 
 class DimensionError(ValueError):
@@ -209,22 +209,6 @@ def _frame_pairs(array, E, K=TREES):
         [h[c, d] for h in half], B[a, b]), K.trigsimp, K.zero)
 
 
-def _in_field(inputs, symbols, radicals=False):
-    """The kernel field of ``inputs`` (nested lists of expressions, or None)
-    and ``symbols``, with their values in it, or None when there is no such
-    field."""
-    K = scalars.kernel_field(
-        sp.flatten([value for value in inputs if value is not None]),
-        symbols, radicals)
-    if K is None:
-        return None
-    try:
-        return K, [value if value is None else _map(K.element, value)
-                   for value in inputs]
-    except ZeroDivisionError:
-        return None
-
-
 def _trace(array, inv, K):
     """sum_km inv[k][m] * array[...][k][m]: the last two slots of an array of
     any rank contracted with the inverse metric, which gives the Ricci
@@ -282,7 +266,7 @@ class MetricContext:
                     "frame matrices must match the chart dimension")
             for a in range(n):
                 for b in range(a):
-                    if not is_zero(eta[a][b] - eta[b][a]):
+                    if not scalars.is_zero(eta[a][b] - eta[b][a]):
                         raise ValueError("frame metric must be symmetric")
         elif self.lg is None:
             raise ValueError("a metric or a frame base is needed")
@@ -329,8 +313,8 @@ class MetricContext:
         symbols = self.coords + tuple(sym(c) if isinstance(c, str) else c
                                       for c in self.constants)
         if self.cframe_flag:
-            found = _in_field((self.fri, self.lfg, self._given_lg) + extra,
-                              symbols, True)
+            found = scalars.in_field(
+                (self.fri, self.lfg, self._given_lg) + extra, symbols, True)
             if found is not None:
                 K, (f, eta, given, tau, mu) = found
                 g = self._frame_metric(K, f, eta, given)
@@ -346,7 +330,7 @@ class MetricContext:
                                              self._given_lg)
         self._fri, self._eta, self._FK = self.fri, self.lfg, TREES
         inputs = (self.lg,) + extra
-        found = _in_field(inputs, symbols)
+        found = scalars.in_field(inputs, symbols)
         self.field = None if found is None else found[0]
         self._K = TREES if found is None else found[0]
         self._g, self._tau, self._mu = inputs if found is None else found[1]
@@ -423,7 +407,7 @@ class MetricContext:
         """Install a torsion tensor tau_ij^k (antisymmetric in i, j)."""
         tau = [[[_scalar(x) for x in row] for row in plane]
                for plane in values]
-        if not all(is_zero(tau[i][j][k] + tau[j][i][k])
+        if not all(scalars.is_zero(tau[i][j][k] + tau[j][i][k])
                    for i, j, k in product(range(self.dim), repeat=3)):
             raise ValueError(
                 "torsion must be antisymmetric in its covariant indices")

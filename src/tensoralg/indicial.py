@@ -557,7 +557,7 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
         merged[key] = merged.get(key, sp.S.Zero) + coeff
     out = []
     for key in sorted(merged, key=lambda fs: tuple(f.sort_key() for f in fs)):
-        coeff = sp.cancel(sp.together(merged[key]))
+        coeff = scalars.ratsimp(merged[key])
         if coeff != 0 and not scalars.is_zero(coeff):
             out.append(Term(coeff, key))
     return IndexExpr(out)

@@ -3,12 +3,12 @@
 The Weyl tensor is computed in coordinates and carried into the
 components of an orthonormal Lorentz frame; there the Newman-Penrose null
 tetrad has constant components, and the five complex Weyl scalars are
-contractions of the frame Weyl tensor with it.  The algebraic type follows from a decision tree driven by which scalars
-(and which derived invariants) vanish.  Every zero test goes through the
-exact kernel: an expression is zero when :func:`scalars.is_zero` proves it,
-nonzero when :func:`scalars.certify_nonzero` finds an interval enclosure of
-its value that excludes 0, and otherwise the classification is refused
-instead of guessed.
+contractions of the frame Weyl tensor with it.  The algebraic type
+follows from a decision tree driven by which scalars (and which derived
+invariants) vanish.  Every zero test is the package's one decision,
+:func:`scalars.vanishes`: zero by the normal form, nonzero by the interval
+certificate, and otherwise refused with :class:`UnclassifiableError`, so a
+type is decided or refused, never guessed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 import sympy as sp
 
 from .curvature import MetricContext
-from .scalars import certify_nonzero, is_zero, ratsimp, trigsimp
+from .scalars import UnclassifiableError, ratsimp, trigsimp, vanishes
 
 
 class PetrovType(Enum):
@@ -32,15 +32,6 @@ class PetrovType(Enum):
 
     def __str__(self):
         return self.value
-
-
-class UnclassifiableError(ValueError):
-    """A zero test could not be decided; carries the offending expression."""
-
-    def __init__(self, expression):
-        super().__init__(
-            f"cannot decide whether this expression vanishes: {expression}")
-        self.expression = expression
 
 
 @dataclass(frozen=True)
@@ -136,14 +127,6 @@ def invariant_J(psi) -> sp.Expr:
         + psi[2] * (psi[1] * psi[3] - psi[2] ** 2))
 
 
-def _vanishes(e) -> bool:
-    if is_zero(e):
-        return True
-    if certify_nonzero(e):
-        return False
-    raise UnclassifiableError(e)
-
-
 # Lookup table indexed by the zero pattern of the Weyl scalars: strings are
 # final types, positive integers name the branch that decides the type.
 _TABLE = (0, "N", "II", "III", "D", "II", "II", 7,
@@ -166,7 +149,7 @@ def classify(psi) -> PetrovType:
         raise ValueError("expected five Weyl scalars")
     P = 1
     for weight, index in ((1, 4), (2, 3), (4, 2), (8, 1), (16, 0)):
-        if not _vanishes(psi[index]):
+        if not vanishes(psi[index]):
             P += weight
     entry = _TABLE[P - 1]
     if entry == 0:
@@ -179,48 +162,48 @@ def classify(psi) -> PetrovType:
 def _branch(case, psi):
     p0, p1, p2, p3, p4 = psi
     if case == 7:
-        return PetrovType.D if _vanishes(p3 ** 2 - 3 * p2 * p4) else PetrovType.II
+        return PetrovType.D if vanishes(p3 ** 2 - 3 * p2 * p4) else PetrovType.II
     if case == 11:
-        return (PetrovType.II if _vanishes(27 * p4 ** 2 * p1 + 64 * p3 ** 3)
+        return (PetrovType.II if vanishes(27 * p4 ** 2 * p1 + 64 * p3 ** 3)
                 else PetrovType.I)
     if case == 13:
-        return (PetrovType.II if _vanishes(p1 ** 2 * p4 + 2 * p2 ** 3)
+        return (PetrovType.II if vanishes(p1 ** 2 * p4 + 2 * p2 ** 3)
                 else PetrovType.I)
     if case == 14:
-        return (PetrovType.II if _vanishes(9 * p2 ** 2 - 16 * p1 * p3)
+        return (PetrovType.II if vanishes(9 * p2 ** 2 - 16 * p1 * p3)
                 else PetrovType.I)
     if case == 15:
         return (PetrovType.II
-                if _vanishes(3 * p2 ** 2 - 4 * p1 * p3)
-                and _vanishes(p2 * p3 - 3 * p1 * p4)
+                if vanishes(3 * p2 ** 2 - 4 * p1 * p3)
+                and vanishes(p2 * p3 - 3 * p1 * p4)
                 else PetrovType.I)
     if case == 19:
-        return (PetrovType.II if _vanishes(p0 * p4 ** 3 - 27 * p3 ** 4)
+        return (PetrovType.II if vanishes(p0 * p4 ** 3 - 27 * p3 ** 4)
                 else PetrovType.I)
     if case == 21:
         # The source writes this condition without "=0"; it is ported as a
         # zero test like every sibling branch.
-        return PetrovType.D if _vanishes(9 * p2 ** 2 - p4 ** 2) else PetrovType.I
+        return PetrovType.D if vanishes(9 * p2 ** 2 - p4 ** 2) else PetrovType.I
     if case == 23:
         inv_i = ratsimp(p0 * p4 + 3 * p2 ** 2)
-        if _vanishes(inv_i) and _vanishes(4 * p2 * p4 - 3 * p3 ** 2):
+        if vanishes(inv_i) and vanishes(4 * p2 * p4 - 3 * p3 ** 2):
             return PetrovType.III
         inv_j = ratsimp(4 * p2 * p4 - 3 * p3 ** 2)
         cond = p4 * inv_i ** 2 - 3 * inv_j * (p0 * inv_j - 2 * p2 * inv_i)
-        return PetrovType.II if _vanishes(cond) else PetrovType.I
+        return PetrovType.II if vanishes(cond) else PetrovType.I
     if case == 27:
-        if _vanishes(p0 * p3 ** 2 - p1 ** 2 * p4):
-            if _vanishes(p0 * p4 + 2 * p1 * p3):
+        if vanishes(p0 * p3 ** 2 - p1 ** 2 * p4):
+            if vanishes(p0 * p4 + 2 * p1 * p3):
                 return PetrovType.D
-            if _vanishes(p0 * p4 - 16 * p1 * p3):
+            if vanishes(p0 * p4 - 16 * p1 * p3):
                 return PetrovType.II
             return PetrovType.I
         inv_i = ratsimp(p0 * p4 + 2 * p1 * p3)
-        if _vanishes(inv_i):
+        if vanishes(inv_i):
             inv_j = ratsimp(-p0 * p3 ** 2 - p1 ** 2 * p4)
-            if _vanishes(inv_j):
+            if vanishes(inv_j):
                 return PetrovType.III
-            if _vanishes(inv_i ** 3 - 27 * inv_j ** 2):
+            if vanishes(inv_i ** 3 - 27 * inv_j ** 2):
                 return PetrovType.II
             return PetrovType.I
         return PetrovType.I
@@ -232,38 +215,38 @@ def _branch(case, psi):
 def _general_branch(psi):
     p0, p1, p2, p3, p4 = psi
     h = ratsimp(p0 * p2 - p1 ** 2)
-    if _vanishes(h):
-        if _vanishes(p0 * p3 - p1 * p2):
-            if _vanishes(p0 * p4 - p2 ** 2):
+    if vanishes(h):
+        if vanishes(p0 * p3 - p1 * p2):
+            if vanishes(p0 * p4 - p2 ** 2):
                 return PetrovType.N
             return PetrovType.I
         e = ratsimp(p0 * p4 - p2 ** 2)
-        if _vanishes(e):
-            if _vanishes(37 * p2 ** 2 + 27 * p1 * p3):
+        if vanishes(e):
+            if vanishes(37 * p2 ** 2 + 27 * p1 * p3):
                 return PetrovType.II
             return PetrovType.I
         a = ratsimp(p1 * p3 + p2 ** 2)
         inv_i = ratsimp(e - 4 * a)
         cond = inv_i ** 3 - 27 * (p4 * h - p3 ** 2 * p0
                                   + p1 * p2 * p3 + p2 * a) ** 2
-        if not _vanishes(inv_i) and _vanishes(cond):
+        if not vanishes(inv_i) and vanishes(cond):
             return PetrovType.II
         return PetrovType.I
     inv_i = ratsimp(p0 * p4 - p2 ** 2 - 4 * (p1 * p3 + p2 ** 2))
-    if _vanishes(inv_i):
-        if _vanishes(p4 * h - p3 ** 2 * p0 + p1 * p2 * p3
+    if vanishes(inv_i):
+        if vanishes(p4 * h - p3 ** 2 * p0 + p1 * p2 * p3
                      + p2 * (p1 * p3 + p2 ** 2)):
             return PetrovType.III
         return PetrovType.I
-    if _vanishes(p0 ** 2 * p3 - p0 * p1 * p2 - 2 * p1 * h):
-        if _vanishes(p0 ** 2 * inv_i - 12 * h ** 2):
+    if vanishes(p0 ** 2 * p3 - p0 * p1 * p2 - 2 * p1 * h):
+        if vanishes(p0 ** 2 * inv_i - 12 * h ** 2):
             return PetrovType.D
-        if _vanishes(p0 ** 2 * inv_i - 3 * h ** 2):
+        if vanishes(p0 ** 2 * inv_i - 3 * h ** 2):
             return PetrovType.II
         return PetrovType.I
     inv_j = ratsimp(p4 * h - p3 ** 2 * p0 + p1 * p2 * p3
                     + p2 * (p1 * p3 + p2 ** 2))
-    if not _vanishes(inv_j) and _vanishes(inv_i ** 3 - 27 * inv_j ** 2):
+    if not vanishes(inv_j) and vanishes(inv_i ** 3 - 27 * inv_j ** 2):
         return PetrovType.II
     return PetrovType.I
 

@@ -5,23 +5,23 @@ coefficients) is built from the expressions handled here: exact rationals,
 symbols, the imaginary unit, and a fixed set of elementary functions.  The
 heavy lifting of polynomial arithmetic is delegated to sympy; this module
 pins down the grammar, the rational normal form, the limited trigonometric
-closure, and the zero test that the rest of the package relies on:
-:func:`is_zero` asks whether the normal form is 0, and an interval
-enclosure that excludes 0 at a rational point (:func:`certify_nonzero`)
-settles the nonzero side first, so no float threshold enters a decision.
+closure, and the one zero decision of the package, :func:`vanishes`: zero
+when the normal form is 0, nonzero when an interval enclosure that excludes
+0 at a rational point (:func:`certify_nonzero`) proves it, and otherwise
+refused, since zero equivalence of elementary expressions is undecidable in
+general (Richardson, 1968).  No float threshold enters a decision.
 
 As in Maxima's ``ratsimp``, the normal form lives in a field of rational
-functions: symbols and ``sin``/``cos``/``sinh``/``cosh`` applications are its
-generators, and any other kernel keeps the expression-tree path.
-
-A :class:`KernelField` is such a field closed under d/dx: each sin(u)
-comes with cos(u) and each sinh(u) with cosh(u).  For a frame it may also
-hold square roots of rational functions, each a generator whose square is
-known, admitted only while the normal form stays canonical.  A context
-whose metric, torsion and nonmetricity lie in one (every catalog metric
-does) computes every coordinate stage, from ``det`` and the connection to
-``weyl``, on its elements, and a frame context whose frame lies in one
-computes its frame stages there too: :meth:`KernelField.diff` is a
+functions, a :class:`KernelField`: its generators are symbols and
+``sin``/``cos``/``sinh``/``cosh`` applications, each sin(u) with cos(u)
+and each sinh(u) with cosh(u), so it is closed under d/dx.  For a frame it
+may also hold square roots of rational functions, each a generator whose
+square is known, admitted only while the normal form stays canonical.
+Input enters a field in one place, :func:`in_field`, for a single
+expression as for the inputs of a curvature context; a context whose
+metric, torsion and nonmetricity lie in one (every catalog metric does)
+computes every coordinate stage on its elements, and a frame context whose
+frame lies in one its frame stages too: :meth:`KernelField.diff` is a
 derivation over the generators, :meth:`KernelField.reduce_trig` the
 reduction by the known squares as a ring operation, and an element becomes
 an expression once, through the form :func:`ratsimp` returns.  Other input
@@ -279,31 +279,28 @@ def diff(e: Expr, s) -> Expr:
 
 
 def ratsimp(e: Expr) -> Expr:
-    """Rational normal form over symbol and function kernels.
+    """Rational normal form over symbol and function kernels: one ratio of
+    polynomials with common factors cancelled, exactly 0 iff the numerator
+    is the zero polynomial.
 
-    The expression is rewritten as a single ratio of polynomials with
-    common factors cancelled; it is exactly 0 iff the numerator is the zero
-    polynomial.
+    A number is returned as it is.  An expression in a kernel field (see
+    :func:`in_field`) is computed there, where every sum and product
+    cancels its gcd as it is formed; its numerator and denominator are the
+    pair ``sp.cancel`` gives, so no closing ``cancel`` is needed.
 
-    An expression built from symbols, rationals, ``+``, ``*``, integer
-    powers and ``sin``, ``cos``, ``sinh``, ``cosh`` of any argument is
-    computed in the fraction field Q(symbols, kernels), where every sum and
-    product cancels its gcd as it is formed.  Its numerator and denominator
-    are the pair ``sp.cancel`` gives, once the denominator leads with a
-    positive coefficient: coprime over the integers, in sympy's generator
-    order.  So no closing ``cancel`` is needed.
-
-    ``sqrt`` and ``%i`` obey algebraic relations and sympy merges
-    ``exp(x)*exp(y)``, so these, ``tan``, ``tanh``, ``log`` and ``abs`` are
-    no generators: such an expression is combined term by term on
-    expression trees, keeping intermediate fractions reduced (combining
+    Other input (roots, ``%i``, ``exp``, ``tan``, ``tanh``, ``log``,
+    ``abs``, kernels of non-polynomial arguments) is combined term by term
+    on expression trees, keeping intermediate fractions reduced (combining
     everything first makes the gcd step explode on curvature-sized
     expressions).
     """
     e = sp.sympify(e)
-    frac = _as_fraction(e)
-    if frac is not None:
-        return _frac_expr(frac)
+    if e.is_Number:
+        return e
+    found = in_field([e])
+    if found is not None:
+        K, (f,) = found
+        return K.expr(f)
     terms = sp.Add.make_args(e)
     if len(terms) > 2:
         acc = sp.S.Zero
@@ -311,17 +308,6 @@ def ratsimp(e: Expr) -> Expr:
             acc = sp.cancel(acc + sp.cancel(sp.together(t)))
         return acc
     return sp.cancel(sp.together(e))
-
-
-def _frac_expr(frac):
-    """A field element as numerator over denominator, the denominator
-    leading with a positive coefficient: the pair ``sp.cancel`` returns."""
-    numer, denom = frac.numer, frac.denom
-    if not numer:
-        return sp.S.Zero
-    if denom.LC < 0:
-        numer, denom = -numer, -denom
-    return numer.as_expr() / denom.as_expr()
 
 
 _KERNELS = (sp.sin, sp.cos, sp.sinh, sp.cosh)
@@ -353,18 +339,6 @@ def _generators(exprs, radicands=None):
 def _ordered(gens):
     # sp.cancel's generator order; the first sort settles _sort_gens's ties
     return _sort_gens(sorted(gens, key=sp.default_sort_key))
-
-
-def _as_fraction(e):
-    """``e`` as an element of Q(symbols and kernels of e), or None if it is
-    not a rational function of them or divides by zero."""
-    found = _generators([e])
-    if found is None:
-        return None
-    try:
-        return _fraction_field(_ordered(found)).from_expr(e)
-    except ZeroDivisionError:
-        return None
 
 
 @functools.lru_cache(maxsize=128)
@@ -418,6 +392,27 @@ def kernel_field(exprs, symbols=(), radicals=False):
         found.add(partner)
     field = KernelField(_ordered(found))
     return _adjoin_roots(field, radicands) if radicands else field
+
+
+def in_field(inputs, symbols=(), radicals=False):
+    """The :func:`kernel_field` of ``inputs`` (expressions, nested lists of
+    them, or None) and ``symbols``, with each input's value in it, or None
+    when there is no such field or an input divides by zero."""
+    K = kernel_field(sp.flatten([value for value in inputs
+                                 if value is not None]), symbols, radicals)
+    if K is None:
+        return None
+
+    def element(value):
+        if isinstance(value, list):
+            return [element(v) for v in value]
+        return K.element(value)
+
+    try:
+        return K, [value if value is None else element(value)
+                   for value in inputs]
+    except ZeroDivisionError:
+        return None
 
 
 def _adjoin_roots(base, radicands):
@@ -559,8 +554,15 @@ class KernelField:
         return self.field.from_expr(e)
 
     def expr(self, f):
-        """``f`` as the expression :func:`ratsimp` gives for it."""
-        return _frac_expr(f)
+        """``f`` as the expression :func:`ratsimp` gives for it: numerator
+        over denominator, the denominator leading with a positive
+        coefficient, which is the pair ``sp.cancel`` returns."""
+        numer, denom = f.numer, f.denom
+        if not numer:
+            return sp.S.Zero
+        if denom.LC < 0:
+            numer, denom = -numer, -denom
+        return numer.as_expr() / denom.as_expr()
 
     # -- calculus -------------------------------------------------------------
 
@@ -751,8 +753,11 @@ def trigsimp(e: Expr) -> Expr:
     substitution reaches them too.
     """
     e = sp.sympify(e)
-    reduced = _reduce_in_field(e)
-    return reduced if reduced is not None else _reduce_trig_tree(ratsimp(e))
+    found = in_field([e])
+    if found is None:
+        return _reduce_trig_tree(ratsimp(e))
+    K, (f,) = found
+    return K.expr(K.reduce_trig(f))
 
 
 def reduce_trig(e: Expr) -> Expr:
@@ -762,19 +767,11 @@ def reduce_trig(e: Expr) -> Expr:
     :class:`KernelField`; other input on expression trees.
     """
     e = sp.sympify(e)
-    reduced = _reduce_in_field(e)
-    return reduced if reduced is not None else _reduce_trig_tree(e)
-
-
-def _reduce_in_field(e):
-    field = kernel_field([e])
-    if field is None:
-        return None
-    try:
-        element = field.element(e)
-    except ZeroDivisionError:
-        return None
-    return field.expr(field.reduce_trig(element))
+    found = in_field([e])
+    if found is None:
+        return _reduce_trig_tree(e)
+    K, (f,) = found
+    return K.expr(K.reduce_trig(f))
 
 
 def _reduce_trig_tree(e):
@@ -840,27 +837,47 @@ def _split_linear(poly, kernel):
     return rest, linear
 
 
-#: Memo of zero-test answers, evicted first in, first out past the bound.
+class UnclassifiableError(ValueError):
+    """A zero test could not be decided; carries the offending expression."""
+
+    def __init__(self, expression):
+        super().__init__(
+            f"cannot decide whether this expression vanishes: {expression}")
+        self.expression = expression
+
+
+#: Memo of zero decisions (True, False, or None when refused), evicted
+#: first in, first out past the bound.
 _ZERO_CACHE_MAX = 4096
 _zero_cache: dict = {}
 
 
-def is_zero(e: Expr) -> bool:
-    """True iff ``trigsimp(ratsimp(e))`` is the literal constant 0.
-
-    A certificate of :func:`certify_nonzero` settles the nonzero side
-    without simplifying; only an expression it cannot certify is reduced.
-    """
+def vanishes(e: Expr) -> bool:
+    """The zero decision: True when ``trigsimp(e)`` is the literal constant
+    0, False when :func:`certify_nonzero` holds, otherwise
+    :class:`UnclassifiableError`.  The certificate is asked first, as it
+    needs no simplification, and each expression is decided once while it
+    stays in the cache."""
     e = sp.sympify(e)
     if e.is_Number:
         return e == 0
-    if e in _zero_cache:
-        return _zero_cache[e]
-    result = not certify_nonzero(e) and trigsimp(e) == 0
-    if len(_zero_cache) >= _ZERO_CACHE_MAX:
-        del _zero_cache[next(iter(_zero_cache))]
-    _zero_cache[e] = result
-    return result
+    if e not in _zero_cache:
+        if len(_zero_cache) >= _ZERO_CACHE_MAX:
+            del _zero_cache[next(iter(_zero_cache))]
+        _zero_cache[e] = (False if certify_nonzero(e)
+                          else True if trigsimp(e) == 0 else None)
+    if _zero_cache[e] is None:
+        raise UnclassifiableError(e)
+    return _zero_cache[e]
+
+
+def is_zero(e: Expr) -> bool:
+    """True iff ``trigsimp(ratsimp(e))`` is the literal constant 0: the
+    decision of :func:`vanishes`, with a refusal read as False."""
+    try:
+        return vanishes(e)
+    except UnclassifiableError:
+        return False
 
 
 # ---------------------------------------------------------------------------

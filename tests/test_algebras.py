@@ -9,6 +9,7 @@ import oracles
 from tensoralg.algebras import (AlgebraConfig, MVec, af, atensimp, av,
                                 commutator, init_atensor,
                                 multiplication_table, parse_mvec, sf)
+from tensoralg.scalars import syms
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +290,27 @@ def test_parse_mvec():
         2 * MVec.word((1, 2)) - MVec.word((2, 1)) + sp.Rational(1, 2) * MVec.unit()
     with pytest.raises(ValueError):
         parse_mvec("v1 . potato")
+
+
+# ---------------------------------------------------------------------------
+# symbolic coefficients
+
+
+def test_identically_zero_symbolic_coefficient_is_dropped():
+    a, b, c = syms("a b c")
+    config = init_atensor("grassmann", 2)
+    collected = (MVec.word((2, 1), (a + b) * c) - MVec.word((2, 1), a * c)
+                 - MVec.word((2, 1), b * c))
+    assert collected.is_zero
+    # v2.v1 = -v1.v2, so the two words cancel only after the rewrite
+    rewritten = atensimp(config, MVec.word((2, 1), (a + b) * c)
+                         + MVec.word((1, 2), a * c + b * c))
+    assert rewritten.is_zero and str(rewritten) == "0"
+
+
+def test_sum_coefficient_is_parenthesised():
+    a, b = syms("a b")
+    assert str(MVec.word((1,), a + b)) == "(a + b)*v1"
+    assert str(MVec.unit() + MVec.word((1, 2), a - b)) == "1 + (a - b)*v1.v2"
+    assert str(MVec.word((1,), -a - b)) == "(-a - b)*v1"
+    assert str(MVec.word((2,), 2 * a) - MVec.vector(1)) == "-v1 + 2*a*v2"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tensoralg import catalog, cli, curvature, scalars
+from tensoralg import catalog, cli, scalars
 
 POLAR_FILE = """\
 [chart] coords = r, phi
@@ -85,8 +85,6 @@ def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
     for name in ("_reduce_even_trig", "_odd_kernels", "_split_linear",
                  "ratsimp", "trigsimp", "reduce_trig", "is_zero"):
         counted(scalars, name)
-    for name in ("ratsimp", "trigsimp", "is_zero"):
-        counted(curvature, name)
     monkeypatch.setattr(cli, "_load_context", lambda args: ctx)
     code, out, _ = run_cli("compute", "--catalog", "kerr_newman", "--tensors",
                            "all", "--format", "json", capsys=capsys)

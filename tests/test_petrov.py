@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -305,7 +306,27 @@ def test_tiny_exact_value_certifies_nonzero():
               " - 27*(-341*x^3-4092*x^2-16368*x-21824)^2"
               "/(1259712*x^6+60466176*x^4+967458816*x^2+5159780352)^2")
     assert not is_zero(e)
-    assert petrov._vanishes(e) is False
+    assert scalars.vanishes(e) is False
+
+
+def test_classify_certifies_each_expression_once(monkeypatch):
+    # the zero cache keeps the certificate's answer, so a nonzero
+    # expression is not certified again by the Petrov decision
+    monkeypatch.setattr(scalars, "_zero_cache", {})
+    original = scalars.certify_nonzero
+    calls = collections.Counter()
+
+    def counted(e):
+        calls[e] += 1
+        return original(e)
+    # every binding of the certificate, wherever it was imported
+    for module in (scalars, petrov):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, counted)
+    x, y = sym("x"), sym("y")
+    assert classify([x, 1 + y, x * y, 2 - x, x + y]) is PetrovType.I
+    assert calls and max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------
