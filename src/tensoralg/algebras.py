@@ -153,8 +153,7 @@ class MVec:
             coeff = sp.sympify(coeff)
             collected[word] = collected.get(word, sp.S.Zero) + coeff
         self.terms = tuple(sorted(
-            ((w, c) for w, c in collected.items()
-             if c != 0 and not scalars.is_zero(c)),
+            ((w, c) for w, c in collected.items() if not scalars.is_zero(c)),
             key=lambda t: (len(t[0]), t[0])))
 
     @staticmethod

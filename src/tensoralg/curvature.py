@@ -29,7 +29,7 @@ from itertools import product
 import sympy as sp
 
 from . import scalars
-from .scalars import TREES, sym
+from .scalars import TREES, _map, sym
 
 
 class DimensionError(ValueError):
@@ -70,13 +70,6 @@ def _zeros(*shape, zero=sp.S.Zero):
     if len(shape) == 1:
         return [zero] * shape[0]
     return [_zeros(*shape[1:], zero=zero) for _ in range(shape[0])]
-
-
-def _map(fn, value):
-    """``fn`` applied to every component of a nested list, or to a scalar."""
-    if isinstance(value, list):
-        return [_map(fn, v) for v in value]
-    return fn(value)
 
 
 def _det(m, zero):

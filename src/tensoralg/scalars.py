@@ -402,17 +402,18 @@ def in_field(inputs, symbols=(), radicals=False):
                                  if value is not None]), symbols, radicals)
     if K is None:
         return None
-
-    def element(value):
-        if isinstance(value, list):
-            return [element(v) for v in value]
-        return K.element(value)
-
     try:
-        return K, [value if value is None else element(value)
+        return K, [value if value is None else _map(K.element, value)
                    for value in inputs]
     except ZeroDivisionError:
         return None
+
+
+def _map(fn, value):
+    """``fn`` applied to every component of a nested list, or to a scalar."""
+    if isinstance(value, list):
+        return [_map(fn, v) for v in value]
+    return fn(value)
 
 
 def _adjoin_roots(base, radicands):
