@@ -288,11 +288,12 @@ def ratsimp(e: Expr) -> Expr:
     cancels its gcd as it is formed; its numerator and denominator are the
     pair ``sp.cancel`` gives, so no closing ``cancel`` is needed.
 
-    Other input (roots, ``%i``, ``exp``, ``tan``, ``tanh``, ``log``,
-    ``abs``, kernels of non-polynomial arguments) is combined term by term
-    on expression trees, keeping intermediate fractions reduced (combining
-    everything first makes the gcd step explode on curvature-sized
-    expressions).
+    ``sqrt`` and ``%i`` obey algebraic relations and sympy merges
+    ``exp(x)*exp(y)``, so these, ``tan``, ``tanh``, ``log``, ``abs`` and
+    kernels of non-polynomial arguments are no generators: such an
+    expression is combined term by term on expression trees, keeping
+    intermediate fractions reduced (combining everything first makes the
+    gcd step explode on curvature-sized expressions).
     """
     e = sp.sympify(e)
     if e.is_Number:
