@@ -337,35 +337,22 @@ def multiplication_table(config: AlgebraConfig):
 
 def parse_mvec(text: str) -> MVec:
     """Parse ``"2*v1.v2 - v2.v1"``-style element text."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty element")
-    terms = []
-    chunk = ""
-    sign = 1
-    pieces = []
-    for ch in text:
-        if ch in "+-" and chunk.strip() and not chunk.rstrip().endswith(("*", ".")):
-            pieces.append((sign, chunk.strip()))
-            sign, chunk = (1 if ch == "+" else -1), ""
-        elif ch in "+-" and not chunk.strip():
-            sign = sign * (1 if ch == "+" else -1)
-        else:
-            chunk += ch
-    if chunk.strip():
-        pieces.append((sign, chunk.strip()))
-    for sign, piece in pieces:
-        coeff = sp.Integer(sign)
-        word = []
-        for factor in piece.replace(".", " . ").replace("*", " * ").split():
-            if factor in (".", "*"):
-                continue
-            if factor.startswith("v") and factor[1:].isdigit():
-                word.append(int(factor[1:]))
-            else:
-                try:
-                    coeff = coeff * sp.Rational(factor)
-                except (ValueError, TypeError):
-                    raise ValueError(f"cannot parse element factor {factor!r}")
-        terms.append((tuple(word), coeff))
-    return MVec(terms)
+    return _as_mvec(_ElementParser(text).parse())
+
+
+class _ElementParser(scalars._Parser):
+    """The shared grammar over basis vectors ``v<k>`` and integers, with
+    ``.`` the word product like ``*``, and without ``^``."""
+
+    products = ("*", "/", ".")
+    powers = False
+
+    def atom(self):
+        kind, value, start = self.peek()
+        if kind in ("int", "("):
+            return super().atom()
+        if kind != "name" or value[0] != "v" or not value[1:].isdigit():
+            raise self.error(f"expected v<k> or an integer, found {value!r}",
+                             start)
+        self.next()
+        return MVec.vector(int(value[1:]))

@@ -55,7 +55,15 @@ class Chart:
 
 
 def _scalar(x):
-    return scalars.parse(x) if isinstance(x, str) else sp.sympify(x)
+    """An entry as an exact expression: text through the parser, which
+    refuses floats and undefined values; any other object is checked for
+    them here."""
+    if isinstance(x, str):
+        return scalars.parse(x)
+    e = sp.sympify(x)
+    if e.has(sp.Float, sp.zoo, sp.oo, -sp.oo, sp.nan):
+        raise ValueError(f"entry {e} is not a finite exact expression")
+    return e
 
 
 def _as_matrix(rows, what="matrix"):

@@ -33,7 +33,7 @@ class IndexConflictError(ValueError):
     """An index label is used in a way that has no tensorial meaning."""
 
 
-class TensorSyntaxError(ValueError):
+class TensorSyntaxError(scalars.ExprSyntaxError):
     """Malformed textual tensor expression."""
 
 
@@ -261,7 +261,8 @@ class IndexExpr:
         other = _as_expr(other)
         return IndexExpr(self.terms + other.terms)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return _as_expr(other) + self
 
     def __neg__(self):
         return IndexExpr(tuple(Term(-t.coeff, t.factors) for t in self.terms))
@@ -1012,121 +1013,46 @@ def _perm_sign(perm):
 
 def parse_tensor_expr(text: str) -> IndexExpr:
     """Parse ``T([a,-b],[c],d)``-style expression text."""
-    parser = _TensorParser(text)
-    return parser.parse()
+    return _as_expr(_IndexParser(text).parse())
 
 
-class _TensorParser:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+class _IndexParser(scalars._Parser):
+    """The shared grammar over tensor calls ``Name([labels],[labels],
+    derivs)`` and integers, without ``^``.  A label is a name or an
+    integer, with a leading minus in the first list for a contravariant
+    slot."""
 
-    def error(self, message):
-        raise TensorSyntaxError(f"{message} (at position {self.pos})")
-
-    def skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, char):
-        if self.peek() != char:
-            self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def name(self):
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a name")
-        return self.text[start:self.pos]
-
-    def integer(self):
-        self.skip()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
-
-    def parse(self):
-        e = self.sum()
-        self.skip()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return e
-
-    def sum(self):
-        negative = False
-        if self.peek() == "-":
-            self.eat("-")
-            negative = True
-        elif self.peek() == "+":
-            self.eat("+")
-        e = self.product()
-        if negative:
-            e = -e
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.eat(op)
-            rhs = self.product()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def product(self):
-        e = self.atom()
-        while self.peek() == "*":
-            self.eat("*")
-            e = e * self.atom()
-        return e
+    error = TensorSyntaxError
+    powers = False
 
     def atom(self):
-        c = self.peek()
-        if c == "(":
-            self.eat("(")
-            e = self.sum()
-            self.eat(")")
-            return e
-        if c.isdigit():
-            num = self.integer()
-            if self.peek() == "/":
-                self.eat("/")
-                den = self.integer()
-                return IndexExpr.scalar(sp.Rational(num, den))
-            return IndexExpr.scalar(num)
-        name = self.name()
-        self.eat("(")
-        first = self.label_list()
-        self.eat(",")
-        second = self.label_list()
+        if self.peek()[0] in ("int", "("):
+            return super().atom()
+        name = self.expect("name")[1]
+        self.expect("(")
+        first = self.labels()
+        self.expect(",")
+        second = self.labels()
         deriv = []
-        while self.peek() == ",":
-            self.eat(",")
-            deriv.append(self.name())
-        self.eat(")")
-        for label in itertools.chain(first, second, deriv):
-            if label.lstrip("-").startswith("%"):
-                self.error("labels beginning with % are reserved for dummies")
+        while self.peek()[0] == ",":
+            self.next()
+            deriv.append(self.label())
+        self.expect(")")
         return IndexExpr.of(iobj(name, first, second, *deriv))
 
-    def label_list(self):
-        self.eat("[")
+    def labels(self):
+        self.expect("[")
         labels = []
-        while self.peek() != "]":
+        while self.peek()[0] != "]":
             if labels:
-                self.eat(",")
-            self.skip()
-            mark = ""
-            if self.peek() == "-":
-                self.eat("-")
-                mark = "-"
-            labels.append(mark + self.name())
-        self.eat("]")
+                self.expect(",")
+            mark = self.next()[0] if self.peek()[0] == "-" else ""
+            labels.append(mark + self.label())
+        self.expect("]")
         return labels
+
+    def label(self):
+        kind, value, start = self.next()
+        if kind not in ("name", "int"):
+            raise self.error(f"expected an index label, found {value!r}", start)
+        return value

@@ -97,10 +97,13 @@ def syms(names: str) -> tuple[sp.Symbol, ...]:
 # parsing
 
 
-_OPERATORS = set("+-*/^(),")
+_OPERATORS = set("+-*/^(),[].")
+
+#: Values a function may give at a singular point; each is refused.
+_UNDEFINED = frozenset((sp.zoo, sp.oo, -sp.oo, sp.nan))
 
 
-def _tokenize(text):
+def _tokenize(text, error):
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -117,7 +120,7 @@ def _tokenize(text):
             while j < n and text[j].isdigit():
                 j += 1
             if j < n and (text[j].isalpha() or text[j] == "."):
-                raise ExprSyntaxError(f"malformed number {text[i:j + 1]!r}", i)
+                raise error(f"malformed number {text[i:j + 1]!r}", i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue
@@ -135,24 +138,33 @@ def _tokenize(text):
                     i += len(word)
                     break
             else:
-                raise ExprSyntaxError(f"unknown token {text[i:i + 3]!r}", i)
+                raise error(f"unknown token {text[i:i + 3]!r}", i)
             continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
+        raise error(f"unexpected character {c!r}", i)
     tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
-    """Recursive-descent parser for the ASCII expression grammar.
+    """Recursive-descent parser for the package's text grammars.
 
-    Precedence (loosest to tightest): ``+ -``, ``* /``, unary minus, ``^``
-    (right associative).  Function calls look like ``name(arg, ...)`` and
-    only the names in :data:`FUNCTIONS` are accepted.
+    Precedence (loosest to tightest): ``+ -``, the products ``* /``, unary
+    signs, ``^`` (right associative).  Numbers are integers; a ratio is a
+    division.  A zero divisor, a negative power of zero and a function
+    value at a singular point are syntax errors.  Function calls look like
+    ``name(arg)`` and only the names in :data:`FUNCTIONS` are accepted.
+
+    The tensor and algebra grammars subclass this one: each overrides
+    :meth:`atom`, refuses ``^`` through :attr:`powers`, may add products
+    and raises its own :attr:`error` class.  A divisor is always a scalar.
     """
 
+    error = ExprSyntaxError
+    products = ("*", "/")
+    powers = True
+
     def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, self.error)
         self.pos = 0
 
     def peek(self):
@@ -166,14 +178,14 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise self.error(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def parse(self):
         e = self.sum()
         tok = self.peek()
         if tok[0] != "end":
-            raise ExprSyntaxError(f"unexpected {tok[1]!r}", tok[2])
+            raise self.error(f"unexpected {tok[1]!r}", tok[2])
         return e
 
     def sum(self):
@@ -186,10 +198,17 @@ class _Parser:
 
     def term(self):
         e = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+        while self.peek()[0] in self.products:
+            op, _, at = self.next()
             rhs = self.factor()
-            e = e * rhs if op == "*" else e / rhs
+            if op != "/":
+                e = e * rhs
+            elif not isinstance(rhs, sp.Expr):
+                raise self.error("a divisor must be a scalar", at)
+            elif rhs == 0:
+                raise self.error("division by zero", at)
+            else:
+                e = e * (1 / rhs)
         return e
 
     def factor(self):
@@ -203,15 +222,16 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        if self.peek()[0] == "^":
-            tok = self.next()
-            exponent = self.factor()  # right associative, allows x^-2
-            if not (exponent.is_Rational and exponent.q in (1, 2)):
-                raise ExprSyntaxError(
-                    "exponent must be an integer (or half-integer from sqrt)",
-                    tok[2])
-            return base ** exponent
-        return base
+        if not (self.powers and self.peek()[0] == "^"):
+            return base
+        at = self.next()[2]
+        exponent = self.factor()  # right associative, allows x^-2
+        if not (exponent.is_Rational and exponent.q in (1, 2)):
+            raise self.error(
+                "exponent must be an integer (or half-integer from sqrt)", at)
+        if base == 0 and exponent < 0:
+            raise self.error("negative power of zero", at)
+        return base ** exponent
 
     def atom(self):
         kind, value, start = self.next()
@@ -226,18 +246,20 @@ class _Parser:
             self.expect(")")
             return e
         if kind == "name":
-            if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {value!r}", start)
-                self.next()
-                args = [self.sum()]
-                while self.peek()[0] == ",":
-                    self.next()
-                    args.append(self.sum())
-                self.expect(")")
-                return FUNCTIONS[value](*args)
-            return sym(value)
-        raise ExprSyntaxError(f"unexpected {value!r}", start)
+            if self.peek()[0] != "(":
+                return sym(value)
+            if value not in FUNCTIONS:
+                raise self.error(f"unknown function {value!r}", start)
+            self.next()
+            arg = self.sum()
+            if self.peek()[0] == ",":
+                raise self.error(f"{value} takes one argument", self.peek()[2])
+            self.expect(")")
+            result = FUNCTIONS[value](arg)
+            if result in _UNDEFINED:
+                raise self.error(f"{value} is undefined here", start)
+            return result
+        raise self.error(f"unexpected {value!r}", start)
 
 
 def parse(text: str) -> Expr:
@@ -907,10 +929,10 @@ def certify_nonzero(e: Expr) -> bool:
     each point of :data:`_POINTS` in turn; an enclosure that excludes 0
     contains the exact value, so that value is nonzero.  A complex
     enclosure excludes 0 when its real or its imaginary part does.  A point
-    where the enclosure fails (a pole, a root or ``log`` of a negative
-    interval, a root of a complex one, a node such as ``sign`` that has no
-    interval form) is skipped.  False means only that no point gave a
-    certificate.
+    where the enclosure fails (a pole, ``log`` of a negative interval, a
+    square root of an enclosure that meets its branch cut, a node such as
+    ``sign`` that has no interval form) is skipped.  False means only that
+    no point gave a certificate.
     """
     e = sp.sympify(e)
     names = sorted(s.name for s in e.free_symbols)
@@ -991,12 +1013,31 @@ _IV.prec = 80
 
 def _interval_power(base, ex):
     """``base ** ex`` for an integer or half-integer ``ex``."""
-    if isinstance(ex, Fraction) and ex.denominator == 2 \
-            and not isinstance(base, _IV.mpc):
-        base, ex = _IV.sqrt(base), int(2 * ex)
+    if isinstance(ex, Fraction) and ex.denominator == 2:
+        base, ex = _interval_sqrt(base), int(2 * ex)
     if not isinstance(ex, int):
         raise ValueError(f"no interval power {ex} of {base}")
     return (_pole_free(base) if ex < 0 else base) ** ex
+
+
+def _interval_sqrt(z):
+    """The principal square root of an enclosure that does not meet the
+    branch cut, the negative real axis with 0: i*sqrt(-z) on a strictly
+    negative real one, and sqrt((r+x)/2) + i*sign(y)*sqrt((r-x)/2) with
+    r = |z| on a complex one.  Both radicands are >= 0, so their enclosures
+    are folded onto their nonnegative part by ``abs``; where ``y`` may be 0,
+    ``x`` is positive and the imaginary part is y/(2*real part)."""
+    if not isinstance(z, _IV.mpc):
+        return _IV.mpc(0, _IV.sqrt(-z)) if z.b < 0 else _IV.sqrt(z)
+    x, y = z.real, z.imag
+    if 0 in y and x.a <= 0:
+        raise ValueError("square root on the branch cut")
+    r = _IV.sqrt(x ** 2 + y ** 2)
+    u = _IV.sqrt(abs(r + x) / 2)
+    if 0 in y:
+        return _IV.mpc(u, y / (2 * u))
+    v = _IV.sqrt(abs(r - x) / 2)
+    return _IV.mpc(u, v if y.a > 0 else -v)
 
 
 def _pole_free(x):

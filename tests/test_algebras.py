@@ -292,6 +292,40 @@ def test_parse_mvec():
         parse_mvec("v1 . potato")
 
 
+@pytest.mark.parametrize("text", [
+    "1.5*v1", "2e3*v1", "2.v1", "v1 v2", "3/0*v1"])
+def test_parse_mvec_refuses_what_it_misread(text):
+    # 1.5*v1 used to read as 5*v1, 2e3*v1 as 2000*v1, 2.v1 as 2*v1 and
+    # v1 v2 as v1.v2
+    with pytest.raises(ValueError):
+        parse_mvec(text)
+
+
+@pytest.mark.parametrize("text", [
+    "v1/(v2-v2)", "v1/v2", "v1^2", "x*v1", "v", "%i*v1", "(v1", ""])
+def test_parse_mvec_refuses_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_mvec(text)
+
+
+def test_parse_mvec_shares_signs_parentheses_and_division():
+    v1, v2, v3 = (MVec.vector(i) for i in (1, 2, 3))
+    assert parse_mvec("(v1+v2).v3") == v1 * v3 + v2 * v3
+    assert parse_mvec("--v1 - -v2") == v1 + v2
+    assert parse_mvec("v1*v2/4 + 3/4") == \
+        sp.Rational(1, 4) * (v1 * v2) + sp.Rational(3, 4) * MVec.unit()
+    assert parse_mvec("v12") == MVec.vector(12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+    st.lists(st.integers(1, 12), max_size=4).map(tuple),
+    st.fractions(-5, 5, max_denominator=4)), max_size=4))
+def test_parse_mvec_round_trips_printed_elements(terms):
+    m = MVec((w, sp.Rational(c.numerator, c.denominator)) for w, c in terms)
+    assert parse_mvec(str(m)) == m
+
+
 # ---------------------------------------------------------------------------
 # symbolic coefficients
 

@@ -364,6 +364,31 @@ def test_exit_code_input_errors(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("algebra", "--type", "clifford", "--dims", "0,0,2", "--expr", "1.5*v1"),
+     "malformed number"),
+    (("algebra", "--type", "clifford", "--dims", "0,0,2", "--expr", "v1 v2"),
+     "unexpected 'v2'"),
+    (("indicial", "--op", "canform", "--expr", "3/0*T([a],[])"),
+     "division by zero"),
+])
+def test_exit_code_misread_expressions(argv, message, capsys):
+    # these printed 5*v1, v1.v2 and zoo*T([a],[]) with exit 0
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 1 and out == "" and message in err
+
+
+def test_exit_code_metric_file_with_zero_divisor(tmp_path, capsys):
+    # this printed "ricci: 4 zero components omitted" with exit 0
+    path = tmp_path / "pole.tm"
+    path.write_text("[chart] coords = x, y\n[metric] row = 1/0, 0\n"
+                    "[metric] row = 0, 1\n")
+    code, out, err = run_cli("compute", "--metric", str(path), "--tensors",
+                             "ricci", capsys=capsys)
+    assert code == 1 and out == ""
+    assert "line 2: " in err and "division by zero" in err
+
+
 def test_exit_code_computation_error_unclassifiable(tmp_path, capsys,
                                                     monkeypatch):
     # a metric file without frame rows is an input error (exit 1)

@@ -51,6 +51,22 @@ def test_chart_validation():
         Chart(("x", "x"))
 
 
+@pytest.mark.parametrize("entry", [sp.zoo, sp.oo, -sp.oo, sp.nan,
+                                   sp.Float(1.5), 1.5, sym("x") * sp.zoo])
+def test_contexts_refuse_undefined_and_inexact_entries(entry):
+    # such an entry used to be accepted, and an undefined one gave zero
+    # Ricci; text entries are refused by the parser
+    with pytest.raises(ValueError, match="finite exact"):
+        setup_metric(["x", "y"], [[entry, 0], [0, 1]])
+    with pytest.raises(ValueError, match="finite exact"):
+        setup_frame(["x", "y"], [[1, 0], [0, 1]], [[1, 0], [0, entry]])
+    ctx = setup_metric(["x", "y"], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="finite exact"):
+        ctx.set_nonmetricity([entry, 0])
+    with pytest.raises(ValueError, match="finite exact"):
+        ctx.set_torsion([[[0, 0], [entry, 0]], [[0, 0], [0, 0]]])
+
+
 def test_setup_metric_polar(polar):
     assert polar.diagonal
     assert polar.ug[0][0] == 1 and polar.ug[1][1] == 1 / sym("r") ** 2

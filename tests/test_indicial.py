@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from tensoralg import indicial as ind
 from tensoralg.indicial import (IndexConflictError, IndexExpr, IndexedObject,
@@ -413,3 +414,75 @@ def test_parse_tensor_expr_round_trip():
 def test_parse_tensor_expr_rejects_reserved_labels():
     with pytest.raises(ind.TensorSyntaxError):
         parse_tensor_expr("T([%1],[])")
+
+
+@pytest.mark.parametrize("text", ["3/0*T([a],[])", "T([a],[])*(1/0)"])
+def test_parse_tensor_expr_refuses_zero_divisors(text):
+    # these used to give the coefficient zoo
+    with pytest.raises(ind.TensorSyntaxError, match="division by zero"):
+        parse_tensor_expr(text)
+
+
+@pytest.mark.parametrize("text", [
+    "T([a],[])/(2-2)", "1.5*T([a],[])", "2e3*T([a],[])", "T([a],[])^2",
+    "T([a],[]) S([b],[])", "%i*T([a],[])", "x*T([a],[])",
+    "T([a],[])/S([],[])", "T([a b],[])", "T([a],[]", "",
+])
+def test_parse_tensor_expr_refuses_malformed_text(text):
+    with pytest.raises(ind.TensorSyntaxError):
+        parse_tensor_expr(text)
+
+
+def test_parse_tensor_expr_shares_signs_and_division():
+    t = obj("T", ["a"])
+    assert parse_tensor_expr("--T([a],[])") == t
+    assert parse_tensor_expr("T([a],[])*-2/4") == sp.Rational(-1, 2) * t
+    assert parse_tensor_expr("(1/2)*(T([a],[]) + T([a],[]))") == \
+        sp.Rational(1, 2) * t + sp.Rational(1, 2) * t
+    assert parse_tensor_expr("T([1,-2],[])") == obj("T", ["1", "-2"])
+    assert parse_tensor_expr("3") == IndexExpr.scalar(3)
+    # a sum keeps its term order when it starts with a number
+    assert parse_tensor_expr("-1/2 + T([a],[])*S([-a],[])") == \
+        IndexExpr.scalar(sp.Rational(-1, 2)) + obj("T", ["a"]) * obj("S", ["-a"])
+
+
+@st.composite
+def _tensor_exprs(draw):
+    """Sums of rational multiples of products of ordered and legacy
+    objects, every term with the same free indices, with dummy pairs and
+    derivative labels."""
+    free = draw(st.lists(st.sampled_from(["a", "b", "c", "1"]), unique=True,
+                         max_size=3))
+    ups = {label: draw(st.booleans()) for label in free}
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        slots = [(label, ups[label]) for label in free]
+        for d in draw(st.lists(st.sampled_from(["d", "e", "7"]), unique=True,
+                               max_size=2)):
+            slots += [(d, False), (d, True)]
+        slots = draw(st.permutations(slots))
+        n = draw(st.integers(1 if slots else 0, 3))
+        owners = [draw(st.integers(0, n - 1)) for _ in slots]
+        factors = []
+        for k in range(n):
+            mine = [s for s, o in zip(slots, owners) if o == k]
+            deriv = [l for l, up in mine if not up and draw(st.booleans())]
+            mine = [s for s in mine if s[1] or s[0] not in deriv]
+            name = draw(st.sampled_from(["T", "S", "g"]))
+            if draw(st.booleans()) and any(up for _, up in mine):
+                factor = iobj(name, [l for l, up in mine if not up],
+                              [l for l, up in mine if up], *deriv)
+            else:
+                factor = iobj(name, [("-" if up else "") + l for l, up in mine],
+                              [], *deriv)
+            factors.append(factor)
+        coeff = draw(st.fractions(-5, 5, max_denominator=4).filter(bool))
+        terms.append(ind.Term(sp.Rational(coeff.numerator, coeff.denominator),
+                              factors))
+    return IndexExpr(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tensor_exprs())
+def test_parse_tensor_expr_round_trips_printed_expressions(e):
+    assert parse_tensor_expr(str(e)) == e

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -40,6 +41,17 @@ def test_parse_errors_carry_position():
         parse("x^y")  # non-constant exponent
     with pytest.raises(ExprSyntaxError):
         parse("x +")
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "x/(y-y)", "0^-2", "(x-x)^-1", "log(0)", "sqrt(x, 0)",
+    "log(x, 2)", "sin(x, y)",
+])
+def test_parse_refuses_undefined_values_and_extra_arguments(text):
+    # each used to parse, to zoo, to a one-argument call or to a base-2
+    # log, or raised TypeError
+    with pytest.raises(ExprSyntaxError):
+        parse(text)
 
 
 def test_render_examples():
@@ -517,12 +529,13 @@ def test_nonzero_expressions_certify(text):
 
 
 def test_certificate_skips_a_point_where_the_enclosure_fails(monkeypatch):
-    # poles and a negative radicand at the first point; a later one
-    # certifies
+    # poles and a radicand on the square root's branch cut at the first
+    # point; a later one certifies
     first, *rest = scalars._POINTS
     x0 = first(0)
     x = sym("x")
-    for e in (1 / (x - x0), sp.cos(1 / (x - x0)) + 2, sp.sqrt(x - 2 * x0)):
+    for e in (1 / (x - x0), sp.cos(1 / (x - x0)) + 2,
+              sp.sqrt(sp.I * (x - x0) - 1)):
         with monkeypatch.context() as m:
             m.setattr(scalars, "_POINTS", (first,))
             assert not certify_nonzero(e)
@@ -548,3 +561,33 @@ def test_sin_2theta_spherical_component_does_not_certify():
               " - 2*r^2*sin(theta)*sin(2*theta)*cos(theta)*cos(2*theta)"
               " + r^2*sin(2*theta)^2*cos(theta)^2)/(2*cos(theta)^4)")
     assert not certify_nonzero(e)
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(%i*x)", "sqrt(x + %i)", "sqrt(-x)", "1/sqrt(%i*x + 1)"])
+def test_complex_and_negative_radicands_certify(text):
+    # the principal root of a complex or strictly negative enclosure; these
+    # used to be refused as undecidable
+    assert certify_nonzero(parse(text))
+    assert scalars.vanishes(parse(text)) is False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.booleans())
+def test_interval_sqrt_encloses_the_principal_root(x, y, real):
+    # a box around the point z holds sqrt(z) and, with room for the
+    # rounding of cmath, its float value; only a box that meets the cut
+    # (the negative real axis with 0) is refused
+    iv = scalars._IV
+    z = complex(x, 0 if real else y)
+    d = 1e-9 * (1 + abs(z))
+    re, im = iv.mpf([x - d, x + d]), iv.mpf([z.imag - d, z.imag + d])
+    box = re if real else iv.mpc(re, im)
+    try:
+        w = scalars._interval_sqrt(box)
+    except ValueError:
+        assert x - d <= 0 and (real and x + d >= 0 or not real and 0 in im)
+        return
+    w = w if isinstance(w, iv.mpc) else iv.mpc(w)
+    root = cmath.sqrt(z)
+    assert root.real in w.real and root.imag in w.imag
