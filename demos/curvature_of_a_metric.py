@@ -12,8 +12,7 @@ schw = setup_metric(
     [["(2*m-r)/r", "0", "0", "0"],
      ["0", "r/(r-2*m)", "0", "0"],
      ["0", "0", "r^2", "0"],
-     ["0", "0", "0", "r^2*sin(theta)^2"]],
-    constants=("m",))
+     ["0", "0", "0", "r^2*sin(theta)^2"]])
 
 names = [c.name for c in schw.coords]
 print("chart:", ", ".join(names))

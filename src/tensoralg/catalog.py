@@ -300,11 +300,8 @@ def load(name: str, extra_flat=None, frame: bool = False) -> MetricContext:
     if frame:
         if fri is None:
             raise ValueError(f"catalog entry {name!r} has no frame base")
-        ctx = setup_frame(coords, fri, lfg, constants=ent.constants)
-    else:
-        ctx = setup_metric(coords, lg, constants=ent.constants)
-    ctx.notes = ent.constraints
-    return ctx
+        return setup_frame(coords, fri, lfg)
+    return setup_metric(coords, lg)
 
 
 def _fresh_coord(coords):

@@ -89,7 +89,7 @@ def _det(m, zero):
                 for j in range(len(m)) if m[0][j] != 0), zero)
 
 
-def _simp(e, K=TREES):
+def _simp(e, K):
     """Rational normal form, trying the trigonometric closure when it pays.
 
     Component arrays stay much smaller when sin^2/cosh^2 combinations are
@@ -168,7 +168,7 @@ def _partial_reduce(K):
     return K.ratsimp if K is TREES else K.trigsimp
 
 
-def _frame_components(array, E, K=TREES):
+def _frame_components(array, E, K):
     """out[a][b]... = sum array[i][j]... E[a][i] E[b][j]... for a covariant
     coordinate array of any rank: one slot is carried into the frame at a
     time, the last one, and then moved to the front.  ``K`` is the scalar
@@ -185,7 +185,7 @@ def _frame_components(array, E, K=TREES):
     return array
 
 
-def _frame_pairs(array, E, K=TREES):
+def _frame_pairs(array, E, K):
     """Frame components of a 4-index covariant array with the pair
     symmetries of the metric connection's curvature, in the
     :func:`_pair_fill` layout P_abcd = array[b][d][c][a].
@@ -230,8 +230,9 @@ class MetricContext:
     A context has one scalar domain.  When the metric, torsion and
     nonmetricity entries are rational functions of symbols and
     sin/cos/sinh/cosh kernels, ``field`` is their
-    :class:`scalars.KernelField` and every coordinate stage computes on its
-    elements; public properties convert them to expressions once.
+    :class:`scalars.KernelField`, built from these entries alone, and every
+    coordinate stage computes on its elements; public properties convert
+    them to expressions once.
     Otherwise ``field`` is None and the stages work on expression trees.
     A frame context whose frame rows lie in a kernel field with square
     roots as generators (see :func:`scalars.kernel_field`) takes that field
@@ -250,8 +251,7 @@ class MetricContext:
     owned by one thread while it is being filled.
     """
 
-    def __init__(self, chart, lg, *, fri=None, lfg=None, constants=(),
-                 notes=""):
+    def __init__(self, chart, lg, *, fri=None, lfg=None):
         self.chart = chart if isinstance(chart, Chart) else Chart(tuple(chart))
         n = self.dim
         self.lg = _as_matrix(lg, "metric") if lg is not None else None
@@ -272,8 +272,6 @@ class MetricContext:
         elif self.lg is None:
             raise ValueError("a metric or a frame base is needed")
         self._given_lg = self.lg
-        self.constants = tuple(constants)
-        self.notes = notes
         self.torsion_values = None
         self.nonmetricity_values = None
         self._memo = {}
@@ -306,16 +304,14 @@ class MetricContext:
         lie in one kernel field, roots admitted, computes every stage in it
         and derives the metric there.  Otherwise the frame stays on
         expression trees, where the metric is derived, and ``_K`` is the
-        kernel field of metric, torsion, nonmetricity, coordinates and
-        constants, or else expression trees too."""
+        kernel field of metric, torsion and nonmetricity, or else expression
+        trees too.  A coordinate or constant in no entry is no generator."""
         self._memo.clear()
         self._exprs.clear()
         extra = (self.torsion_values, self.nonmetricity_values)
-        symbols = self.coords + tuple(sym(c) if isinstance(c, str) else c
-                                      for c in self.constants)
         if self.cframe_flag:
             found = scalars.in_field(
-                (self.fri, self.lfg, self._given_lg) + extra, symbols, True)
+                (self.fri, self.lfg, self._given_lg) + extra, radicals=True)
             if found is not None:
                 K, (f, eta, given, tau, mu) = found
                 g = self._frame_metric(K, f, eta, given)
@@ -331,7 +327,7 @@ class MetricContext:
                                              self._given_lg)
         self._fri, self._eta, self._FK = self.fri, self.lfg, TREES
         inputs = (self.lg,) + extra
-        found = scalars.in_field(inputs, symbols)
+        found = scalars.in_field(inputs)
         self.field = None if found is None else found[0]
         self._K = TREES if found is None else found[0]
         self._g, self._tau, self._mu = inputs if found is None else found[1]
@@ -813,13 +809,13 @@ class MetricContext:
         return self._frame_stage("weyl_frame", "weyl", _frame_pairs)
 
 
-def setup_metric(coords, matrix, constants=()) -> MetricContext:
+def setup_metric(coords, matrix) -> MetricContext:
     """Build a context from coordinates and a covariant metric matrix."""
-    return MetricContext(coords, matrix, constants=constants)
+    return MetricContext(coords, matrix)
 
 
-def setup_frame(coords, fri, lfg, constants=()) -> MetricContext:
+def setup_frame(coords, fri, lfg) -> MetricContext:
     """Build a context from the covariant frame base e^(a)_i (rows are frame
     labels) and the frame metric; the metric g_ij = eta_ab e^(a)_i e^(b)_j is
     computed and simplified."""
-    return MetricContext(coords, None, fri=fri, lfg=lfg, constants=constants)
+    return MetricContext(coords, None, fri=fri, lfg=lfg)

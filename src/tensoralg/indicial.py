@@ -206,11 +206,19 @@ class Term:
 
 
 class IndexExpr:
-    """A sum of scalar-weighted products of indexed objects."""
+    """A sum of scalar-weighted products of indexed objects.  Its scalar
+    terms, those without factors, are kept as one, their sum, where the
+    first of them was, as the parser folds ``1 + 1`` to ``2``."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
+        terms = tuple(terms)
+        at = [i for i, t in enumerate(terms) if not t.factors]
+        if len(at) > 1:
+            total = Term(sp.Add(*(terms[i].coeff for i in at)), ())
+            terms = tuple(total if i == at[0] else t
+                          for i, t in enumerate(terms) if i not in at[1:])
         terms = tuple(t for t in terms if t.coeff != 0)
         frees = {_free_indices(t.factors) for t in terms}
         if len(frees) > 1:
@@ -389,9 +397,6 @@ class TensorContext:
     nonmetricity: bool = False
     frame: bool = False
     geometric_wedge: bool = False
-    torsion_name: str = "tau"
-    nonmetricity_name: str = "mu"
-    frame_connection: str = "gamma"
     symmetries: dict = field(default_factory=dict)
     vectors: set = field(default_factory=set)
 
@@ -798,31 +803,23 @@ def _connection(ctx: TensorContext, a, b, c) -> IndexExpr:
     are emitted expanded (c = Gamma - kappa - nu); in frame mode the frame
     connection replaces the Christoffel symbol (c = gamma - nu).
     """
-    g = ctx.metric
-    if ctx.frame:
-        base = IndexExpr.of(iobj(ctx.frame_connection, [a, b], [c]))
-    else:
-        base = IndexExpr.of(iobj("ichr2", [a, b], [c]))
-    expr = base
+    g, half = ctx.metric, sp.Rational(1, 2)
+    expr = IndexExpr.of(iobj("gamma" if ctx.frame else "ichr2", [a, b], [c]))
     if ctx.torsion and not ctx.frame:
-        tau = ctx.torsion_name
-        half = sp.Rational(1, 2)
         n, p = _fresh_labels({a, b, c}, 2)
-        kt2 = (IndexExpr.of(iobj(tau, [a, b], [c]), coeff=-half)
-               + IndexExpr.of(iobj(tau, [n, a], [p]), coeff=-half)
+        kt2 = (IndexExpr.of(iobj("tau", [a, b], [c]), coeff=-half)
+               + IndexExpr.of(iobj("tau", [n, a], [p]), coeff=-half)
                * iobj(g, [b, p]) * iobj(g, [], [n, c])
-               + IndexExpr.of(iobj(tau, [n, b], [p]), coeff=-half)
+               + IndexExpr.of(iobj("tau", [n, b], [p]), coeff=-half)
                * iobj(g, [a, p]) * iobj(g, [], [n, c]))
         expr = expr - kt2
     if ctx.nonmetricity:
-        mu = ctx.nonmetricity_name
-        half = sp.Rational(1, 2)
         (n,) = _fresh_labels({a, b, c})
-        nm2 = (IndexExpr.of(iobj(mu, [b]), coeff=-half)
+        nm2 = (IndexExpr.of(iobj("mu", [b]), coeff=-half)
                * IndexedObject(KDELTA, ((a, False), (c, True)))
-               + IndexExpr.of(iobj(mu, [a]), coeff=-half)
+               + IndexExpr.of(iobj("mu", [a]), coeff=-half)
                * IndexedObject(KDELTA, ((b, False), (c, True)))
-               + IndexExpr.of(iobj(mu, [n]), coeff=half)
+               + IndexExpr.of(iobj("mu", [n]), coeff=half)
                * iobj(g, [a, b]) * iobj(g, [], [n, c]))
         expr = expr - nm2
     return expr

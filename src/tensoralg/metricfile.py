@@ -51,14 +51,12 @@ class MetricFile:
             # metric rows given beside the frame are checked against it
             ctx = MetricContext(self.coords, self.metric_rows or None,
                                 fri=self.frame_rows,
-                                lfg=self.frame_metric or _identity_rows(n),
-                                constants=tuple(self.constants))
+                                lfg=self.frame_metric or _identity_rows(n))
         else:
             if len(self.metric_rows) != n:
                 raise MetricFileError(
                     f"expected {n} metric rows, found {len(self.metric_rows)}")
-            ctx = setup_metric(self.coords, self.metric_rows,
-                               constants=tuple(self.constants))
+            ctx = setup_metric(self.coords, self.metric_rows)
         if self.torsion_entries:
             tau = [[[0] * n for _ in range(n)] for _ in range(n)]
             for (i, j, k, expr) in self.torsion_entries:

@@ -103,7 +103,7 @@ def weyl_scalars(weyl, tetrad: NPTetrad) -> WeylScalars:
                         if w == 0:
                             continue
                         total += w * va[q] * vb[r] * vc[p] * vd[s]
-        return trigsimp(sp.expand(total))
+        return trigsimp(total)
 
     return WeylScalars((
         contract4(k, m, k, m),

@@ -18,11 +18,13 @@ and each sinh(u) with cosh(u), so it is closed under d/dx.  For a frame it
 may also hold square roots of rational functions, each a generator whose
 square is known, admitted only while the normal form stays canonical.
 Input enters a field in one place, :func:`in_field`, for a single
-expression as for the inputs of a curvature context; a context whose
-metric, torsion and nonmetricity lie in one (every catalog metric does)
-computes every coordinate stage on its elements, and a frame context whose
-frame lies in one its frame stages too: :meth:`KernelField.diff` is a
-derivation over the generators, :meth:`KernelField.reduce_trig` the
+expression as for the inputs of a curvature context, and from that input
+alone: a symbol in no entry has zero derivative and changes no normal form.
+A context whose metric, torsion and nonmetricity lie in one (every catalog
+metric does) computes every coordinate stage on its elements, and a frame
+context whose frame lies in one its frame stages too:
+:meth:`KernelField.diff` is a derivation over the generators,
+:meth:`KernelField.reduce_trig` the
 reduction by the known squares as a ring operation, and an element becomes
 an expression once, through the form :func:`ratsimp` returns.  Other input
 (dependent roots, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh``,
@@ -74,19 +76,16 @@ class ExprSyntaxError(ValueError):
         self.position = position
 
 
-def sym(name: str, **assumptions) -> sp.Symbol:
+def sym(name: str) -> sp.Symbol:
     """Return the canonical symbol for ``name``.
 
     All package symbols are real; creating them through one helper keeps
     sympy assumptions consistent (two symbols with the same name but
     different assumptions would not compare equal).
     """
-    if name in _symbol_cache and not assumptions:
-        return _symbol_cache[name]
-    s = sp.Symbol(name, real=True, **assumptions)
-    if not assumptions:
-        _symbol_cache[name] = s
-    return s
+    if name not in _symbol_cache:
+        _symbol_cache[name] = sp.Symbol(name, real=True)
+    return _symbol_cache[name]
 
 
 def syms(names: str) -> tuple[sp.Symbol, ...]:
@@ -377,13 +376,15 @@ _PARTNERS = {sp.sin: (sp.cos, 1), sp.cos: (sp.sin, -1),
 _SQUARES = {sp.sin: -1, sp.cosh: 1}
 
 
-def kernel_field(exprs, symbols=(), radicals=False):
-    """The :class:`KernelField` of ``exprs`` and ``symbols``, or None.
+def kernel_field(exprs, radicals=False):
+    """The :class:`KernelField` of ``exprs``, or None.
 
     Its generators are the symbols, the symbols of kernel arguments and the
     kernels of ``exprs``, each sin(u) with cos(u) and each sinh(u) with
-    cosh(u).  None when an expression is not a rational function of these
-    or a kernel argument is not a polynomial in symbols.
+    cosh(u), and nothing else: a symbol in no expression, such as a
+    coordinate an entry does not depend on, has zero derivative and changes
+    no normal form.  None when an expression is not a rational function of
+    these or a kernel argument is not a polynomial in symbols.
 
     With ``radicals``, a half-integer power is admitted too when its base
     reduces to a ratio a/b of polynomials in the generators other than sin
@@ -401,7 +402,6 @@ def kernel_field(exprs, symbols=(), radicals=False):
         if inner is None:
             return None
         found.update(inner)
-    found.update(symbols)
     for kernel in [g for g in found if not g.is_Symbol]:
         arg = kernel.args[0]
         inner = _generators([arg])
@@ -417,12 +417,12 @@ def kernel_field(exprs, symbols=(), radicals=False):
     return _adjoin_roots(field, radicands) if radicands else field
 
 
-def in_field(inputs, symbols=(), radicals=False):
+def in_field(inputs, radicals=False):
     """The :func:`kernel_field` of ``inputs`` (expressions, nested lists of
-    them, or None) and ``symbols``, with each input's value in it, or None
-    when there is no such field or an input divides by zero."""
+    them, or None), with each input's value in it, or None when there is no
+    such field or an input divides by zero."""
     K = kernel_field(sp.flatten([value for value in inputs
-                                 if value is not None]), symbols, radicals)
+                                 if value is not None]), radicals)
     if K is None:
         return None
     try:
@@ -511,7 +511,7 @@ class KernelField:
     returns for the same rational function, whatever generators the two
     fields share, because the generators keep sympy's order.  The
     operations mirror the expression-tree ones: :meth:`diff` for
-    :func:`diff`, :meth:`reduce_trig` for :func:`reduce_trig`,
+    :func:`diff`, :meth:`reduce_trig` for ``_reduce_trig_tree``,
     :meth:`is_zero` for :func:`is_zero` and :meth:`expr` for the form
     :func:`ratsimp` returns.
 
@@ -639,7 +639,7 @@ class KernelField:
         return any(d[i] > 0 for d in degrees for i in self._eliminated)
 
     def reduce_trig(self, f):
-        """The ring form of :func:`reduce_trig`: each square of the relation
+        """The ring form of ``_reduce_trig_tree``: each square of the relation
         table replaced in numerator and denominator, then each odd root,
         sin or cosh of the denominator cleared by its conjugate, the roots
         first and then the kernels in generator order."""
@@ -729,10 +729,6 @@ class _Trees:
     zero = sp.S.Zero
 
     @staticmethod
-    def element(e):
-        return e
-
-    @staticmethod
     def expr(e):
         return e
 
@@ -746,7 +742,7 @@ class _Trees:
 
     @staticmethod
     def reduce_trig(e):
-        return reduce_trig(e)
+        return _reduce_trig_tree(e)
 
     @staticmethod
     def trigsimp(e):
@@ -784,22 +780,8 @@ def trigsimp(e: Expr) -> Expr:
     return K.expr(K.reduce_trig(f))
 
 
-def reduce_trig(e: Expr) -> Expr:
-    """:func:`trigsimp` of an expression already in :func:`ratsimp` form.
-
-    A rational function of symbols and kernels is reduced in its
-    :class:`KernelField`; other input on expression trees.
-    """
-    e = sp.sympify(e)
-    found = in_field([e])
-    if found is None:
-        return _reduce_trig_tree(e)
-    K, (f,) = found
-    return K.expr(K.reduce_trig(f))
-
-
 def _reduce_trig_tree(e):
-    """:func:`reduce_trig` on expression trees."""
+    """:func:`trigsimp` on expression trees, from the :func:`ratsimp` form."""
     num, den = e.as_numer_denom()
     num, den = _reduce_even_trig(num), _reduce_even_trig(den)
     for _ in range(16):

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from tensoralg import catalog, cli, scalars
+from tensoralg import algebras, catalog, cli, indicial, scalars
+from tensoralg.indicial import TensorContext, anti_group, sym_group
 
 POLAR_FILE = """\
 [chart] coords = r, phi
@@ -83,7 +84,7 @@ def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
 
     counted(FracField, "from_expr")
     for name in ("_reduce_even_trig", "_odd_kernels", "_split_linear",
-                 "ratsimp", "trigsimp", "reduce_trig", "is_zero"):
+                 "ratsimp", "trigsimp", "_reduce_trig_tree", "is_zero"):
         counted(scalars, name)
     monkeypatch.setattr(cli, "_load_context", lambda args: ctx)
     code, out, _ = run_cli("compute", "--catalog", "kerr_newman", "--tensors",
@@ -340,6 +341,72 @@ def test_indicial_covdiff_torsion_flag(capsys):
                            "X([],[j])", "--wrt", "k", "--torsion",
                            "--decsym", "tau:2,1:anti(1,2)", capsys=capsys)
     assert code == 0 and "tau" in out and "ichr2" in out
+
+
+def _contexts():
+    ctx = TensorContext()
+    ctx.decsym("T", 2, 0, [sym_group()], [])
+    ctx.decsym("F", 2, 0, [anti_group()], [])
+    ctx.declare_vector("V")
+    return ctx
+
+
+@pytest.mark.parametrize("argv, expr, op", [
+    (("--op", "canform", "--decsym", "T:2,0:sym(all)"), "T([b,a],[])",
+     indicial.canform),
+    (("--op", "expand"), "ichr2([a,b],[c])",
+     lambda ctx, e: indicial.canform(ctx, indicial.contract(
+         ctx, indicial.expand_christoffels(ctx, e)))),
+    (("--op", "liediff", "--vector", "V"), "A([l],[],k)",
+     lambda ctx, e: indicial.liediff(ctx, e, "V")),
+    (("--op", "extdiff", "--wrt", "b"), "A([a],[])",
+     lambda ctx, e: indicial.extdiff(ctx, e, "b")),
+    (("--op", "inner", "--vector", "V", "--decsym", "F:2,0:anti(all)"),
+     "F([a,b],[])", lambda ctx, e: indicial.inner(ctx, "V", e)),
+])
+def test_indicial_operations_match_the_library(argv, expr, op, capsys):
+    code, out, err = run_cli("indicial", "--expr", expr, *argv,
+                             capsys=capsys)
+    expected = op(_contexts(), indicial.parse_tensor_expr(expr))
+    assert code == 0 and err == ""
+    assert not expected.is_zero
+    assert out == f"result = {expected}\n"
+
+
+def test_compute_text_lists_nonzero_components(capsys):
+    code, out, err = run_cli("compute", "--catalog", "polar", "--tensors",
+                             "christoffel2,scalar", capsys=capsys)
+    ctx = catalog.load("polar")
+    names = [c.name for c in ctx.coords]
+    c2, zero = ctx.christoffel2, ctx.vanishing("christoffel2")
+    lines = sorted(
+        f"christoffel2[{names[h]},{names[k]},{names[j]}] = "
+        f"{scalars.render(c2[h][k][j])}"
+        for h in range(2) for k in range(2) for j in range(2)
+        if not zero[h][k][j])
+    assert code == 0 and err == "" and len(lines) == 3
+    assert out.splitlines() == lines + [
+        f"christoffel2: {8 - len(lines)} zero components omitted",
+        f"scalar = {scalars.render(ctx.ricci_scalar)}"]
+
+
+def test_catalog_list_json(capsys):
+    code, out, err = run_cli("catalog", "list", "--format", "json",
+                             capsys=capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"metrics": catalog.list_entries()}
+
+
+def test_algebra_table_json(capsys):
+    code, out, err = run_cli("algebra", "--type", "clifford", "--dims",
+                             "0,0,2", "--table", "--format", "json",
+                             capsys=capsys)
+    table = algebras.multiplication_table(
+        algebras.init_atensor("clifford", 0, 0, 2))
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "basis": ["1", "v1", "v2", "v1.v2"],
+        "table": [[str(cell) for cell in row] for row in table]}
 
 
 # ---------------------------------------------------------------------------

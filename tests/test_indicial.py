@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tensoralg import indicial as ind
 from tensoralg.indicial import (IndexConflictError, IndexExpr, IndexedObject,
@@ -89,6 +89,18 @@ def test_contract_metric_with_metric_gives_dim(ctx):
     ctx.dim = 4
     e = IndexExpr.of(iobj("g", ["a", "b"]), iobj("g", [], ["a", "b"]))
     assert contract(ctx, e) == IndexExpr.scalar(4)
+
+
+def test_contract_mixed_variance_metric(ctx):
+    # g_a^b V_b = V_a
+    e = parse_tensor_expr("g([a,-b],[])*V([b],[])")
+    assert contract(ctx, e) == obj("V", ["a"])
+
+
+def test_contract_kronecker_delta_renames_a_contravariant_slot(ctx):
+    # delta_a^b X^a = X^b
+    e = parse_tensor_expr("kdelta([a,-b],[])*X([-a],[])")
+    assert contract(ctx, e) == obj("X", ["-b"])
 
 
 def test_contract_conflicting_dummy_is_an_error(ctx):
@@ -185,6 +197,21 @@ def test_ichr2_with_derivative_label(ctx):
     assert len(e.terms) == 6
     undiff = ichr2(ctx, ["a", "b"], ["c"])
     assert equivalent(ctx, e, ind.partial(undiff, "d"))
+
+
+def test_expand_christoffels_renames_clashing_dummies(ctx):
+    # each ichr2 expands to 1/2 g^cm (g_bm,a + g_ma,b - g_ab,m) with the
+    # generated dummy m = %1; in a product the second one's becomes %2
+    def gamma(a, b, c, m):
+        return IndexExpr.of(iobj("g", ["-" + c, "-" + m]),
+                            coeff=sp.Rational(1, 2)) \
+            * (obj("g", [b, m], [], a) + obj("g", [m, a], [], b)
+               - obj("g", [a, b], [], m))
+
+    out = expand_christoffels(ctx, parse_tensor_expr(
+        "ichr2([a,b],[c])*ichr2([c,d],[e])"))
+    assert len(out.terms) == 9
+    assert out == gamma("a", "b", "c", "%1") * gamma("c", "d", "e", "%2")
 
 
 def test_contracted_ichr2_collapses_to_metric_derivative(ctx):
@@ -303,6 +330,20 @@ def test_liediff_covariant(ctx):
     out = liediff(ctx, obj("A", ["l"]), "V")
     expected = IndexExpr.of(iobj("V", [], ["h"]), iobj("A", ["l"], (), "h")) \
         + IndexExpr.of(iobj("A", ["h"]), iobj("V", [], ["h"], "l"))
+    assert canform(ctx, out - expected).is_zero
+
+
+def test_liediff_derivative_label_counts_as_covariant(ctx):
+    # L_V A_l,k = V^h A_l,kh + A_h,k V^h_,l + A_l,h V^h_,k
+    ctx.declare_vector("V")
+    out = liediff(ctx, obj("A", ["l"], [], "k"), "V")
+    expected = (IndexExpr.of(iobj("V", [], ["h"]),
+                             iobj("A", ["l"], [], "k", "h"))
+                + IndexExpr.of(iobj("A", ["h"], [], "k"),
+                               iobj("V", [], ["h"], "l"))
+                + IndexExpr.of(iobj("A", ["l"], [], "h"),
+                               iobj("V", [], ["h"], "k")))
+    assert len(out.terms) == 3
     assert canform(ctx, out - expected).is_zero
 
 
@@ -446,6 +487,18 @@ def test_parse_tensor_expr_shares_signs_and_division():
         IndexExpr.scalar(sp.Rational(-1, 2)) + obj("T", ["a"]) * obj("S", ["-a"])
 
 
+def test_index_expr_keeps_one_scalar_term():
+    # the scalar terms are summed where the first of them was
+    ts = obj("T", ["a"]) * obj("S", ["-a"])
+    assert str(IndexExpr.scalar(1) + 1) == "2"
+    assert (IndexExpr.scalar(1) - 1).is_zero
+    assert str(ts + 3 - ts * 2 - sp.Rational(1, 2)) == \
+        "T([a],[])*S([-a],[]) + 5/2 - 2*T([a],[])*S([-a],[])"
+    assert str(IndexExpr.scalar(2) + ts - 2) == "T([a],[])*S([-a],[])"
+    assert parse_tensor_expr("1 + T([a],[])*S([-a],[]) + 1") == \
+        IndexExpr.scalar(2) + ts
+
+
 @st.composite
 def _tensor_exprs(draw):
     """Sums of rational multiples of products of ordered and legacy
@@ -484,5 +537,8 @@ def _tensor_exprs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_tensor_exprs())
+@example(IndexExpr([ind.Term(1, ()), ind.Term(1, ())]))
+@example(IndexExpr([ind.Term(2, (iobj("T", ["a"]), iobj("S", ["-a"]))),
+                    ind.Term(3, ()), ind.Term(sp.Rational(-1, 2), ())]))
 def test_parse_tensor_expr_round_trips_printed_expressions(e):
     assert parse_tensor_expr(str(e)) == e

@@ -38,7 +38,7 @@ def schwarzschild():
          ["0", "sqrt(r/(r-2*m))", "0", "0"],
          ["0", "0", "r", "0"],
          ["0", "0", "0", "r*sin(theta)"]],
-        minus_plus_eta(), constants=("m",))
+        minus_plus_eta())
 
 
 @pytest.fixture(scope="module")
