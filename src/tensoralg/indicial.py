@@ -172,18 +172,15 @@ def _label_census(factors):
     return counts
 
 
-def _validate_term(factors):
+def _free_indices(factors):
+    """The free (label, up) pairs of a product; checks its index labels."""
+    free = []
     for label, (down, up) in _label_census(factors).items():
         if down + up > 2:
             raise IndexConflictError(f"index {label!r} occurs more than twice")
         if down == 2 or up == 2:
             raise IndexConflictError(
                 f"index {label!r} repeated with the same variance")
-
-
-def _free_indices(factors):
-    free = []
-    for label, (down, up) in _label_census(factors).items():
         if down + up == 1:
             free.append((label, up == 1))
     return frozenset(free)
@@ -202,13 +199,14 @@ class Term:
     def __post_init__(self):
         object.__setattr__(self, "coeff", sp.sympify(self.coeff))
         object.__setattr__(self, "factors", tuple(self.factors))
-        _validate_term(self.factors)
 
 
 class IndexExpr:
     """A sum of scalar-weighted products of indexed objects.  Its scalar
     terms, those without factors, are kept as one, their sum, where the
-    first of them was, as the parser folds ``1 + 1`` to ``2``."""
+    first of them was, as the parser folds ``1 + 1`` to ``2``.  Every term
+    given is checked for index conflicts, zero ones too; the nonzero terms
+    kept must all carry the same free indices."""
 
     __slots__ = ("terms",)
 
@@ -219,13 +217,17 @@ class IndexExpr:
             total = Term(sp.Add(*(terms[i].coeff for i in at)), ())
             terms = tuple(total if i == at[0] else t
                           for i, t in enumerate(terms) if i not in at[1:])
-        terms = tuple(t for t in terms if t.coeff != 0)
-        frees = {_free_indices(t.factors) for t in terms}
+        kept, frees = [], set()
+        for t in terms:
+            free = _free_indices(t.factors)
+            if t.coeff != 0:
+                kept.append(t)
+                frees.add(free)
         if len(frees) > 1:
             raise IndexConflictError(
                 "terms of a sum carry different free indices: "
                 + "; ".join(sorted(str(sorted(f)) for f in frees)))
-        self.terms = terms
+        self.terms = tuple(kept)
 
     # -- constructors ------------------------------------------------------
 
@@ -485,7 +487,8 @@ def _sort_group(slots, kind):
 
 
 def _apply_symmetries(ctx, obj):
-    """Canonically order the slots of one factor; returns (object, sign)."""
+    """Canonically order the slots of one factor; returns (object, sign),
+    the object itself when no slot moved."""
     decl, mode = ctx._declaration_for(obj)
     if decl is None:
         return obj, 1
@@ -509,7 +512,8 @@ def _apply_symmetries(ctx, obj):
         sign *= s
         for p, slot in zip(positions, sorted_slots):
             idx[p] = slot
-    return replace(obj, idx=tuple(idx)), sign
+    idx = tuple(idx)
+    return (obj if idx == obj.idx else replace(obj, idx=idx)), sign
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +538,7 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
                     break
                 if s == -1:
                     coeff = -coeff
-                if f2 != f:
+                if f2 is not f:
                     factors[i] = f2
                     changed = True
             if dead:
@@ -751,12 +755,10 @@ def ichr2(ctx: TensorContext, cov, contra, deriv=()) -> IndexExpr:
 def expand_christoffels(ctx: TensorContext, e) -> IndexExpr:
     """Replace opaque ichr1/ichr2 symbols by their metric expansions."""
     e = _as_expr(e)
-    out = IndexExpr()
+    out = []
     for term in e.terms:
-        piece = IndexExpr.scalar(term.coeff)
-        used = set()
-        for f in term.factors:
-            used.update(l for l, _ in f.labels())
+        pieces = [(term.coeff, ())]
+        used = {l for f in term.factors for l, _ in f.labels()}
         for f in term.factors:
             if f.name == "ichr1" and len(f.idx) == 3:
                 sub = ichr1(ctx, [l for l, _ in f.idx], f.deriv)
@@ -765,13 +767,14 @@ def expand_christoffels(ctx: TensorContext, e) -> IndexExpr:
                 con = [l for l, up in f.idx if up]
                 sub = ichr2(ctx, cov, con, f.deriv)
             else:
-                piece = piece * f
+                pieces = [(c, fs + (f,)) for c, fs in pieces]
                 continue
             sub = _refresh_dummies(sub, used)
             used.update(sub.all_labels())
-            piece = piece * sub
-        out = out + piece
-    return out
+            pieces = [(c * t.coeff, fs + t.factors)
+                      for c, fs in pieces for t in sub.terms]
+        out += [Term(c, fs) for c, fs in pieces]
+    return IndexExpr(out)
 
 
 def _refresh_dummies(e, used):
@@ -825,39 +828,40 @@ def _connection(ctx: TensorContext, a, b, c) -> IndexExpr:
     return expr
 
 
+def _renamed_indices(term, m):
+    """(label, up, factors) for each index of each factor of ``term`` in
+    turn, ``factors`` being the term's with that one index renamed to
+    ``m``; derivative indices count as covariant."""
+    for i, f in enumerate(term.factors):
+        moved = [(x, up, f.replace_slot(p, (m, up)))
+                 for p, (x, up) in enumerate(f.idx)]
+        for x in f.deriv:
+            deriv = list(f.deriv)
+            deriv[deriv.index(x)] = m
+            moved.append((x, False, replace(f, deriv=tuple(deriv))))
+        for x, up, g in moved:
+            yield x, up, term.factors[:i] + (g,) + term.factors[i + 1:]
+
+
 def covdiff(ctx: TensorContext, e, k) -> IndexExpr:
     """Covariant derivative by index ``k``: the partial-derivative term plus
     one connection term per index (+ for contravariant, - for covariant;
     derivative indices count as covariant)."""
     e = _as_expr(e)
     k = str(k)
-    if any(k == label for t in e.terms for f in t.factors
-           for label, _ in f.labels()):
+    if k in e.all_labels():
         raise IndexConflictError(f"derivative index {k!r} collides with an "
                                  f"existing label")
-    out = partial(e, k)
+    out = list(partial(e, k).terms)
     for term in e.terms:
         used = {l for f in term.factors for l, _ in f.labels()} | {k}
-        for i, f in enumerate(term.factors):
-            others = list(term.factors)
-            for p, (x, up) in enumerate(f.idx):
-                (m,) = _fresh_labels(used)
-                swapped = others[:i] + [f.replace_slot(p, (m, up))] + others[i + 1:]
-                if up:
-                    conn = _connection(ctx, m, k, x)
-                else:
-                    conn = _connection(ctx, x, k, m)
-                conn = _refresh_dummies(conn, used | {m})
-                piece = IndexExpr((Term(term.coeff, swapped),)) * conn
-                out = out + piece if up else out - piece
-            for x in f.deriv:
-                (m,) = _fresh_labels(used)
-                deriv = list(f.deriv)
-                deriv[deriv.index(x)] = m
-                swapped = others[:i] + [replace(f, deriv=tuple(deriv))] + others[i + 1:]
-                conn = _refresh_dummies(_connection(ctx, x, k, m), used | {m})
-                out = out - IndexExpr((Term(term.coeff, swapped),)) * conn
-    return out
+        (m,) = _fresh_labels(used)
+        for x, up, swapped in _renamed_indices(term, m):
+            conn = _connection(ctx, m, k, x) if up else _connection(ctx, x, k, m)
+            piece = IndexExpr((Term(term.coeff, swapped),)) \
+                * _refresh_dummies(conn, used | {m})
+            out += (piece if up else -piece).terms
+    return IndexExpr(out)
 
 
 def liediff(ctx: TensorContext, e, vname) -> IndexExpr:
@@ -867,29 +871,20 @@ def liediff(ctx: TensorContext, e, vname) -> IndexExpr:
         raise ValueError(f"{vname!r} is not registered as a vector "
                          f"(use TensorContext.declare_vector)")
     e = _as_expr(e)
-    out = IndexExpr()
+    out = []
     for term in e.terms:
         used = {l for f in term.factors for l, _ in f.labels()}
         (h,) = _fresh_labels(used)
         # transport term V^h dT/dx^h
         dterm = partial(IndexExpr((term,)), h)
-        out = out + IndexExpr.of(iobj(vname, [], [h])) * dterm
-        for i, f in enumerate(term.factors):
-            others = list(term.factors)
-            for p, (x, up) in enumerate(f.idx):
-                swapped = others[:i] + [f.replace_slot(p, (h, up))] + others[i + 1:]
-                piece = IndexExpr((Term(term.coeff, swapped),))
-                if up:
-                    out = out - piece * iobj(vname, [], [x], h)
-                else:
-                    out = out + piece * iobj(vname, [], [h], x)
-            for x in f.deriv:
-                deriv = list(f.deriv)
-                deriv[deriv.index(x)] = h
-                swapped = others[:i] + [replace(f, deriv=tuple(deriv))] + others[i + 1:]
-                piece = IndexExpr((Term(term.coeff, swapped),))
-                out = out + piece * iobj(vname, [], [h], x)
-    return out
+        out += (IndexExpr.of(iobj(vname, [], [h])) * dterm).terms
+        for x, up, swapped in _renamed_indices(term, h):
+            piece = IndexExpr((Term(term.coeff, swapped),))
+            if up:
+                out += (-(piece * iobj(vname, [], [x], h))).terms
+            else:
+                out += (piece * iobj(vname, [], [h], x)).terms
+    return IndexExpr(out)
 
 
 # ---------------------------------------------------------------------------
@@ -926,8 +921,11 @@ def _form_degree(ctx, e, operand="form"):
 def wedge(ctx: TensorContext, a, b) -> IndexExpr:
     """Wedge product of two forms.
 
-    The tensorial convention divides the alternating sum by (p+q)!; with
-    ``ctx.geometric_wedge`` set, by p!q! instead.
+    The tensorial convention divides the alternating sum over the (p+q)!
+    permutations of the labels by (p+q)!; with ``ctx.geometric_wedge`` set,
+    by p!q! instead.  The p!q! permutations that deal each form the same
+    labels are one term once its antisymmetric slots are sorted, so the sum
+    is built over the C(p+q, p) shuffles, each weighted by p!q!.
     """
     a, b = _as_expr(a), _as_expr(b)
     p = _form_degree(ctx, a, "left operand")
@@ -937,6 +935,7 @@ def wedge(ctx: TensorContext, a, b) -> IndexExpr:
     norm = (sp.Rational(1, math.factorial(p) * math.factorial(q))
             if ctx.geometric_wedge
             else sp.Rational(1, math.factorial(p + q)))
+    blocks = math.factorial(p) * math.factorial(q)
     out = []
     for ta in a.terms:
         fa = ta.factors[0]
@@ -945,19 +944,20 @@ def wedge(ctx: TensorContext, a, b) -> IndexExpr:
             labels = [l for l, _ in fa.idx] + [l for l, _ in fb.idx]
             if len(set(labels)) != len(labels):
                 raise IndexConflictError("wedge operands share index labels")
-            coeff = ta.coeff * tb.coeff * norm
-            for perm in itertools.permutations(range(p + q)):
-                sign = _perm_sign(perm)
-                la = [(labels[perm[i]], False) for i in range(p)]
-                lb = [(labels[perm[p + i]], False) for i in range(q)]
-                out.append(Term(
-                    sign * coeff,
-                    (replace(fa, idx=tuple(la)), replace(fb, idx=tuple(lb)))))
+            coeff = ta.coeff * tb.coeff * norm * blocks
+            for left in itertools.combinations(range(p + q), p):
+                right = tuple(i for i in range(p + q) if i not in left)
+                la = tuple((labels[i], False) for i in left)
+                lb = tuple((labels[i], False) for i in right)
+                out.append(Term(_perm_sign(left + right) * coeff,
+                                (replace(fa, idx=la), replace(fb, idx=lb))))
     return canform(ctx, IndexExpr(out))
 
 
 def extdiff(ctx: TensorContext, a, label) -> IndexExpr:
-    """Exterior derivative; ``label`` becomes the new covariant index."""
+    """Exterior derivative; ``label`` becomes the new covariant index.  Of
+    the (p+1)! permutations of the alternating sum, the p! that put label k
+    in the derivative slot are one term, with sign (-1)^k, weighted by p!."""
     a = _as_expr(a)
     p = _form_degree(ctx, a, "operand")
     label = str(label)
@@ -971,11 +971,11 @@ def extdiff(ctx: TensorContext, a, label) -> IndexExpr:
     for term in a.terms:
         f = term.factors[0]
         labels = [label] + [l for l, _ in f.idx]
-        for perm in itertools.permutations(range(p + 1)):
-            sign = _perm_sign(perm)
-            slots = tuple((labels[perm[i + 1]], False) for i in range(p))
-            obj = replace(f, idx=slots, deriv=f.deriv + (labels[perm[0]],))
-            out.append(Term(sign * term.coeff * norm, (obj,)))
+        for k in range(p + 1):
+            slots = tuple((l, False) for l in labels[:k] + labels[k + 1:])
+            obj = replace(f, idx=slots, deriv=f.deriv + (labels[k],))
+            out.append(Term((-1) ** k * term.coeff * norm * math.factorial(p),
+                            (obj,)))
     return canform(ctx, IndexExpr(out))
 
 
@@ -986,13 +986,13 @@ def inner(ctx: TensorContext, vname, a) -> IndexExpr:
     p = _form_degree(ctx, a, "operand")
     if p < 1:
         raise ValueError("cannot contract a vector with a 0-form")
-    out = IndexExpr()
+    out = []
     for term in a.terms:
         f = term.factors[0]
         (h,) = _fresh_labels({l for l, _ in f.labels()})
         obj = f.replace_slot(0, (h, False))
-        out = out + IndexExpr((Term(term.coeff, (iobj(vname, [], [h]), obj)),))
-    return canform(ctx, out)
+        out.append(Term(term.coeff, (iobj(vname, [], [h]), obj)))
+    return canform(ctx, IndexExpr(out))
 
 
 def _perm_sign(perm):

@@ -4,17 +4,23 @@ Everything here deliberately avoids the symbolic machinery under test:
 curvature is reproduced by finite differences of a plain numeric metric
 function or connection, the Petrov decision tree is re-implemented over
 floating point numbers, and abstract-algebra words are reduced by the
-plain one-swap-at-a-time rewriting.  Agreement between these oracles and
-the symbolic results is what the cross-checks assert.
+plain one-swap-at-a-time rewriting, and exterior products are the full
+alternating sums over every permutation of the labels.  Agreement between
+these oracles and the symbolic results is what the cross-checks assert.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import sympy as sp
 
 from tensoralg import scalars
 from tensoralg.algebras import MVec
+from tensoralg.indicial import IndexExpr, Term, canform
 
 
 def array_fn(entries, names):
@@ -188,6 +194,55 @@ def atensimp_reference(config, element):
         if not rewritten:
             done[word] = done.get(word, sp.S.Zero) + coeff
     return MVec(tuple(done.items()))
+
+
+# ---------------------------------------------------------------------------
+# exterior-calculus reference
+
+
+def _parity(perm):
+    return (-1) ** sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+
+
+def wedge_reference(ctx, a, b):
+    """canform of a ^ b built as the sum over all (p+q)! permutations of
+    the labels of the two forms (sums of single fully covariant objects),
+    divided by (p+q)!, or by p!q! with ``ctx.geometric_wedge``."""
+    p, q = len(a.terms[0].factors[0].idx), len(b.terms[0].factors[0].idx)
+    if ctx.dim is not None and p + q > ctx.dim:
+        return IndexExpr()
+    norm = sp.Rational(1, math.factorial(p) * math.factorial(q)
+                       if ctx.geometric_wedge else math.factorial(p + q))
+    out = []
+    for ta, tb in itertools.product(a.terms, b.terms):
+        (fa,), (fb,) = ta.factors, tb.factors
+        labels = [l for l, _ in fa.idx + fb.idx]
+        for perm in itertools.permutations(range(p + q)):
+            slots = [(labels[i], False) for i in perm]
+            out.append(Term(_parity(perm) * ta.coeff * tb.coeff * norm,
+                            (replace(fa, idx=tuple(slots[:p])),
+                             replace(fb, idx=tuple(slots[p:])))))
+    return canform(ctx, IndexExpr(out))
+
+
+def extdiff_reference(ctx, a, label):
+    """canform of d a, with the new index ``label``, built as the sum over
+    all (p+1)! permutations of ``label`` and the form's labels, the first
+    one taking the derivative slot, divided by (p+1)!, or by p! with
+    ``ctx.geometric_wedge``."""
+    p = len(a.terms[0].factors[0].idx)
+    if ctx.dim is not None and p + 1 > ctx.dim:
+        return IndexExpr()
+    norm = sp.Rational(1, math.factorial(p if ctx.geometric_wedge else p + 1))
+    out = []
+    for t in a.terms:
+        (f,) = t.factors
+        labels = [label] + [l for l, _ in f.idx]
+        for perm in itertools.permutations(range(p + 1)):
+            slots = tuple((labels[i], False) for i in perm[1:])
+            obj = replace(f, idx=slots, deriv=f.deriv + (labels[perm[0]],))
+            out.append(Term(_parity(perm) * t.coeff * norm, (obj,)))
+    return canform(ctx, IndexExpr(out))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from tensoralg import indicial as ind
 from tensoralg.indicial import (IndexConflictError, IndexExpr, IndexedObject,
                                 TensorContext, anti_group, canform, contract,
@@ -55,6 +56,44 @@ def test_index_conflicts_rejected():
         IndexExpr.of(iobj("T", ["a"]), iobj("S", ["a"]), iobj("R", ["-a"]))
     with pytest.raises(IndexConflictError):
         obj("T", ["a"]) + obj("T", ["b"])
+    with pytest.raises(IndexConflictError):
+        obj("T", ["a"]) - obj("S", ["-a"])
+    with pytest.raises(IndexConflictError):
+        obj("T", ["a"]) * obj("S", ["a"])
+    with pytest.raises(IndexConflictError):
+        obj("T", ["a", "-b"]) * obj("S", ["b", "-b"])
+
+
+def test_zero_terms_are_checked_but_carry_no_free_indices():
+    with pytest.raises(IndexConflictError):
+        IndexExpr.of(iobj("T", ["a"]), iobj("S", ["a"]), coeff=0)
+    with pytest.raises(IndexConflictError):
+        IndexExpr([ind.Term(1, (iobj("R", ["a"]),)),
+                   ind.Term(0, (iobj("T", ["-a", "-a"]),))])
+    assert obj("T", ["a"]) + 0 * obj("S", ["b"]) == obj("T", ["a"])
+    assert IndexExpr([ind.Term(1, (iobj("T", ["a"]),)),
+                      ind.Term(0, (iobj("S", ["b"]),))]) == obj("T", ["a"])
+
+
+def test_covdiff_and_expand_christoffels_count_labels_linearly(
+        monkeypatch, ctx):
+    # every sum is built once: the labels of a term are counted a fixed
+    # number of times, not again for each term added after it
+    census, calls = ind._label_census, [0]
+
+    def counted(factors):
+        calls[0] += 1
+        return census(factors)
+
+    monkeypatch.setattr(ind, "_label_census", counted)
+    counts = {}
+    for n in (6, 12):
+        e = IndexExpr.of(*(iobj("g", [f"a{i}", f"b{i}"]) for i in range(n)))
+        calls[0] = 0
+        expand_christoffels(ctx, covdiff(ctx, e, "k"))
+        counts[n] = calls[0]
+    # linear growth doubles the count; 10% margin
+    assert counts[12] <= 2.2 * counts[6], counts
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +470,73 @@ def test_inner_contracts_first_slot():
     out = inner(ctx, "v", obj("B", ["i", "j"]))
     expected = IndexExpr.of(iobj("v", [], ["%1"]), iobj("B", ["%1", "j"]))
     assert canform(ctx, out - canform(ctx, expected)).is_zero
+
+
+FORMS = {0: ("f", "h"), 1: ("u", "v"), 2: ("A", "B"), 3: ("C", "D"),
+         4: ("E", "G")}
+
+
+def form_context(dim, geometric):
+    ctx = TensorContext(dim=dim, geometric_wedge=geometric)
+    for p in (2, 3, 4):
+        for name in FORMS[p]:
+            ctx.decsym(name, p, 0, [anti_group()])
+    return ctx
+
+
+def form_sum(labels, coeffs):
+    """A sum of len(labels)-forms, one per coefficient."""
+    out = IndexExpr()
+    for name, coeff in zip(FORMS[len(labels)], coeffs):
+        out = out + IndexExpr.of(iobj(name, labels), coeff=coeff)
+    return out
+
+
+X, Y = sp.Symbol("x"), sp.Symbol("y")
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(5) for q in range(5)
+                                  if p + q <= 4])
+def test_wedge_matches_the_permutation_sum(p, q):
+    a_labels, b_labels = list("ijkl"[:p]), list("mnrs"[:q])
+    for dim in (4, 3):
+        for geometric in (False, True):
+            ctx = form_context(dim, geometric)
+            a = form_sum(a_labels, (sp.Rational(2, 3), -X))
+            b = form_sum(b_labels, (Y / 2, 3))
+            assert wedge(ctx, a, b) == oracles.wedge_reference(ctx, a, b)
+            # a form wedged with itself
+            if p == q:
+                a2 = form_sum(b_labels, (sp.Rational(2, 3), -X))
+                assert wedge(ctx, a, a2) == \
+                    oracles.wedge_reference(ctx, a, a2)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_extdiff_matches_the_permutation_sum(p):
+    labels = list("jkl"[:p])
+    for dim in (4, 3):
+        for geometric in (False, True):
+            ctx = form_context(dim, geometric)
+            for a in (form_sum(labels, (1,)),
+                      form_sum(labels, (sp.Rational(-5, 2), X + 1))):
+                assert extdiff(ctx, a, "i") == \
+                    oracles.extdiff_reference(ctx, a, "i")
+
+
+def test_wedge_and_extdiff_hand_canform_one_term_per_shuffle(monkeypatch):
+    ctx = form_context(4, False)
+    sizes, original = [], ind.canform
+
+    def counted(ctx, e):
+        sizes.append(len(e.terms))
+        return original(ctx, e)
+
+    monkeypatch.setattr(ind, "canform", counted)
+    wedge(ctx, obj("A", ["i", "j"]), obj("B", ["k", "l"]))
+    extdiff(ctx, obj("C", ["i", "j", "k"]), "l")
+    # C(4, 2) shuffles, not 4! permutations; 3 + 1 derivative slots
+    assert sizes == [6, 4]
 
 
 # ---------------------------------------------------------------------------
