@@ -7,16 +7,17 @@ and kerr_newman describe flat space in curvilinear coordinates, which the
 test suite verifies by computing their Riemann tensors; the signature is
 Euclidean except for the Schwarzschild and Kerr-Newman entries.
 
-Transcription is validated computationally (frame consistency plus the
-flatness/vacuum checks) rather than trusted blindly.
+An entry loads through its metric file document, so a frame load derives
+the metric from the frame and checks the entry's metric against it; the
+tests add the flatness and vacuum checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import scalars
-from .curvature import MetricContext, setup_frame, setup_metric
+from . import metricfile
+from .curvature import MetricContext
 
 
 @dataclass(frozen=True)
@@ -265,43 +266,37 @@ def entry(name: str) -> MetricEntry:
 
 
 def load(name: str, extra_flat=None, frame: bool = False) -> MetricContext:
-    """Build a MetricContext for a catalog entry.
+    """The context of a catalog entry: its metric file document, read by
+    :meth:`metricfile.MetricFile.to_context`.
 
-    ``extra_flat=(count, "euclidean" | "minkowski")`` appends flat dimensions
-    with fresh coordinates (+1 entries for Euclidean, -1 for Minkowski).
-    With ``frame=True`` the context is built from the frame base
-    (cframe_flag set); ellipsoidal has no frame.
+    ``extra_flat=(count, "euclidean" | "minkowski")`` appends ``count`` flat
+    dimensions with fresh coordinates (+1 entries for Euclidean, -1 for
+    Minkowski).  With ``frame=True`` the metric is derived from the frame
+    base (cframe_flag set) and the entry's metric is checked against it;
+    ellipsoidal has no frame.
     """
     ent = entry(name)
-    coords = list(ent.coords)
-    lg = [list(row) for row in ent.lg]
-    fri = [list(row) for row in ent.fri] if ent.fri is not None else None
-    lfg = ([list(row) for row in ent.frame_metric]
-           if ent.frame_metric is not None else None)
+    if frame and ent.fri is None:
+        raise ValueError(f"catalog entry {name!r} has no frame base")
+    mf = metricfile.from_entry(ent)
     if extra_flat:
         count, signature = extra_flat
+        if not isinstance(count, int) or count < 0:
+            raise ValueError("extra_flat count must be a non-negative "
+                             "integer")
         if signature not in ("euclidean", "minkowski"):
             raise ValueError("extra_flat signature must be 'euclidean' or "
                              "'minkowski'")
         sign = "1" if signature == "euclidean" else "-1"
-        for _ in range(int(count)):
-            new = _fresh_coord(coords)
-            coords.append(new)
-            for row in lg:
-                row.append("0")
-            lg.append(["0"] * (len(coords) - 1) + [sign])
-            if fri is not None:
-                for row in fri:
-                    row.append("0")
-                fri.append(["0"] * (len(coords) - 1) + ["1"])
-                for row in lfg:
-                    row.append("0")
-                lfg.append(["0"] * (len(coords) - 1) + [sign])
-    if frame:
-        if fri is None:
-            raise ValueError(f"catalog entry {name!r} has no frame base")
-        return setup_frame(coords, fri, lfg)
-    return setup_metric(coords, lg)
+        for _ in range(count):
+            mf.coords.append(_fresh_coord(mf.coords))
+            for rows, last in ((mf.metric_rows, sign), (mf.frame_rows, "1"),
+                               (mf.frame_metric, sign)):
+                if rows:
+                    for row in rows:
+                        row.append("0")
+                    rows.append(["0"] * len(rows) + [last])
+    return mf.to_context(frame)
 
 
 def _fresh_coord(coords):

@@ -133,6 +133,8 @@ def _cmd_catalog(args):
             for name in catalog.list_entries():
                 _print(name)
         return 0
+    if args.name is None:
+        raise InputError("catalog show needs a metric name")
     ent = catalog.entry(args.name)
     _print(metricfile.from_entry(ent).render(), end="")
     return 0

@@ -16,7 +16,9 @@ those of the covariant derivative of the frame.
 
 A context computes in one scalar domain: a :class:`scalars.KernelField`
 when its inputs lie in one, with the square roots of a frame as field
-generators, and expression trees otherwise.
+generators, and expression trees otherwise.  A frame outside every kernel
+field keeps its frame stages on trees and its coordinate stages in the
+field of its derived metric, when there is one.
 """
 
 from __future__ import annotations
@@ -224,8 +226,9 @@ class MetricContext:
     """Chart + metric (+ optional frame, torsion, nonmetricity) with a memo
     of every tensor computed so far.
 
-    With a frame base ``fri`` and frame metric ``lfg``, g = F^T eta F is
-    derived when ``lg`` is None and checked exactly against ``lg`` otherwise.
+    With a frame base ``fri`` and frame metric ``lfg``, the metric is
+    always g = F^T eta F, derived in the frame's scalar domain; a given
+    ``lg`` is only checked exactly against it, once, at construction.
 
     A context has one scalar domain.  When the metric, torsion and
     nonmetricity entries are rational functions of symbols and
@@ -257,6 +260,7 @@ class MetricContext:
         self.lg = _as_matrix(lg, "metric") if lg is not None else None
         if self.lg is not None and len(self.lg) != n:
             raise ValueError("metric size does not match the chart dimension")
+        given = self.lg
         self.fri = _as_matrix(fri, "frame") if fri is not None else None
         self.lfg = _as_matrix(lfg, "frame metric") if lfg is not None else None
         self.cframe_flag = self.fri is not None
@@ -271,12 +275,15 @@ class MetricContext:
                         raise ValueError("frame metric must be symmetric")
         elif self.lg is None:
             raise ValueError("a metric or a frame base is needed")
-        self._given_lg = self.lg
         self.torsion_values = None
         self.nonmetricity_values = None
         self._memo = {}
         self._exprs = {}
         self._choose_domain()
+        if self.cframe_flag and given is not None and not all(
+                scalars.is_zero(given[i][j] - self.lg[i][j])
+                for i, j in product(range(n), repeat=2)):
+            raise ValueError("frame is not orthonormal for the metric")
         K, g = self._K, self._g
         for i in range(self.dim):
             for j in range(i):
@@ -310,21 +317,17 @@ class MetricContext:
         self._exprs.clear()
         extra = (self.torsion_values, self.nonmetricity_values)
         if self.cframe_flag:
-            found = scalars.in_field(
-                (self.fri, self.lfg, self._given_lg) + extra, radicals=True)
+            found = scalars.in_field((self.fri, self.lfg) + extra,
+                                     radicals=True)
             if found is not None:
-                K, (f, eta, given, tau, mu) = found
-                g = self._frame_metric(K, f, eta, given)
-                if given is None:
-                    self.lg = _map(K.expr, g)
+                K, (f, eta, tau, mu) = found
+                g = self._frame_metric(K, f, eta)
+                self.lg = _map(K.expr, g)
                 self.field = self._K = self._FK = K
                 self._g, self._tau, self._mu, self._fri, self._eta = (
                     g, tau, mu, f, eta)
                 return
-            # a metric derived once is kept; a given one is checked again
-            if self.lg is None or self._given_lg is not None:
-                self.lg = self._frame_metric(TREES, self.fri, self.lfg,
-                                             self._given_lg)
+            self.lg = self._frame_metric(TREES, self.fri, self.lfg)
         self._fri, self._eta, self._FK = self.fri, self.lfg, TREES
         inputs = (self.lg,) + extra
         found = scalars.in_field(inputs)
@@ -332,22 +335,15 @@ class MetricContext:
         self._K = TREES if found is None else found[0]
         self._g, self._tau, self._mu = inputs if found is None else found[1]
 
-    def _frame_metric(self, K, f, eta, given):
+    def _frame_metric(self, K, f, eta):
         """The metric g_ij = sum_a f_ai e_(a)j, e_(a)j = sum_b eta_ab f_bj,
-        of the frame ``f`` in the scalar domain ``K``: derived, or the
-        ``given`` one once it is checked exactly against it."""
+        of the frame ``f`` in the scalar domain ``K``."""
         n = self.dim
         columns = [[row[i] for row in f] for i in range(n)]
         lowered = [[K.dot(eta[a], columns[j]) for a in range(n)]
                    for j in range(n)]
-        g = [[K.dot(columns[i], lowered[j]) for j in range(n)]
-             for i in range(n)]
-        if given is None:
-            return _map(K.trigsimp, g)
-        if not all(K.is_zero(given[i][j] - g[i][j])
-                   for i, j in product(range(n), repeat=2)):
-            raise ValueError("frame is not orthonormal for the metric")
-        return given
+        return [[K.trigsimp(K.dot(columns[i], lowered[j])) for j in range(n)]
+                for i in range(n)]
 
     @property
     def diagonal(self):

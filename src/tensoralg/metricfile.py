@@ -42,13 +42,14 @@ class MetricFile:
     nonmetricity: list | None = None
 
     def to_context(self, frame: bool = False) -> MetricContext:
+        """The context of this document.  With ``frame``, or with frame rows
+        alone, the frame derives the metric and metric rows are checked."""
         n = len(self.coords)
         if n < 2:
             raise MetricFileError("chart must declare at least two coordinates")
         if frame or (not self.metric_rows and self.frame_rows):
             if not self.frame_rows:
                 raise MetricFileError("no [frame] rows to build the metric from")
-            # metric rows given beside the frame are checked against it
             ctx = MetricContext(self.coords, self.metric_rows or None,
                                 fri=self.frame_rows,
                                 lfg=self.frame_metric or _identity_rows(n))

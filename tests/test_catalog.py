@@ -19,8 +19,10 @@ ALL_NAMES = [
 ]
 
 # entries whose frames mix distinct radicals; their frame consistency is
-# checked numerically on the documented coordinate ranges
-NUMERIC_FRAME_ONLY = {"conical", "confocalellipsoidal"}
+# decided symbolically like every other entry's and checked numerically
+# too, on the documented coordinate ranges, by an evaluator that shares no
+# simplification with the symbolic check
+MIXED_RADICAL_FRAMES = {"conical", "confocalellipsoidal"}
 
 SAMPLE_POINTS = {
     "confocalellipsoidal": {"u": 0.5, "v": 2.0, "w": 6.0, "e": 1, "f": 2,
@@ -87,6 +89,13 @@ def test_extra_flat_euclidean_with_frame():
     assert ctx.lg[2][2] == 1 and ctx.lg[3][3] == 1
 
 
+@pytest.mark.parametrize("count", [-2, 1.7])
+def test_extra_flat_rejects_a_count_that_is_no_non_negative_integer(count):
+    # -2 loaded the two-dimensional entry, 1.7 added one dimension
+    with pytest.raises(ValueError, match="non-negative integer"):
+        load("polar", extra_flat=(count, "euclidean"))
+
+
 def test_extra_flat_rejects_unknown_signature():
     with pytest.raises(ValueError):
         load("polar", extra_flat=(1, "galilean"))
@@ -114,8 +123,7 @@ def test_kerr_newman_constants_documented():
 
 
 @pytest.mark.parametrize("name", [n for n in ALL_NAMES
-                                  if entry(n).fri is not None
-                                  and n not in NUMERIC_FRAME_ONLY])
+                                  if entry(n).fri is not None])
 def test_frame_consistency_symbolic(name):
     ent = entry(name)
     ctx = load(name, frame=True)
@@ -126,7 +134,7 @@ def test_frame_consistency_symbolic(name):
             assert is_zero(ctx.lg[i][j] - expected.lg[i][j]), (name, i, j)
 
 
-@pytest.mark.parametrize("name", sorted(NUMERIC_FRAME_ONLY))
+@pytest.mark.parametrize("name", sorted(MIXED_RADICAL_FRAMES))
 def test_frame_consistency_numeric(name):
     ent = entry(name)
     n = len(ent.coords)

@@ -300,6 +300,28 @@ def test_catalog_show_round_trip_tensors_all_entries(tmp_path, capsys):
         assert direct == via_file, name
 
 
+FRAME_ENTRIES = [name for name in catalog.list_entries()
+                 if catalog.entry(name).fri is not None]
+
+
+@pytest.mark.parametrize("name,tensors", [
+    *((name, "christoffel1,christoffel2") for name in FRAME_ENTRIES),
+    ("spherical", "all")])
+def test_frame_routes_print_the_same_tensors(name, tensors, tmp_path, capsys):
+    # a frame context derives its metric however it was loaded: the catalog
+    # entry and the metric file it shows, metric rows included, print the
+    # same components
+    code, shown, _ = run_cli("catalog", "show", name, capsys=capsys)
+    assert code == 0
+    path = tmp_path / f"{name}.tm"
+    path.write_text(shown)
+    direct = run_cli("compute", "--catalog", name, "--frame", "--tensors",
+                     tensors, capsys=capsys)
+    via_file = run_cli("compute", "--metric", str(path), "--frame",
+                       "--tensors", tensors, capsys=capsys)
+    assert direct[0] == 0 and direct == via_file
+
+
 def test_output_is_deterministic(capsys):
     args = ("compute", "--catalog", "spherical", "--tensors", "all",
             "--format", "json")
@@ -429,6 +451,16 @@ def test_exit_code_input_errors(tmp_path, capsys):
     code, _, err = run_cli("compute", "--catalog", "polar",
                            "--tensors", "frobnicator", capsys=capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("catalog", "show"), "error: catalog show needs a metric name\n"),
+    (("compute", "--catalog", "ellipsoidal", "--frame"),
+     "error: catalog entry 'ellipsoidal' has no frame base\n"),
+])
+def test_exit_code_catalog_input_errors(argv, message, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out, err) == (1, "", message)
 
 
 @pytest.mark.parametrize("argv,message", [

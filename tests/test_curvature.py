@@ -127,6 +127,20 @@ def test_setup_frame_schwarzschild():
             assert is_zero(ctx.lg[i][j] - expected.lg[i][j])
 
 
+def test_frame_context_derives_a_given_metric():
+    # a metric given beside the frame is only checked: the context computes
+    # with the metric its frame derives, in the derived form
+    rows = [["cos(phi)", "-r*sin(phi)"], ["sin(phi)", "r*cos(phi)"]]
+    eta = [["1", "0"], ["0", "1"]]
+    given = [["1", "0"], ["0", "r^2*(sin(phi)^2+cos(phi)^2)"]]
+    ctx = MetricContext(["r", "phi"], given, fri=rows, lfg=eta)
+    assert ctx.lg == setup_frame(["r", "phi"], rows, eta).lg
+    assert ctx.lg == [[1, 0], [0, sym("r") ** 2]]
+    with pytest.raises(ValueError, match="not orthonormal"):
+        MetricContext(["r", "phi"], [["1", "0"], ["0", "r"]], fri=rows,
+                      lfg=eta)
+
+
 def test_setup_frame_rejects_singular():
     with pytest.raises(ValueError):
         setup_frame(["x", "y"], [["1", "1"], ["1", "1"]],
