@@ -283,7 +283,8 @@ def atensimp(config: AlgebraConfig, element: MVec) -> MVec:
     lexicographically largest first.  Every rewrite only adds to words
     later in that order, so each word collects its whole coefficient
     before it is rewritten once, and a word whose coefficient sums to 0
-    is dropped.
+    is dropped.  Integers are rewritten as Python ``int``; the closing
+    ``MVec`` makes them sympy numbers again.
     """
     element = _as_mvec(element)
     for word, _ in element.terms:
@@ -297,7 +298,7 @@ def atensimp(config: AlgebraConfig, element: MVec) -> MVec:
         pending[word] = pending.get(word, 0) + coeff
 
     for word, coeff in element.terms:
-        add(word, coeff)
+        add(word, _int(coeff))
     while queue:
         word = heapq.heappop(queue)[2]
         coeff = pending.pop(word)
@@ -308,9 +309,14 @@ def atensimp(config: AlgebraConfig, element: MVec) -> MVec:
             done.append((word, coeff))
             continue
         for new, factor in terms:
+            factor = _int(factor)
             if factor != 0:
                 add(new, factor * coeff)
     return MVec(done)
+
+
+def _int(x):
+    return int(x) if isinstance(x, sp.Integer) else x
 
 
 def commutator(config: AlgebraConfig, x: MVec, y: MVec) -> MVec:

@@ -126,6 +126,8 @@ def _cmd_classify(args):
 
 def _cmd_catalog(args):
     if args.action == "list":
+        if args.name is not None:
+            raise InputError("catalog list takes no metric name")
         if args.format == "json":
             _print(json.dumps({"metrics": catalog.list_entries()}, indent=2,
                               sort_keys=True))
@@ -135,7 +137,10 @@ def _cmd_catalog(args):
         return 0
     if args.name is None:
         raise InputError("catalog show needs a metric name")
-    ent = catalog.entry(args.name)
+    try:
+        ent = catalog.entry(args.name)
+    except KeyError as exc:
+        raise InputError(exc.args[0])
     _print(metricfile.from_entry(ent).render(), end="")
     return 0
 

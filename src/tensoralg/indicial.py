@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import sympy as sp
 
@@ -89,10 +89,21 @@ class IndexedObject:
         for d in self.deriv:
             yield d, False
 
+    def _with(self, idx=None, deriv=None):
+        """A copy with new slots, or new derivative labels (sorted here),
+        both of normalized labels: no ``__post_init__`` runs."""
+        new = object.__new__(type(self))
+        object.__setattr__(new, "name", self.name)
+        object.__setattr__(new, "idx", self.idx if idx is None else idx)
+        object.__setattr__(new, "deriv", self.deriv if deriv is None
+                           else tuple(sorted(deriv)))
+        object.__setattr__(new, "ordered", self.ordered)
+        return new
+
     def replace_slot(self, pos, slot):
         idx = list(self.idx)
-        idx[pos] = slot
-        return replace(self, idx=tuple(idx))
+        idx[pos] = (str(slot[0]), bool(slot[1]))
+        return self._with(idx=tuple(idx))
 
     def drop_slot_insert(self, pos, slot):
         """Legacy placement: remove slot ``pos`` and prepend the survivor to
@@ -102,16 +113,16 @@ class IndexedObject:
             at = next((i for i, (_, up) in enumerate(idx) if up), len(idx))
         else:
             at = 0
-        idx.insert(at, slot)
-        return replace(self, idx=tuple(idx))
+        idx.insert(at, (str(slot[0]), bool(slot[1])))
+        return self._with(idx=tuple(idx))
 
     def rename(self, mapping):
-        idx = tuple((mapping.get(l, l), up) for l, up in self.idx)
-        deriv = tuple(mapping.get(d, d) for d in self.deriv)
-        return replace(self, idx=idx, deriv=deriv)
+        idx = tuple((str(mapping.get(l, l)), up) for l, up in self.idx)
+        deriv = [str(mapping.get(d, d)) for d in self.deriv]
+        return self._with(idx=idx, deriv=deriv)
 
     def with_deriv(self, label):
-        return replace(self, deriv=self.deriv + (str(label),))
+        return self._with(deriv=self.deriv + (str(label),))
 
     def sort_key(self):
         """Canonical ordering key; dummy names are masked so that renaming
@@ -186,19 +197,16 @@ def _free_indices(factors):
     return frozenset(free)
 
 
-def _dummy_labels(factors):
-    return {label for label, (down, up) in _label_census(factors).items()
-            if down == 1 and up == 1}
-
-
 @dataclass(frozen=True)
 class Term:
     coeff: sp.Expr
     factors: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", sp.sympify(self.coeff))
-        object.__setattr__(self, "factors", tuple(self.factors))
+        if not isinstance(self.coeff, sp.Basic):
+            object.__setattr__(self, "coeff", sp.sympify(self.coeff))
+        if type(self.factors) is not tuple:
+            object.__setattr__(self, "factors", tuple(self.factors))
 
 
 class IndexExpr:
@@ -228,6 +236,15 @@ class IndexExpr:
                 "terms of a sum carry different free indices: "
                 + "; ".join(sorted(str(sorted(f)) for f in frees)))
         self.terms = tuple(kept)
+
+    @staticmethod
+    def _checked(terms):
+        """The expression of ``terms`` that already pass ``__init__``'s
+        checks: nonzero, conflict-free, one free-index set, at most one
+        scalar term."""
+        e = object.__new__(IndexExpr)
+        e.terms = tuple(terms)
+        return e
 
     # -- constructors ------------------------------------------------------
 
@@ -275,7 +292,7 @@ class IndexExpr:
         return _as_expr(other) + self
 
     def __neg__(self):
-        return IndexExpr(tuple(Term(-t.coeff, t.factors) for t in self.terms))
+        return IndexExpr._checked(Term(-t.coeff, t.factors) for t in self.terms)
 
     def __sub__(self, other):
         return self + (-_as_expr(other))
@@ -513,7 +530,7 @@ def _apply_symmetries(ctx, obj):
         for p, slot in zip(positions, sorted_slots):
             idx[p] = slot
     idx = tuple(idx)
-    return (obj if idx == obj.idx else replace(obj, idx=idx)), sign
+    return (obj if idx == obj.idx else obj._with(idx=idx)), sign
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +544,11 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
     merged = {}
     for term in e.terms:
         coeff, factors = term.coeff, list(term.factors)
+        census = _label_census(factors)
+        dummies = {label for label, (down, up) in census.items()
+                   if down == 1 and up == 1}
+        # dummies take the first generated labels that are not free here
+        names = _fresh_labels(census.keys() - dummies, len(dummies))
         dead = False
         for _ in range(8):
             changed = False
@@ -549,15 +571,15 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
                 factors = new_order
                 changed = True
             # canonical dummy names, assigned left to right
-            dummies = _dummy_labels(factors)
             if dummies:
-                mapping, counter = {}, itertools.count(1)
+                mapping, fresh = {}, iter(names)
                 for f in factors:
                     for label, _ in f.labels():
                         if label in dummies and label not in mapping:
-                            mapping[label] = f"%{next(counter)}"
+                            mapping[label] = next(fresh)
                 if any(k != v for k, v in mapping.items()):
                     factors = [f.rename(mapping) for f in factors]
+                    dummies = set(names)
                     changed = True
             if not changed:
                 break
@@ -567,10 +589,17 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
         merged[key] = merged.get(key, sp.S.Zero) + coeff
     out = []
     for key in sorted(merged, key=lambda fs: tuple(f.sort_key() for f in fs)):
-        coeff = scalars.ratsimp(merged[key])
-        if coeff != 0 and not scalars.is_zero(coeff):
-            out.append(Term(coeff, key))
-    return IndexExpr(out)
+        coeff = merged[key]
+        if coeff.is_Rational:
+            if coeff.is_zero:
+                continue
+        else:
+            coeff = scalars.ratsimp(coeff)
+            if coeff == 0 or scalars.is_zero(coeff):
+                continue
+        out.append(Term(coeff, key))
+    # the terms are relabelings of checked terms with the same free indices
+    return IndexExpr._checked(out)
 
 
 def equivalent(ctx, a, b) -> bool:
@@ -697,7 +726,7 @@ def _kdelta_step(ctx, factors):
             if con in g.deriv:
                 deriv = list(g.deriv)
                 deriv[deriv.index(con)] = cov
-                factors[j] = replace(g, deriv=tuple(deriv))
+                factors[j] = g._with(deriv=deriv)
                 del factors[i]
                 return ("kdelta", None)
     return None
@@ -838,7 +867,7 @@ def _renamed_indices(term, m):
         for x in f.deriv:
             deriv = list(f.deriv)
             deriv[deriv.index(x)] = m
-            moved.append((x, False, replace(f, deriv=tuple(deriv))))
+            moved.append((x, False, f._with(deriv=deriv)))
         for x, up, g in moved:
             yield x, up, term.factors[:i] + (g,) + term.factors[i + 1:]
 
@@ -950,7 +979,7 @@ def wedge(ctx: TensorContext, a, b) -> IndexExpr:
                 la = tuple((labels[i], False) for i in left)
                 lb = tuple((labels[i], False) for i in right)
                 out.append(Term(_perm_sign(left + right) * coeff,
-                                (replace(fa, idx=la), replace(fb, idx=lb))))
+                                (fa._with(idx=la), fb._with(idx=lb))))
     return canform(ctx, IndexExpr(out))
 
 
@@ -973,7 +1002,7 @@ def extdiff(ctx: TensorContext, a, label) -> IndexExpr:
         labels = [label] + [l for l, _ in f.idx]
         for k in range(p + 1):
             slots = tuple((l, False) for l in labels[:k] + labels[k + 1:])
-            obj = replace(f, idx=slots, deriv=f.deriv + (labels[k],))
+            obj = f._with(idx=slots, deriv=f.deriv + (labels[k],))
             out.append(Term((-1) ** k * term.coeff * norm * math.factorial(p),
                             (obj,)))
     return canform(ctx, IndexExpr(out))

@@ -7,20 +7,26 @@ floating point numbers, and abstract-algebra words are reduced by the
 plain one-swap-at-a-time rewriting, and exterior products are the full
 alternating sums over every permutation of the labels.  Agreement between
 these oracles and the symbolic results is what the cross-checks assert.
+
+:func:`indicial_ops_golden` is no oracle but a record: the printed results
+of seeded index operations and algebra words, compared byte for byte with
+``tests/golden/indicial_ops.txt`` so that a change of any printed form shows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import sympy as sp
 
-from tensoralg import scalars
+from tensoralg import algebras, indicial, scalars
 from tensoralg.algebras import MVec
-from tensoralg.indicial import IndexExpr, Term, canform
+from tensoralg.indicial import (IndexExpr, Term, TensorContext, anti_group,
+                                canform, iobj, sym_group)
 
 
 def array_fn(entries, names):
@@ -339,3 +345,174 @@ def petrov_reference(psi, tol=1e-9):
     if not z(j_val) and z(i_val ** 3 - 27 * j_val ** 2):
         return "II"
     return "I"
+
+
+# ---------------------------------------------------------------------------
+# golden record of index operations and algebra words
+
+# name: slot count; W and X are 1-forms, A a 2-form, F a 3-form
+GOLDEN_TENSORS = {"S": 2, "A": 2, "F": 3, "R": 4, "M": 2, "W": 1, "X": 1,
+                  "g": 2}
+GOLDEN_FORMS = {1: ("W", "X"), 2: ("A",), 3: ("F",)}
+GOLDEN_LABELS = "abcdefhijklmnpqrstuvwxy"
+GOLDEN_ALGEBRAS = (("clifford", 2, 0, 2), ("grassmann", 4), ("symplectic", 4),
+                   ("symmetric", 3), ("lie_envelop", 3))
+
+
+def golden_context():
+    """dim 4; S symmetric, A, F and R antisymmetric (R in each pair), with
+    split declarations that legacy objects of A and R match; vector V."""
+    ctx = TensorContext(dim=4)
+    ctx.decsym("S", 2, 0, [sym_group()])
+    ctx.decsym("A", 2, 0, [anti_group()])
+    ctx.decsym("A", 0, 2, (), [anti_group()])
+    ctx.decsym("F", 3, 0, [anti_group()])
+    ctx.decsym("R", 4, 0, [anti_group(1, 2), anti_group(3, 4)])
+    ctx.decsym("R", 2, 2, [anti_group()], [anti_group()])
+    ctx.declare_vector("V")
+    return ctx
+
+
+def _golden_coeff(rng):
+    return rng.choice((sp.Integer(-3), sp.S.NegativeOne, sp.Rational(1, 2),
+                       sp.Integer(2), sp.Rational(5, 3), sp.Symbol("x"),
+                       1 - sp.Symbol("x")))
+
+
+def _golden_factors(rng, free, names):
+    """Objects of ``names`` carrying the (label, up) pairs ``free`` and
+    dummy pairs on their other slots; objects with a raised slot are legacy
+    (covariant list, contravariant list) about one time in three."""
+    slots = [(k, p) for k, n in enumerate(names)
+             for p in range(GOLDEN_TENSORS[n])]
+    rng.shuffle(slots)
+    taken = {l for l, _ in free}
+    pool = iter(rng.sample([l for l in GOLDEN_LABELS if l not in taken],
+                           len(slots) // 2))
+    assign = dict(zip(slots, free))
+    rest = slots[len(free):]
+    for s, t in zip(rest[::2], rest[1::2]):
+        label, up = next(pool), rng.random() < 0.5
+        assign[s], assign[t] = (label, up), (label, not up)
+    factors = []
+    for k, n in enumerate(names):
+        mine = [assign[(k, p)] for p in range(GOLDEN_TENSORS[n])]
+        if any(up for _, up in mine) and rng.random() < 0.3:
+            factors.append(iobj(n, [l for l, up in mine if not up],
+                                [l for l, up in mine if up]))
+        else:
+            factors.append(iobj(n, [("-" if up else "") + l
+                                    for l, up in mine]))
+    return factors
+
+
+def _golden_names(rng, nfactors, nfree, pool):
+    """``nfactors`` names from ``pool`` with room for ``nfree`` free slots
+    and pairs on the rest, or None after 50 draws."""
+    for _ in range(50):
+        names = rng.choices(pool, k=nfactors)
+        extra = sum(GOLDEN_TENSORS[n] for n in names) - nfree
+        if extra >= 0 and extra % 2 == 0:
+            return names
+    return None
+
+
+def _golden_product(rng, nfactors, pool=sorted(GOLDEN_TENSORS)):
+    """A product, or a sum of two products with the same free indices: a
+    second random product, or the first with its dummies renamed."""
+    names = rng.choices(pool, k=nfactors)
+    total = sum(GOLDEN_TENSORS[n] for n in names)
+    nfree = rng.choice([n for n in range(4)
+                        if n <= total and (total - n) % 2 == 0])
+    free = [(l, rng.random() < 0.5)
+            for l in rng.sample(GOLDEN_LABELS, nfree)]
+    first = _golden_factors(rng, free, names)
+    e = IndexExpr.of(*first, coeff=_golden_coeff(rng))
+    roll = rng.random()
+    if roll < 0.25:
+        names = _golden_names(rng, rng.randint(1, nfactors), nfree, pool)
+        if names is not None:
+            second = _golden_factors(rng, free, names)
+            e = e + IndexExpr.of(*second, coeff=_golden_coeff(rng))
+    elif roll < 0.4:
+        dummies = sorted(e.all_labels() - {l for l, _ in free})
+        fresh = rng.sample([l for l in GOLDEN_LABELS
+                            if l not in e.all_labels()], len(dummies))
+        mapping = dict(zip(dummies, fresh))
+        coeff = rng.choice((-e.terms[0].coeff, _golden_coeff(rng)))
+        e = e + IndexExpr.of(*(f.rename(mapping) for f in first),
+                             coeff=coeff)
+    return e
+
+
+def _golden_form(rng, degree, labels):
+    out = IndexExpr()
+    names = GOLDEN_FORMS[degree]
+    for name in rng.sample(names, rng.randint(1, len(names))):
+        out = out + IndexExpr.of(iobj(name, labels), coeff=_golden_coeff(rng))
+    return out
+
+
+def _golden_word_sum(rng, adim):
+    out = MVec.zero()
+    for _ in range(rng.randint(1, 2)):
+        word = [rng.randint(1, adim) for _ in range(rng.randint(2, 6))]
+        out = out + MVec.word(word, rng.choice((1, -2, 3, sp.Symbol("x"))))
+    return out
+
+
+def indicial_ops_golden(seed=18):
+    """The text of ``tests/golden/indicial_ops.txt``: one line per seeded
+    operation, ``op: input -> output`` (or the error it raised), over
+    ``canform``, ``contract``, ``covdiff`` + ``expand_christoffels`` +
+    ``contract``, ``liediff``, ``wedge``, ``extdiff``, ``inner`` and
+    ``atensimp``.  Rewrite the file with
+
+        PYTHONPATH=src:tests python -c "import oracles, sys; \\
+            sys.stdout.write(oracles.indicial_ops_golden())" \\
+            > tests/golden/indicial_ops.txt
+    """
+    rng = random.Random(seed)
+    ctx = golden_context()
+    lines = []
+
+    def record(op, given, run):
+        try:
+            out = str(run())
+        except (ValueError, KeyError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{op}: {given} -> {out}")
+
+    for i in range(60):
+        e = _golden_product(rng, 1 + i % 4)
+        record("canform", e, lambda: indicial.canform(ctx, e))
+        record("contract", e, lambda: indicial.contract(ctx, e))
+    for i in range(30):
+        e = _golden_product(rng, 1 + i % 2)
+        record("liediff V", e, lambda: indicial.liediff(ctx, e, "V"))
+    for i in range(30):
+        e = _golden_product(rng, 1 + i % 2, ("M", "S", "W", "X", "g"))
+        record("covdiff z, expand, contract", e,
+               lambda: indicial.contract(ctx, indicial.expand_christoffels(
+                   ctx, indicial.covdiff(ctx, e, "z"))))
+    for i in range(40):
+        p, q = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (2, 3))[i % 7]
+        labels = rng.sample(GOLDEN_LABELS, p + q)
+        a = _golden_form(rng, p, labels[:p])
+        b = _golden_form(rng, q, labels[p:])
+        record("wedge", f"({a}) ^ ({b})", lambda: indicial.wedge(ctx, a, b))
+    for i in range(25):
+        p = 1 + i % 3
+        a = _golden_form(rng, p, rng.sample(GOLDEN_LABELS, p))
+        record("extdiff z", a, lambda: indicial.extdiff(ctx, a, "z"))
+    for i in range(25):
+        p = 1 + i % 3
+        a = _golden_form(rng, p, rng.sample(GOLDEN_LABELS, p))
+        record("inner V", a, lambda: indicial.inner(ctx, "V", a))
+    for kind, *dims in GOLDEN_ALGEBRAS:
+        config = algebras.init_atensor(kind, *dims)
+        for _ in range(12):
+            x = _golden_word_sum(rng, config.adim)
+            record(f"atensimp {kind}", x,
+                   lambda: algebras.atensimp(config, x))
+    return "\n".join(lines) + "\n"

@@ -457,6 +457,11 @@ def test_exit_code_input_errors(tmp_path, capsys):
     (("catalog", "show"), "error: catalog show needs a metric name\n"),
     (("compute", "--catalog", "ellipsoidal", "--frame"),
      "error: catalog entry 'ellipsoidal' has no frame base\n"),
+    # the first printed the KeyError's quotes, the last listed the catalog
+    (("catalog", "show", "nosuch"), "error: unknown catalog metric 'nosuch'\n"),
+    (("compute", "--catalog", "nosuch"),
+     "error: unknown catalog metric 'nosuch'\n"),
+    (("catalog", "list", "polar"), "error: catalog list takes no metric name\n"),
 ])
 def test_exit_code_catalog_input_errors(argv, message, capsys):
     code, out, err = run_cli(*argv, capsys=capsys)

@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -210,6 +212,52 @@ def test_canform_merges_dummy_renamings(ctx):
     e1 = IndexExpr.of(iobj("v", [], ["p"]), iobj("w", ["p"]))
     e2 = IndexExpr.of(iobj("v", [], ["q"]), iobj("w", ["q"]))
     assert canform(ctx, e1 - e2).is_zero
+
+
+def test_canform_renames_dummies_onto_free_generated_labels(ctx):
+    # %1 is free, so the dummy a becomes %2; both raised IndexConflictError
+    e = IndexExpr.of(iobj("T", ["%1", "-a"]), iobj("S", ["a"]))
+    expected = IndexExpr.of(iobj("S", ["%2"]), iobj("T", ["%1", "-%2"]))
+    assert canform(ctx, e) == expected
+    assert contract(ctx, e) == expected
+    lowered = IndexExpr.of(iobj("g", ["%1", "b"]), iobj("T", ["-b", "-a"]),
+                           iobj("S", ["a"]))
+    assert contract(ctx, lowered) == expected
+    e = IndexExpr.of(iobj("R", ["%2", "a", "-b", "-a"]),
+                     iobj("S", ["b", "%1"]), coeff=3)
+    assert canform(ctx, e) == IndexExpr.of(
+        iobj("R", ["%2", "%3", "-%4", "-%3"]), iobj("S", ["%4", "%1"]),
+        coeff=3)
+
+
+def test_canform_does_its_bookkeeping_once(monkeypatch, ctx):
+    # no object is normalized again and each term's labels are counted
+    # once: the output is built from relabelings of checked terms
+    ctx.decsym("S", 2, 0, [sym_group()])
+    ctx.decsym("A", 2, 0, [anti_group()])
+    ctx.decsym("R", 4, 0, [anti_group(1, 2), anti_group(3, 4)])
+    e = (IndexExpr.of(iobj("R", ["b", "a", "-c", "-d"]), iobj("S", ["e", "c"]),
+                      iobj("A", ["-e", "-a"]), iobj("W", ["d"]), coeff=2)
+         + IndexExpr.of(iobj("M", ["-f", "b"]), iobj("S", ["f", "h"]),
+                        iobj("A", ["-h", "-i"]), iobj("X", ["i"])))
+    calls = {"post_init": 0, "census": 0}
+    post_init, census = IndexedObject.__post_init__, ind._label_census
+
+    def counted_post_init(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    def counted_census(factors):
+        calls["census"] += 1
+        return census(factors)
+
+    monkeypatch.setattr(IndexedObject, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ind, "_label_census", counted_census)
+    out = canform(ctx, e)
+    assert calls == {"post_init": 0, "census": 2}
+    assert str(out) == ("A([-%1,-%2],[])*M([-%3,b],[])*S([%1,%3],[])"
+                        "*X([%2],[]) - 2*A([-%1,-%2],[])*R([b,%1,-%3,-%4],[])"
+                        "*S([%2,%3],[])*W([%4],[])")
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +654,11 @@ def test_index_expr_keeps_one_scalar_term():
 
 
 @st.composite
-def _tensor_exprs(draw):
+def _tensor_exprs(draw, free_labels=("a", "b", "c", "1")):
     """Sums of rational multiples of products of ordered and legacy
     objects, every term with the same free indices, with dummy pairs and
     derivative labels."""
-    free = draw(st.lists(st.sampled_from(["a", "b", "c", "1"]), unique=True,
+    free = draw(st.lists(st.sampled_from(free_labels), unique=True,
                          max_size=3))
     ups = {label: draw(st.booleans()) for label in free}
     terms = []
@@ -648,3 +696,72 @@ def _tensor_exprs(draw):
                     ind.Term(3, ()), ind.Term(sp.Rational(-1, 2), ())]))
 def test_parse_tensor_expr_round_trips_printed_expressions(e):
     assert parse_tensor_expr(str(e)) == e
+
+
+def test_index_operations_match_the_golden_record():
+    golden = Path(__file__).parent / "golden" / "indicial_ops.txt"
+    assert oracles.indicial_ops_golden() == golden.read_text(encoding="utf-8")
+
+
+_LABELS = st.sampled_from(["a", "b", "%1", "%12", "7"])
+
+
+@st.composite
+def _objects(draw):
+    idx = draw(st.lists(st.tuples(_LABELS, st.booleans()), max_size=4))
+    deriv = draw(st.lists(_LABELS, max_size=2))
+    return IndexedObject(draw(st.sampled_from(["T", "g"])), idx, deriv,
+                         draw(st.booleans()))
+
+
+def _same(a, b):
+    # repr also tells a label 7 from "7" and an up flag 1 from True
+    return a == b and repr(a) == repr(b) and hash(a) == hash(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_objects(), st.data())
+def test_copies_equal_what_dataclasses_replace_gives(f, data):
+    label = data.draw(st.one_of(_LABELS, st.integers(0, 9)))
+    up = data.draw(st.sampled_from([True, False, 1, 0]))
+    if f.idx:
+        pos = data.draw(st.integers(0, len(f.idx) - 1))
+        idx = list(f.idx)
+        idx[pos] = (label, up)
+        assert _same(f.replace_slot(pos, (label, up)), replace(f, idx=idx))
+        rest = [s for i, s in enumerate(f.idx) if i != pos]
+        at = (next((i for i, (_, u) in enumerate(rest) if u), len(rest))
+              if up else 0)
+        rest.insert(at, (label, up))
+        assert _same(f.drop_slot_insert(pos, (label, up)),
+                     replace(f, idx=rest))
+    mapping = data.draw(st.dictionaries(_LABELS, st.one_of(
+        _LABELS, st.integers(0, 9))))
+    assert _same(f.rename(mapping), replace(
+        f, idx=[(mapping.get(l, l), u) for l, u in f.idx],
+        deriv=[mapping.get(d, d) for d in f.deriv]))
+    assert _same(f.with_deriv(label), replace(f, deriv=f.deriv + (label,)))
+    moved = [g for _, _, (g,) in ind._renamed_indices(ind.Term(1, (f,)), "m")]
+    expected = [replace(f, idx=f.idx[:p] + (("m", u),) + f.idx[p + 1:])
+                for p, (_, u) in enumerate(f.idx)]
+    expected += [replace(f, deriv=f.deriv[:p] + ("m",) + f.deriv[p + 1:])
+                 for p in range(len(f.deriv))]
+    assert len(moved) == len(expected)
+    assert all(_same(a, b) for a, b in zip(moved, expected))
+
+
+def _symmetric_context():
+    ctx = TensorContext()
+    ctx.decsym("S", 2, 0, [sym_group()])
+    ctx.decsym("T", 3, 0, [anti_group()])
+    ctx.decsym("T", 0, 2, (), [anti_group()])
+    return ctx
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_tensor_exprs(), _tensor_exprs(["a", "%3", "%12"])))
+def test_canform_output_passes_the_checks_it_skips(e):
+    # canform builds its result without checking it again
+    out = canform(_symmetric_context(), e)
+    assert IndexExpr(out.terms).terms == out.terms
+    assert IndexExpr((-out).terms).terms == (-out).terms
