@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import sympy as sp
@@ -89,31 +88,6 @@ def _det(m, zero):
     return sum(((-1) ** j * m[0][j]
                 * _det([row[:j] + row[j + 1:] for row in m[1:]], zero)
                 for j in range(len(m)) if m[0][j] != 0), zero)
-
-
-def _simp(e, K):
-    """Rational normal form, trying the trigonometric closure when it pays.
-
-    Component arrays stay much smaller when sin^2/cosh^2 combinations are
-    folded early (they frequently collapse curvature entries to 0); the
-    reduced form is kept only when its expression is no larger than the
-    plain one's.  The closure starts from the normal form, so ``ratsimp``
-    is not run twice.
-
-    ``K`` is the scalar domain.  A context whose metric, torsion and
-    nonmetricity lie in a :class:`scalars.KernelField` holds every
-    coordinate stage as field elements, and the rule compares the
-    expressions of the two candidates.  A frame that lies in one, square
-    roots included, holds its frame stages as elements of the same field.
-    Input outside every kernel field keeps expression trees.
-    """
-    e = K.ratsimp(e)
-    if K.has_trig(e):
-        reduced = K.reduce_trig(e)
-        if (reduced == e
-                or sp.count_ops(K.expr(reduced)) <= sp.count_ops(K.expr(e))):
-            return reduced
-    return e
 
 
 def _contract_last(array, matrix, K, simp):
@@ -322,6 +296,7 @@ class MetricContext:
             if found is not None:
                 K, (f, eta, tau, mu) = found
                 g = self._frame_metric(K, f, eta)
+                K.choose_table(sum(g, []))
                 self.lg = _map(K.expr, g)
                 self.field = self._K = self._FK = K
                 self._g, self._tau, self._mu, self._fri, self._eta = (
@@ -334,6 +309,8 @@ class MetricContext:
         self.field = None if found is None else found[0]
         self._K = TREES if found is None else found[0]
         self._g, self._tau, self._mu = inputs if found is None else found[1]
+        if found is not None:
+            self.field.choose_table(sum(self._g, []))
 
     def _frame_metric(self, K, f, eta):
         """The metric g_ij = sum_a f_ai e_(a)j, e_(a)j = sum_b eta_ab f_bj,
@@ -365,14 +342,15 @@ class MetricContext:
 
     def _public(self, key, fn, K=None):
         """Stage ``key`` as expressions: field elements are converted once,
-        here, and expression trees are returned as they are.  ``K`` is the
-        stage's scalar domain, by default the context's."""
+        here, from their canonical ``reduce_trig`` form, so a printed value
+        depends on the value only; expression trees are returned as they
+        are.  ``K`` is the stage's scalar domain, by default the context's."""
         value = self._cached(key, fn)
         K = self._K if K is None else K
         if K is TREES:
             return value
         if key not in self._exprs:
-            self._exprs[key] = _map(K.expr, value)
+            self._exprs[key] = _map(lambda f: K.expr(K.reduce_trig(f)), value)
         return self._exprs[key]
 
     def _values(self, key):
@@ -514,7 +492,7 @@ class MetricContext:
         def compute():
             return _contract_last(self._values("christoffel1"),
                                   self._values("ug"), self._K,
-                                  partial(_simp, K=self._K))
+                                  self._K.trigsimp)
         return self._public("christoffel2", compute)
 
     @property
@@ -526,7 +504,7 @@ class MetricContext:
                 return self._values("christoffel2")
             return _contract_last(self._values("connection"),
                                   self._values("ug"), self._K,
-                                  partial(_simp, K=self._K))
+                                  self._K.trigsimp)
         return self._public("connection2", compute)
 
     # -- curvature ------------------------------------------------------------
@@ -549,14 +527,13 @@ class MetricContext:
                 return self._riemann_direct()
             n, K = self.dim, self._K
             rl, ug = self._values("riemann_lowered"), self._values("ug")
-            simp = partial(_simp, K=K)
             out = _zeros(n, n, n, n, zero=K.zero)
             for h in range(n):
                 for l in range(n):
                     for k in range(l + 1, n):
-                        row = _contract_last(rl[h][l][k], ug, K, simp)
+                        row = _contract_last(rl[h][l][k], ug, K, K.trigsimp)
                         out[h][l][k] = row
-                        out[h][k][l] = [simp(-v) if v != 0 else v
+                        out[h][k][l] = [K.trigsimp(-v) if v != 0 else v
                                         for v in row]
             return out
         return self._public("riemann", compute)
@@ -566,7 +543,6 @@ class MetricContext:
         R[h][l][k][j] = d_k G_lh^j - d_l G_kh^j + G_km^j G_lh^m - G_lm^j G_kh^m,
         the part of [nabla_k, nabla_l] V^j that multiplies V^h."""
         n, K, c2 = self.dim, self._K, self._values("connection2")
-        simp = partial(_simp, K=K)
 
         def d(k, a, b, j):
             # d c2[a][b][j] / dx^k, wanted once for each k != a
@@ -578,11 +554,11 @@ class MetricContext:
             for l in range(n):
                 for k in range(l):
                     for j in range(n):
-                        val = simp(d(k, l, h, j) - d(l, k, h, j) + sum(
+                        val = K.trigsimp(d(k, l, h, j) - d(l, k, h, j) + sum(
                             c2[k][m][j] * c2[l][h][m]
                             - c2[l][m][j] * c2[k][h][m] for m in range(n)))
                         out[h][l][k][j] = val
-                        out[h][k][l][j] = simp(-val)
+                        out[h][k][l][j] = K.trigsimp(-val)
         return out
 
     @property
@@ -619,7 +595,7 @@ class MetricContext:
                     + K.dot(c1[k][l] + c1[k][m],
                             c2[i][m] + [-v for v in c2[i][l]])
 
-            return _pair_fill(n, component, partial(_simp, K=K), K.zero)
+            return _pair_fill(n, component, K.trigsimp, K.zero)
         return self._public("riemann_lowered", compute)
 
     @property

@@ -197,6 +197,11 @@ def _free_indices(factors):
     return frozenset(free)
 
 
+def _nonzero(coeff):
+    """``coeff != 0``, without the sympify of ``!=`` for a sympy number."""
+    return not coeff.is_zero if isinstance(coeff, sp.Number) else coeff != 0
+
+
 @dataclass(frozen=True)
 class Term:
     coeff: sp.Expr
@@ -228,7 +233,7 @@ class IndexExpr:
         kept, frees = [], set()
         for t in terms:
             free = _free_indices(t.factors)
-            if t.coeff != 0:
+            if _nonzero(t.coeff):
                 kept.append(t)
                 frees.add(free)
         if len(frees) > 1:
@@ -643,7 +648,7 @@ def contract(ctx: TensorContext, e) -> IndexExpr:
     for term in e.terms:
         coeff, factors = term.coeff, list(term.factors)
         coeff, factors = _contract_term(ctx, coeff, factors)
-        if coeff != 0:
+        if _nonzero(coeff):
             out.append(Term(coeff, tuple(factors)))
     return canform(ctx, IndexExpr(out))
 

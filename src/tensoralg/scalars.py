@@ -37,6 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 from fractions import Fraction
+from itertools import product
 
 import sympy as sp
 from mpmath.ctx_iv import MPIntervalContext
@@ -372,7 +373,8 @@ def _fraction_field(gens):
 _PARTNERS = {sp.sin: (sp.cos, 1), sp.cos: (sp.sin, -1),
              sp.sinh: (sp.cosh, 1), sp.cosh: (sp.sinh, 1)}
 
-#: Eliminated kernels: sin(u)^2 = 1 - cos(u)^2, cosh(u)^2 = 1 + sinh(u)^2.
+#: s of k(u)^2 = 1 + s*partner(u)^2 for k = sin, cosh, so that
+#: partner(u)^2 = s*k(u)^2 - s: sin^2 = 1 - cos^2, cosh^2 = 1 + sinh^2.
 _SQUARES = {sp.sin: -1, sp.cosh: 1}
 
 
@@ -450,7 +452,8 @@ def _adjoin_roots(base, radicands):
             f = base.reduce_trig(base.element(radicand))
         except ZeroDivisionError:
             return None
-        if not f.numer or base.has_trig(f):
+        degrees = (f.numer.degrees(), f.denom.degrees())
+        if not f.numer or any(d[i] for d in degrees for i in base._eliminated):
             return None
         a, b = f.numer, f.denom
         if b.LC < 0:
@@ -517,7 +520,8 @@ class KernelField:
 
     One relation table holds every generator whose square is known,
     gens[i]^2 = p_i with p_i a polynomial in the other generators:
-    sin(u)^2 = 1 - cos(u)^2, cosh(u)^2 = 1 + sinh(u)^2 and, for a root q
+    sin(u)^2 = 1 - cos(u)^2 or its converse, cosh(u)^2 = 1 + sinh(u)^2 or
+    its converse, as :meth:`choose_table` decides, and, for a root q
     given in ``roots`` as (q, p), q^2 = p, with dq = q dp/(2p).
     """
 
@@ -527,17 +531,16 @@ class KernelField:
         self.zero = self.field.zero
         index = {g: i for i, g in enumerate(gens)}
         roots = dict(roots)
-        # (i, p): gens[i]^2 = p
-        self._squares = []
         # (i, p): gens[i] is a root with gens[i]^2 = p
         self._radicals = []
         # (i, j, sign, u): d gens[i] = sign*gens[j] du, u the argument
         self._chains = []
+        # per sin/cos or sinh/cosh pair, the relations (i, p) eliminating
+        # its sin or cosh and eliminating its partner
+        self._pairs = []
         for i, g in enumerate(gens):
             if g in roots:
-                square = self.ring.from_expr(roots[g])
-                self._squares.append((i, square))
-                self._radicals.append((i, square))
+                self._radicals.append((i, self.ring.from_expr(roots[g])))
                 continue
             if g.is_Symbol:
                 continue
@@ -545,10 +548,11 @@ class KernelField:
             j = index[partner(g.args[0])]
             self._chains.append((i, j, sign, self.ring.from_expr(g.args[0])))
             if g.func in _SQUARES:
-                self._squares.append(
-                    (i, 1 + _SQUARES[g.func] * self.ring.gens[j] ** 2))
-        self._eliminated = [i for i, _ in self._squares]
+                s = _SQUARES[g.func]
+                k, p = self.ring.gens[i], self.ring.gens[j]
+                self._pairs.append(((i, 1 + s * p ** 2), (j, s * k ** 2 - s)))
         self._radical_set = {i for i, _ in self._radicals}
+        self._eliminate((0,) * len(self._pairs))
         # radicand expression -> element of its root
         self._roots = {}
         self._derivations = {}
@@ -633,16 +637,37 @@ class KernelField:
 
     # -- the algebraic closure ------------------------------------------------
 
-    def has_trig(self, f):
-        """True when sin, cosh or a root occurs in ``f``."""
-        degrees = (f.numer.degrees(), f.denom.degrees())
-        return any(d[i] > 0 for d in degrees for i in self._eliminated)
+    def _eliminate(self, choice):
+        """Eliminate every root and, of the i-th pair, its sin or cosh when
+        choice[i] is 0 and its partner when it is 1."""
+        self._squares = sorted(
+            [pair[c] for pair, c in zip(self._pairs, choice)]
+            + self._radicals, key=lambda square: square[0])
+        self._eliminated = [i for i, _ in self._squares]
+
+    def choose_table(self, entries):
+        """Eliminate sin or cos and cosh or sinh of each pair so that the
+        reduced ``entries`` have the fewest terms, a tie keeping the sin or
+        cosh of the earliest pair: a choice by value, so equal entries
+        print alike.  A kernel in the square of a root is never eliminated,
+        as :meth:`_reduce_even` needs the squares free of eliminated ones."""
+        in_roots = {i for _, square in self._radicals
+                    for m in square.itermonoms() for i, k in enumerate(m) if k}
+        choices = product(*[(0,) if partner in in_roots else (0, 1)
+                            for _, (partner, _) in self._pairs])
+
+        def terms(choice):
+            self._eliminate(choice)
+            return sum(len(r.numer) + len(r.denom)
+                       for r in map(self.reduce_trig, entries))
+        self._eliminate(min(choices, key=terms))
 
     def reduce_trig(self, f):
-        """The ring form of ``_reduce_trig_tree``: each square of the relation
-        table replaced in numerator and denominator, then each odd root,
-        sin or cosh of the denominator cleared by its conjugate, the roots
-        first and then the kernels in generator order."""
+        """The canonical form of ``f``: each square of the relation table
+        replaced in numerator and denominator, then each odd root or
+        eliminated kernel of the denominator cleared by its conjugate, the
+        roots first and then the kernels in generator order.  ``f`` itself
+        when nothing changes, so a reduced element costs no gcd."""
         num, den = self._reduce_even(f.numer), self._reduce_even(f.denom)
         for _ in range(16):
             odd = [i for i in self._eliminated
@@ -657,6 +682,8 @@ class KernelField:
             multiplier = 2 * rest - den if rest else self.ring.gens[i]
             num = self._reduce_even(num * multiplier)
             den = self._reduce_even(den * multiplier)
+        if num is f.numer and den is f.denom:
+            return f
         return self.field.new(num, den)
 
     def _reduce_even(self, p, squares=None):
@@ -688,9 +715,9 @@ class KernelField:
         """sum x*y over the pairs of ``xs`` and ``ys``, cancelled once: the
         terms are added by denominator and the groups over their least
         common multiple, so no product or partial sum takes a gcd.  The
-        squares of roots are replaced in the numerator before the gcd;
-        unlike sin^2 and cosh^2 (see ``curvature._simp``), no caller keeps
-        them."""
+        squares of roots are replaced in the numerator before the gcd, as no
+        caller keeps them; the squares of kernels are left to
+        :meth:`reduce_trig`."""
         groups = {}
         for x, y in zip(xs, ys):
             if x and y:
@@ -735,14 +762,6 @@ class _Trees:
     @staticmethod
     def diff(e, x):
         return diff(e, x)
-
-    @staticmethod
-    def has_trig(e):
-        return e.has(sp.sin, sp.cosh)
-
-    @staticmethod
-    def reduce_trig(e):
-        return _reduce_trig_tree(e)
 
     @staticmethod
     def trigsimp(e):

@@ -11,19 +11,24 @@ these oracles and the symbolic results is what the cross-checks assert.
 :func:`indicial_ops_golden` is no oracle but a record: the printed results
 of seeded index operations and algebra words, compared byte for byte with
 ``tests/golden/indicial_ops.txt`` so that a change of any printed form shows.
+:data:`CLI_GOLDENS` records the commands whose output the JSON files under
+``tests/golden`` hold, and :func:`write_cli_goldens` rewrites them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import sympy as sp
 
-from tensoralg import algebras, indicial, scalars
+from tensoralg import algebras, catalog, cli, indicial, scalars
 from tensoralg.algebras import MVec
 from tensoralg.indicial import (IndexExpr, Term, TensorContext, anti_group,
                                 canform, iobj, sym_group)
@@ -516,3 +521,49 @@ def indicial_ops_golden(seed=18):
             record(f"atensimp {kind}", x,
                    lambda: algebras.atensimp(config, x))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# golden records of the command line
+
+#: Frames whose frame stages stay on expression trees: a dependent radicand
+#: pair (Schwarzschild) or abs (spheroidal).
+TREE_FRAMES = ("exteriorschwarzschild", "interiorschwarzschild",
+               "oblatespheroidal", "oblatespheroidalsqrt", "prolatespheroidal",
+               "prolatespheroidalsqrt")
+
+#: File name under ``tests/golden`` -> the ``tensoralg`` arguments whose
+#: output it holds.
+CLI_GOLDENS = {
+    **{f"{name}.json": ("compute", "--catalog", name, "--tensors", "all",
+                        "--format", "json")
+       for name in catalog.list_entries()},
+    **{f"{name}_frame.json": ("compute", "--catalog", name, "--frame",
+                              "--tensors", "all", "--format", "json")
+       for name in TREE_FRAMES},
+    **{f"{name}_rotation.json": ("compute", "--catalog", name, "--frame",
+                                 "--tensors", "rotation_coeffs", "--format",
+                                 "json")
+       for name in ("conical", "toroidal")},
+}
+
+
+def cli_output(argv):
+    """What ``cli.main(argv)`` prints on standard output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    return out.getvalue()
+
+
+def write_cli_goldens(names=tuple(CLI_GOLDENS)):
+    """Rewrite the golden files ``names`` (all by default) from the output
+    of their :data:`CLI_GOLDENS` commands:
+
+        PYTHONPATH=src:tests python -c "import oracles; \\
+            oracles.write_cli_goldens()"
+    """
+    folder = Path(__file__).parent / "golden"
+    for name in names:
+        (folder / name).write_text(cli_output(CLI_GOLDENS[name]),
+                                   encoding="utf-8")

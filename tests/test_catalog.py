@@ -181,3 +181,37 @@ def test_selected_flatness_spot_checks(name):
             for k in range(n):
                 for j in range(n):
                     assert is_zero(R[h][l][k][j]), (name, h, l, k, j)
+
+
+def _components(array, index=()):
+    if isinstance(array, list):
+        for i, sub in enumerate(array):
+            yield from _components(sub, index + (i,))
+    else:
+        yield index, array
+
+
+@pytest.mark.parametrize("name", sorted(set(ALL_NAMES) - set(FLAT_ENTRIES)))
+def test_antisymmetric_partners_print_as_negatives(name):
+    # the partner of a component in an antisymmetric pair of slots prints
+    # over the same denominator with every numerator term negated; the
+    # flat entries have no nonzero curvature component
+    ctx = load(name)
+    # riemann_lowered and weyl keep P_abcd at [b][d][c][a], antisymmetric
+    # in (a, b) and in (c, d); riemann R[h][l][k]^j is so in (l, k)
+    pair_swaps = {"riemann_lowered": ((0, 3), (1, 2)),
+                  "weyl": ((0, 3), (1, 2)), "riemann": ((1, 2),)}
+    for stage, swaps in pair_swaps.items():
+        array = getattr(ctx, stage)
+        for index, value in _components(array):
+            num, den = sp.fraction(value)
+            for i, j in swaps:
+                other = list(index)
+                other[i], other[j] = index[j], index[i]
+                partner = array
+                for k in other:
+                    partner = partner[k]
+                pnum, pden = sp.fraction(partner)
+                assert pden == den, (stage, index)
+                assert (set(sp.Add.make_args(pnum))
+                        == {-t for t in sp.Add.make_args(num)}), (stage, index)

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from tensoralg import algebras, catalog, cli, indicial, scalars
 from tensoralg.indicial import TensorContext, anti_group, sym_group
 
@@ -55,8 +58,8 @@ def test_compute_christoffel_component_naming(capsys):
 @pytest.mark.parametrize("name", catalog.list_entries())
 def test_compute_all_matches_golden_output(name, capsys):
     start = time.monotonic()
-    code, out, err = run_cli("compute", "--catalog", name, "--tensors", "all",
-                             "--format", "json", capsys=capsys)
+    code, out, err = run_cli(*oracles.CLI_GOLDENS[f"{name}.json"],
+                             capsys=capsys)
     seconds = time.monotonic() - start
     assert code == 0 and err == ""
     golden = Path(__file__).parent / "golden" / f"{name}.json"
@@ -203,8 +206,7 @@ def test_compute_frame_and_coordinate_files_share_the_connection(tmp_path,
 @pytest.mark.parametrize("name", ["conical", "toroidal"])
 def test_frame_rotation_coeffs_match_golden_within_budget(name, capsys):
     start = time.monotonic()
-    code, out, _ = run_cli("compute", "--catalog", name, "--frame",
-                           "--tensors", "rotation_coeffs", "--format", "json",
+    code, out, _ = run_cli(*oracles.CLI_GOLDENS[f"{name}_rotation.json"],
                            capsys=capsys)
     seconds = time.monotonic() - start
     assert code == 0
@@ -213,14 +215,9 @@ def test_frame_rotation_coeffs_match_golden_within_budget(name, capsys):
     assert seconds < 15, f"rotation coefficients took {seconds:.1f}s"
 
 
-@pytest.mark.parametrize("name", [
-    "exteriorschwarzschild", "interiorschwarzschild", "oblatespheroidal",
-    "oblatespheroidalsqrt", "prolatespheroidal", "prolatespheroidalsqrt"])
+@pytest.mark.parametrize("name", oracles.TREE_FRAMES)
 def test_tree_frame_stages_match_golden(name, capsys):
-    # these frames keep their frame stages on expression trees: a dependent
-    # radicand pair (Schwarzschild) or abs (spheroidal)
-    code, out, err = run_cli("compute", "--catalog", name, "--frame",
-                             "--tensors", "all", "--format", "json",
+    code, out, err = run_cli(*oracles.CLI_GOLDENS[f"{name}_frame.json"],
                              capsys=capsys)
     assert code == 0 and err == ""
     golden = Path(__file__).parent / "golden" / f"{name}_frame.json"
@@ -320,6 +317,68 @@ def test_frame_routes_print_the_same_tensors(name, tensors, tmp_path, capsys):
     via_file = run_cli("compute", "--metric", str(path), "--frame",
                        "--tensors", tensors, capsys=capsys)
     assert direct[0] == 0 and direct == via_file
+
+
+@pytest.mark.parametrize("name", FRAME_ENTRIES)
+def test_frame_and_coordinate_routes_print_the_same_tensors(name, capsys):
+    # a frame context takes its relation table from the metric its frame
+    # derives, so its coordinate tensors print as without --frame, which
+    # the golden record of the entry holds
+    tensors = ["christoffel1", "christoffel2", "riemann", "ricci", "scalar",
+               "einstein"]
+    if len(catalog.entry(name).coords) >= 4:
+        tensors.append("weyl")
+    code, out, _ = run_cli("compute", "--catalog", name, "--frame",
+                           "--tensors", ",".join(tensors), "--format",
+                           "json", capsys=capsys)
+    assert code == 0
+    golden = json.loads((Path(__file__).parent / "golden" / f"{name}.json")
+                        .read_text(encoding="utf-8"))
+    assert json.loads(out) == {key: golden[key] for key in tensors}
+
+
+#: sin(y)^2 -> 1 - cos(y)^2 and cosh(x)^2 -> 1 + sinh(x)^2
+REWRITES = {"sin(y)^2": "(1 - cos(y)^2)", "cosh(x)^2": "(1 + sinh(x)^2)"}
+FACTORS = ("x", "y", "sin(y)^2", "cos(y)^2", "sinh(x)^2", "cosh(x)^2",
+           "sin(y)*cos(y)")
+
+
+@st.composite
+def rewritten_metrics(draw):
+    """Two texts of one diagonal metric in x, y, the second with one square
+    of REWRITES rewritten in one entry.  Every entry is 1 plus terms with
+    positive coefficients, so it is positive for small positive x, y and
+    the metric is regular."""
+    def term(factor):
+        return f"{draw(st.integers(1, 3))}*{factor}"
+
+    square = draw(st.sampled_from(sorted(REWRITES)))
+    entries = ["1 + " + term(draw(st.sampled_from(FACTORS)))
+               for _ in range(2)]
+    at = draw(st.integers(0, 1))
+    entries[at] += " + " + term(square)
+    rewritten = list(entries)
+    rewritten[at] = entries[at].replace(square, REWRITES[square], 1)
+    return tuple(f"[chart] coords = x, y\n[metric] row = {a}, 0\n"
+                 f"[metric] row = 0, {b}\n"
+                 for a, b in (entries, rewritten))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rewritten_metrics())
+def test_rewriting_a_square_leaves_every_printed_component(texts):
+    # a printed component depends on its value only: the relation table is
+    # chosen from the values of the metric entries, and each stage prints
+    # its canonical form under that table
+    outputs = []
+    with tempfile.TemporaryDirectory() as folder:
+        for i, text in enumerate(texts):
+            path = Path(folder) / f"{i}.tm"
+            path.write_text(text)
+            outputs.append(oracles.cli_output(
+                ("compute", "--metric", str(path), "--tensors", "all")))
+    assert outputs[0] == outputs[1]
+    assert "christoffel2" in outputs[0]
 
 
 def test_output_is_deterministic(capsys):
