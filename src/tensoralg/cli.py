@@ -67,12 +67,13 @@ def _component_items(ctx, name, rank):
             if zero:
                 zeros += 1
             else:
-                items[",".join(prefix)] = scalars.render(node)
+                items[",".join(prefix)] = scalars.render(node, K)
             return
         for i, (sub, sub_zero) in enumerate(zip(node, zero)):
             walk(prefix + [names[i]], sub, sub_zero, depth - 1)
 
-    walk([], getattr(ctx, name), ctx.vanishing(name), rank)
+    K, values = ctx.printable(name)
+    walk([], values, ctx.vanishing(name), rank)
     return {"components": items, "zero_components": zeros}
 
 
@@ -100,8 +101,8 @@ def _cmd_compute(args):
     for name in wanted:
         log.info("computing %s", name)
         if name == "scalar":
-            value = ctx.ricci_scalar
-            document["scalar"] = {"value": scalars.render(value),
+            K, value = ctx.printable("ricci_scalar")
+            document["scalar"] = {"value": scalars.render(value, K),
                                   "zero": bool(ctx.vanishing("ricci_scalar"))}
             continue
         if name == "rotation_coeffs" and not ctx.cframe_flag:

@@ -253,6 +253,7 @@ class MetricContext:
         self.nonmetricity_values = None
         self._memo = {}
         self._exprs = {}
+        self._reduced = {}
         self._choose_domain()
         if self.cframe_flag and given is not None and not all(
                 scalars.is_zero(given[i][j] - self.lg[i][j])
@@ -289,6 +290,7 @@ class MetricContext:
         trees too.  A coordinate or constant in no entry is no generator."""
         self._memo.clear()
         self._exprs.clear()
+        self._reduced.clear()
         extra = (self.torsion_values, self.nonmetricity_values)
         if self.cframe_flag:
             found = scalars.in_field((self.fri, self.lfg) + extra,
@@ -350,8 +352,17 @@ class MetricContext:
         if K is TREES:
             return value
         if key not in self._exprs:
-            self._exprs[key] = _map(lambda f: K.expr(K.reduce_trig(f)), value)
+            reduced = _map(K.reduce_trig, value)
+            self._reduced[key] = (K, reduced)
+            self._exprs[key] = _map(K.expr, reduced)
         return self._exprs[key]
+
+    def printable(self, key):
+        """Stage ``key`` for printing with :func:`scalars.render`: its field
+        and canonical elements when it was converted from a kernel field,
+        else None and its expressions."""
+        value = getattr(self, key)
+        return self._reduced.get(key, (None, value))
 
     def _values(self, key):
         """Stage ``key`` in the scalar domain.  It is computed through its
@@ -366,13 +377,13 @@ class MetricContext:
         return self._memo[key] if self._FK is self._K else value
 
     def vanishing(self, key):
-        """For each component of stage ``key``, whether it is zero.  On a
-        field context this is decided on the element, whose numerator is 0
-        after the Pythagorean reduction, with no numeric probe."""
+        """For each component of stage ``key``, whether it is zero.  A stage
+        converted from a kernel field is decided on its canonical elements,
+        zero iff the numerator is, with no numeric probe."""
         values = self._values(key)
-        # only stages converted by _public hold field elements
-        K = self._K if key in self._exprs else TREES
-        return _map(K.is_zero, values)
+        if key in self._reduced:
+            return _map(lambda f: not f.numer, self._reduced[key][1])
+        return _map(TREES.is_zero, values)
 
     def set_torsion(self, values):
         """Install a torsion tensor tau_ij^k (antisymmetric in i, j)."""

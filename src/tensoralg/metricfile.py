@@ -40,6 +40,9 @@ class MetricFile:
     frame_metric: list = field(default_factory=list)
     torsion_entries: list = field(default_factory=list)
     nonmetricity: list | None = None
+    #: the expression of each value text, kept where the text is parsed so
+    #: that :meth:`to_context` parses no value twice
+    values: dict = field(default_factory=dict, repr=False, compare=False)
 
     def to_context(self, frame: bool = False) -> MetricContext:
         """The context of this document.  With ``frame``, or with frame rows
@@ -47,25 +50,33 @@ class MetricFile:
         n = len(self.coords)
         if n < 2:
             raise MetricFileError("chart must declare at least two coordinates")
+
+        def value(text):
+            if text not in self.values:
+                self.values[text] = scalars.parse(text)
+            return self.values[text]
+
+        def rows(texts):
+            return [[value(t) for t in row] for row in texts]
         if frame or (not self.metric_rows and self.frame_rows):
             if not self.frame_rows:
                 raise MetricFileError("no [frame] rows to build the metric from")
-            ctx = MetricContext(self.coords, self.metric_rows or None,
-                                fri=self.frame_rows,
-                                lfg=self.frame_metric or _identity_rows(n))
+            eta = self.frame_metric or _identity_rows(n)
+            ctx = MetricContext(self.coords, rows(self.metric_rows) or None,
+                                fri=rows(self.frame_rows), lfg=rows(eta))
         else:
             if len(self.metric_rows) != n:
                 raise MetricFileError(
                     f"expected {n} metric rows, found {len(self.metric_rows)}")
-            ctx = setup_metric(self.coords, self.metric_rows)
+            ctx = setup_metric(self.coords, rows(self.metric_rows))
         if self.torsion_entries:
             tau = [[[0] * n for _ in range(n)] for _ in range(n)]
             for (i, j, k, expr) in self.torsion_entries:
-                tau[i - 1][j - 1][k - 1] = expr
-                tau[j - 1][i - 1][k - 1] = f"-({expr})"
+                tau[i - 1][j - 1][k - 1] = value(expr)
+                tau[j - 1][i - 1][k - 1] = -value(expr)
             ctx.set_torsion(tau)
         if self.nonmetricity is not None:
-            ctx.set_nonmetricity(self.nonmetricity)
+            ctx.set_nonmetricity([value(t) for t in self.nonmetricity])
         return ctx
 
     def render(self) -> str:
@@ -105,12 +116,13 @@ def _split_values(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _expressions(text):
+def _expressions(mf, text):
     """Comma-separated expressions, each parsed where its line is read so
-    that a syntax error is reported with that line."""
+    that a syntax error is reported with that line, and kept in
+    ``mf.values``."""
     values = _split_values(text)
     for value in values:
-        scalars.parse(value)
+        mf.values[value] = scalars.parse(value)
     return values
 
 
@@ -166,14 +178,14 @@ def _ingest(mf, section, key, value):
     elif section == "metric":
         if key != "row":
             raise ValueError(f"unknown metric key {key!r}")
-        mf.metric_rows.append(_expressions(value))
+        mf.metric_rows.append(_expressions(mf, value))
     elif section == "frame":
         if key == "row":
-            mf.frame_rows.append(_expressions(value))
+            mf.frame_rows.append(_expressions(mf, value))
         elif key == "frame_metric":
             value = value.strip()
             if value.startswith("diag(") and value.endswith(")"):
-                diag = _expressions(value[5:-1])
+                diag = _expressions(mf, value[5:-1])
                 n = len(diag)
                 mf.frame_metric = [
                     [diag[i] if i == j else "0" for j in range(n)]
@@ -181,7 +193,7 @@ def _ingest(mf, section, key, value):
             else:
                 raise ValueError("frame_metric expects diag(...) syntax")
         elif key == "metric_row":
-            mf.frame_metric.append(_expressions(value))
+            mf.frame_metric.append(_expressions(mf, value))
         else:
             raise ValueError(f"unknown frame key {key!r}")
     elif section == "torsion":
@@ -190,13 +202,13 @@ def _ingest(mf, section, key, value):
         parts = _split_values(value)
         if len(parts) != 4:
             raise ValueError("torsion entry wants: i, j, k, expression")
-        scalars.parse(parts[3])
+        mf.values[parts[3]] = scalars.parse(parts[3])
         mf.torsion_entries.append(
             (int(parts[0]), int(parts[1]), int(parts[2]), parts[3]))
     elif section == "nonmetricity":
         if key != "mu":
             raise ValueError(f"unknown nonmetricity key {key!r}")
-        mf.nonmetricity = _expressions(value)
+        mf.nonmetricity = _expressions(mf, value)
     else:
         raise ValueError(f"unknown section [{section}]")
 

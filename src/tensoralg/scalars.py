@@ -38,6 +38,7 @@ import cmath
 import functools
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 import sympy as sp
 from mpmath.ctx_iv import MPIntervalContext
@@ -282,8 +283,12 @@ class _AsciiPrinter(StrPrinter):
 _printer = _AsciiPrinter()
 
 
-def render(e: Expr) -> str:
-    """Deterministic text form; ``parse(render(e))`` reproduces ``e``."""
+def render(e: Expr, K=None) -> str:
+    """Deterministic text form; ``parse(render(e))`` reproduces ``e``.
+    Given a :class:`KernelField` ``K``, ``e`` is an element of it, written
+    by :meth:`KernelField.text` as ``render(K.expr(e))`` writes it."""
+    if K is not None:
+        return K.text(e)
     return _printer.doprint(sp.sympify(e)).replace("**", "^")
 
 
@@ -556,6 +561,8 @@ class KernelField:
         # radicand expression -> element of its root
         self._roots = {}
         self._derivations = {}
+        # what text() needs of the generators, built at the first print
+        self._print_order = None
 
     # -- conversions ----------------------------------------------------------
 
@@ -591,6 +598,66 @@ class KernelField:
         if denom.LC < 0:
             numer, denom = -numer, -denom
         return numer.as_expr() / denom.as_expr()
+
+    # -- printing -------------------------------------------------------------
+
+    def text(self, f):
+        """``render(self.expr(f))``, written from the terms of numerator and
+        denominator as sympy's ``StrPrinter`` writes that expression: terms
+        in descending lex order of their exponents and the factors of a term
+        in order, both over the generators sorted by ``sp.default_sort_key``,
+        and signs and coefficients where ``StrPrinter._print_Mul`` puts them.
+        A constant denominator is distributed over the terms, as sympy does.
+        An element holding a root, or a kernel of a constant argument, prints
+        through :func:`render`: sympy writes a power of a root as one of its
+        radicand and folds a constant kernel into a term's coefficient."""
+        if self._print_order is None:
+            self._print_order = self._print_table()
+        key, names, special = self._print_order
+        numer, denom = f.numer, f.denom
+        if not numer:
+            return "0"
+        if special and any(m[i] for p in (numer, denom)
+                           for m in p.itermonoms() for i in special):
+            return render(self.expr(f))
+        if denom.LC < 0:
+            numer, denom = -numer, -denom
+        num = sorted(((key(m), c) for m, c in numer.iterterms()), reverse=True)
+        den = sorted(((key(m), c) for m, c in denom.iterterms()), reverse=True)
+        if len(den) > 1:
+            d, over = self.field.domain.one, [f"({_sum_text(names, den)})"]
+        else:
+            (lone, d), = den
+            over = _factors(names, lone)
+            if len(num) == 1 and num[0] == ((0,) * len(lone), d) and (
+                    len(over) == 1 and max(lone) > 1):
+                # a lone generator to a power -k is a Pow, not a Mul
+                return f"{names[lone.index(max(lone))]}^(-{max(lone)})"
+        if len(num) == 1:
+            m, c = num[0]
+            return _product_text(c / d, _factors(names, m), over)
+        if not over:
+            # sympy spreads a constant 1/d over the terms of a sum
+            return _sum_text(names, [(m, c / d) for m, c in num])
+        return _product_text(1 / d, [f"({_sum_text(names, num)})"], over)
+
+    def _print_table(self):
+        """(exponents in print order of a monomial, generator texts in that
+        order, indices of the generators :meth:`text` leaves to
+        :func:`render`).  A symbol and a kernel of a symbol are written as
+        sympy writes them, without its printer."""
+        gens = self.field.symbols
+        order = sorted(range(len(gens)),
+                       key=lambda i: sp.default_sort_key(gens[i]))
+        names = []
+        for g in (gens[i] for i in order):
+            if g.func in _KERNELS and g.args[0].is_Symbol:
+                names.append(f"{g.func.__name__}({g.args[0].name})")
+            else:
+                names.append(g.name if g.is_Symbol else render(g))
+        return (itemgetter(*order) if len(order) > 1 else tuple, names,
+                [i for i, g in enumerate(gens)
+                 if i in self._radical_set or not g.free_symbols])
 
     # -- calculus -------------------------------------------------------------
 
@@ -747,6 +814,41 @@ def _derive(p, table):
         if dp:
             out = out + dp * d
     return out
+
+
+def _factors(names, exponents):
+    """The factor texts of a monomial, in the order of ``names``."""
+    return [name if k == 1 else f"{name}^{k}"
+            for name, k in zip(names, exponents) if k]
+
+
+def _product_text(c, numer, denom=()):
+    """sympy's text of the product ``c * numer / denom`` for a nonzero
+    rational ``c`` and lists of factor texts: the sign in front, the
+    numerator of ``c`` before the factors and its denominator before the
+    divisors, one divisor as ``/x`` and several as ``/(a*b)``."""
+    p, q = abs(c.numerator), c.denominator
+    top = (([str(p)] if p != 1 else []) + numer) or ["1"]
+    below = ([str(q)] if q != 1 else []) + list(denom)
+    text = ("-" if c < 0 else "") + "*".join(top)
+    if len(below) > 1:
+        return f"{text}/({'*'.join(below)})"
+    return f"{text}/{below[0]}" if below else text
+
+
+def _sum_text(names, terms):
+    """sympy's text of the sum of the terms (exponents, coefficient), given
+    in descending order of their exponents.  A positive number and a
+    negative multiple of one power of a generator print number first, as
+    ``Expr.as_ordered_terms`` special-cases them: ``1 - x``."""
+    if len(terms) == 2 and not any(terms[1][0]) and terms[1][1] > 0 and (
+            terms[0][1] < 0 and sum(1 for k in terms[0][0] if k) == 1):
+        terms = terms[::-1]
+    parts = []
+    for m, c in terms:
+        text = _product_text(c, _factors(names, m))
+        parts += ["-", text[1:]] if text[0] == "-" else ["+", text]
+    return ("-" if parts[0] == "-" else "") + " ".join(parts[1:])
 
 
 class _Trees:

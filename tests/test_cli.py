@@ -70,8 +70,10 @@ def test_compute_all_matches_golden_output(name, capsys):
 
 def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
     # once the metric entries are read into the field, no component is read
-    # back from an expression and no expression-tree simplifier runs
+    # back from an expression, no expression-tree simplifier runs and no
+    # component is printed by sympy's printer
     from sympy.polys.fields import FracElement, FracField
+    from sympy.printing.str import StrPrinter
 
     ctx = catalog.load("kerr_newman")
     assert ctx.field is not None
@@ -86,6 +88,7 @@ def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(FracField, "from_expr")
+    counted(StrPrinter, "doprint")
     for name in ("_reduce_even_trig", "_odd_kernels", "_split_linear",
                  "ratsimp", "trigsimp", "_reduce_trig_tree", "is_zero"):
         counted(scalars, name)
@@ -106,6 +109,29 @@ def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
                   "riemann", "ricci", "ricci_scalar", "einstein", "weyl"):
         assert all(isinstance(v, FracElement)
                    for v in leaves(ctx._memo[stage])), stage
+
+
+@pytest.mark.parametrize("frame", [(), ("--frame",)])
+def test_compute_parses_each_value_of_a_metric_file_once(frame, tmp_path,
+                                                         monkeypatch, capsys):
+    # the values parsed to report a syntax error with its line are the ones
+    # the context computes with
+    _, text, _ = run_cli("catalog", "show", "exteriorschwarzschild",
+                         capsys=capsys)
+    path = tmp_path / "schwarzschild.tm"
+    path.write_text(text)
+    values = sum(len(line.split("=")[1].split(","))
+                 for line in text.splitlines() if "row =" in line
+                 or "frame_metric =" in line)
+    assert values == 36
+    parsed = []
+    parse = scalars.parse
+    monkeypatch.setattr(scalars, "parse",
+                        lambda value: parsed.append(value) or parse(value))
+    code, _, _ = run_cli("compute", "--metric", str(path), *frame,
+                         "--tensors", "all", capsys=capsys)
+    assert code == 0
+    assert len(parsed) == values
 
 
 @pytest.mark.parametrize("indices", ["0, 1, 1", "3, 1, 1"])
