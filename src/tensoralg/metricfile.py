@@ -41,8 +41,10 @@ class MetricFile:
     torsion_entries: list = field(default_factory=list)
     nonmetricity: list | None = None
     #: the expression of each value text, kept where the text is parsed so
-    #: that :meth:`to_context` parses no value twice
-    values: dict = field(default_factory=dict, repr=False, compare=False)
+    #: that :meth:`to_context` parses no value twice; keyed by the text, and
+    #: no constructor parameter, so it always agrees with the texts
+    values: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def to_context(self, frame: bool = False) -> MetricContext:
         """The context of this document.  With ``frame``, or with frame rows
