@@ -281,7 +281,7 @@ def load(name: str, extra_flat=None, frame: bool = False) -> MetricContext:
     mf = metricfile.from_entry(ent)
     if extra_flat:
         count, signature = extra_flat
-        if not isinstance(count, int) or count < 0:
+        if type(count) is not int or count < 0:
             raise ValueError("extra_flat count must be a non-negative "
                              "integer")
         if signature not in ("euclidean", "minkowski"):

@@ -106,8 +106,8 @@ def _cmd_compute(args):
                                   "zero": bool(ctx.vanishing("ricci_scalar"))}
             continue
         if name == "rotation_coeffs" and not ctx.cframe_flag:
-            raise InputError("rotation_coeffs needs a frame base "
-                             "(use --frame or a [frame] section)")
+            raise InputError("rotation_coeffs needs a frame base: add --frame "
+                             "(a metric file needs a [frame] section)")
         document[name] = _component_items(ctx, name, _ARRAY_RANKS[name])
     _emit(args, document)
     return 0

@@ -14,11 +14,12 @@ of basis, and the frame Riemann, Ricci and Weyl tensors are the frame
 components of the coordinate ones, as the Ricci rotation coefficients are
 those of the covariant derivative of the frame.
 
-A context computes in one scalar domain: a :class:`scalars.KernelField`
-when its inputs lie in one, with the square roots of a frame as field
-generators, and expression trees otherwise.  A frame outside every kernel
-field keeps its frame stages on trees and its coordinate stages in the
-field of its derived metric, when there is one.
+A context keeps one record per stage: its scalar domain and its
+components.  The domain is a :class:`scalars.KernelField` when the inputs
+lie in one, with the square roots of a frame as field generators, and
+expression trees otherwise.  A frame outside every kernel field keeps its
+frame stages on trees beside a coordinate field, that of its derived
+metric, when there is one.
 """
 
 from __future__ import annotations
@@ -204,17 +205,19 @@ class MetricContext:
     always g = F^T eta F, derived in the frame's scalar domain; a given
     ``lg`` is only checked exactly against it, once, at construction.
 
-    A context has one scalar domain.  When the metric, torsion and
-    nonmetricity entries are rational functions of symbols and
-    sin/cos/sinh/cosh kernels, ``field`` is their
-    :class:`scalars.KernelField`, built from these entries alone, and every
-    coordinate stage computes on its elements; public properties convert
-    them to expressions once.
-    Otherwise ``field`` is None and the stages work on expression trees.
-    A frame context whose frame rows lie in a kernel field with square
-    roots as generators (see :func:`scalars.kernel_field`) takes that field
-    for every stage, frame stages included, and derives its metric there;
-    any other frame keeps its frame stages on expression trees.
+    Each stage is kept once, as a record of its scalar domain and its
+    components.  When the metric, torsion and nonmetricity entries are
+    rational functions of symbols and sin/cos/sinh/cosh kernels, ``field``
+    is their :class:`scalars.KernelField`, built from these entries alone,
+    and every coordinate stage computes on its elements, reduced by
+    ``reduce_trig`` as the stage is stored; a public property converts
+    them to expressions at its first read and caches those beside the
+    record.  Otherwise ``field`` is None and the stages work on expression
+    trees, kept as computed.  A frame context whose frame rows lie in a
+    kernel field with square roots as generators (see
+    :func:`scalars.kernel_field`) takes that field for every stage, frame
+    stages included, and derives its metric there; any other frame keeps
+    its frame stages on expression trees.
 
     The connection ``connection2[h][k][j]`` = Gamma_hk^j, h the derivative
     index, is the Christoffel symbol minus the contortion of tau and the
@@ -253,7 +256,6 @@ class MetricContext:
         self.nonmetricity_values = None
         self._memo = {}
         self._exprs = {}
-        self._reduced = {}
         self._choose_domain()
         if self.cframe_flag and given is not None and not all(
                 scalars.is_zero(given[i][j] - self.lg[i][j])
@@ -290,7 +292,6 @@ class MetricContext:
         trees too.  A coordinate or constant in no entry is no generator."""
         self._memo.clear()
         self._exprs.clear()
-        self._reduced.clear()
         extra = (self.torsion_values, self.nonmetricity_values)
         if self.cframe_flag:
             found = scalars.in_field((self.fri, self.lfg) + extra,
@@ -327,63 +328,65 @@ class MetricContext:
     @property
     def diagonal(self):
         K, g = self._K, self._g
-        return self._cached("diagonal", lambda: all(
-            g[i][j] == 0 or K.is_zero(g[i][j])
-            for i in range(self.dim) for j in range(self.dim) if i != j))
+        return all(g[i][j] == 0 or K.is_zero(g[i][j])
+                   for i in range(self.dim) for j in range(self.dim) if i != j)
 
     @property
     def det(self):
         return self._public("det", lambda: self._K.ratsimp(
             _det(self._g, self._K.zero)))
 
-    def _cached(self, key, fn):
-        """Stage ``key`` in the scalar domain, computed once by ``fn``."""
+    def _record(self, key, fn, K=None):
+        """The record (domain, components) of stage ``key``, computed once
+        by ``fn`` in the scalar domain ``K``, by default the context's.  A
+        field stage is kept in its canonical ``reduce_trig`` form, so equal
+        values are equal elements; a tree stage is kept as computed."""
         if key not in self._memo:
-            self._memo[key] = fn()
+            K = self._K if K is None else K
+            value = fn()
+            self._memo[key] = (K, value if K is TREES
+                               else _map(K.reduce_trig, value))
         return self._memo[key]
 
     def _public(self, key, fn, K=None):
-        """Stage ``key`` as expressions: field elements are converted once,
-        here, from their canonical ``reduce_trig`` form, so a printed value
-        depends on the value only; expression trees are returned as they
-        are.  ``K`` is the stage's scalar domain, by default the context's."""
-        value = self._cached(key, fn)
-        K = self._K if K is None else K
+        """Stage ``key`` as expressions: a field stage's are converted from
+        its record at the first read and cached beside it, a tree stage's
+        are the record's components."""
+        K, value = self._record(key, fn, K)
         if K is TREES:
             return value
         if key not in self._exprs:
-            reduced = _map(K.reduce_trig, value)
-            self._reduced[key] = (K, reduced)
-            self._exprs[key] = _map(K.expr, reduced)
+            self._exprs[key] = _map(K.expr, value)
         return self._exprs[key]
 
-    def printable(self, key):
-        """Stage ``key`` for printing with :func:`scalars.render`: its field
-        and canonical elements when it was converted from a kernel field,
-        else None and its expressions."""
-        value = getattr(self, key)
-        return self._reduced.get(key, (None, value))
-
-    def _values(self, key):
-        """Stage ``key`` in the scalar domain.  It is computed through its
-        public property, so the work is done (and timed) there."""
+    def _read(self, key):
+        """The record of stage ``key``, computed through its public
+        property, so the work is done (and timed) there."""
         getattr(self, key)
         return self._memo[key]
 
+    def _values(self, key):
+        """The components of stage ``key`` in its scalar domain."""
+        return self._read(key)[1]
+
     def _frame_values(self, key):
         """Stage ``key`` in the frame's scalar domain: as expressions when
-        the frame is on expression trees and the context is not."""
-        value = getattr(self, key)
-        return self._memo[key] if self._FK is self._K else value
+        the frame is on expression trees and the stage is not."""
+        K, value = self._read(key)
+        return value if K is self._FK else getattr(self, key)
+
+    def printable(self, key):
+        """Stage ``key`` for printing with :func:`scalars.render`: its
+        field, None on expression trees, and its components."""
+        K, value = self._read(key)
+        return (None if K is TREES else K), value
 
     def vanishing(self, key):
-        """For each component of stage ``key``, whether it is zero.  A stage
-        converted from a kernel field is decided on its canonical elements,
-        zero iff the numerator is, with no numeric probe."""
-        values = self._values(key)
-        if key in self._reduced:
-            return _map(lambda f: not f.numer, self._reduced[key][1])
-        return _map(TREES.is_zero, values)
+        """For each component of stage ``key``, whether it is zero, decided
+        by its scalar domain: a field component is zero iff its canonical
+        numerator is, with no numeric probe."""
+        K, value = self._read(key)
+        return _map(K.is_zero, value)
 
     def set_torsion(self, values):
         """Install a torsion tensor tau_ij^k (antisymmetric in i, j)."""
@@ -442,7 +445,7 @@ class MetricContext:
                     for h in range(n):
                         dg[h][k][l] = K.diff(g[k][l], self.coords[h])
             return dg
-        return self._cached("dmetric", compute)
+        return self._record("dmetric", compute)[1]
 
     @property
     def christoffel1(self):

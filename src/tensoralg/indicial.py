@@ -661,15 +661,14 @@ def _contract_term(ctx, coeff, factors):
                 ups = [up for _, up in f.idx]
                 if ups[0] != ups[1]:
                     factors[i] = _metric_to_kdelta(f)
-        action = (_metric_step(ctx, factors, want_metric_target=False)
-                  or _metric_step(ctx, factors, want_metric_target=True)
-                  or _kdelta_step(ctx, factors))
-        if action is None:
+        kind = (_metric_step(ctx, factors, want_metric_target=False)
+                or _metric_step(ctx, factors, want_metric_target=True)
+                or _kdelta_step(ctx, factors))
+        if kind is None:
             return coeff, factors
-        kind, payload = action
         if kind == "dim":
             coeff = coeff * ctx.dim_scalar
-        # other actions mutate ``factors`` in place
+        # other steps mutate ``factors`` in place
 
 
 def _metric_step(ctx, factors, want_metric_target):
@@ -702,7 +701,7 @@ def _metric_step(ctx, factors, want_metric_target):
                 else:
                     factors[j] = g.drop_slot_insert(pt, survivor)
                 del factors[i]
-            return ("metric", None)
+            return "metric"
     return None
 
 
@@ -713,7 +712,7 @@ def _kdelta_step(ctx, factors):
         (cov, _), (con, _) = f.idx
         if cov == con:
             del factors[i]
-            return ("dim", None)
+            return "dim"
         for j, g in enumerate(factors):
             if i == j:
                 continue
@@ -723,17 +722,17 @@ def _kdelta_step(ctx, factors):
                 if l == con and not up:
                     factors[j] = g.replace_slot(p, (cov, False))
                     del factors[i]
-                    return ("kdelta", None)
+                    return "kdelta"
                 if l == cov and up:
                     factors[j] = g.replace_slot(p, (con, True))
                     del factors[i]
-                    return ("kdelta", None)
+                    return "kdelta"
             if con in g.deriv:
                 deriv = list(g.deriv)
                 deriv[deriv.index(con)] = cov
                 factors[j] = g._with(deriv=deriv)
                 del factors[i]
-                return ("kdelta", None)
+                return "kdelta"
     return None
 
 

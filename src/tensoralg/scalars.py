@@ -460,10 +460,7 @@ def _adjoin_roots(base, radicands):
         degrees = (f.numer.degrees(), f.denom.degrees())
         if not f.numer or any(d[i] for d in degrees for i in base._eliminated):
             return None
-        a, b = f.numer, f.denom
-        if b.LC < 0:
-            a, b = -a, -b
-        pairs[radicand] = (a, b)
+        pairs[radicand] = (f.numer, f.denom)
     distinct = set(pairs.values())
     if not _independent([square for _, square in base._squares]
                         + [a * b for a, b in distinct]):
@@ -567,10 +564,14 @@ class KernelField:
     # -- conversions ----------------------------------------------------------
 
     def element(self, e):
-        """The element of expression ``e``."""
-        if not self._roots:
-            return self.field.from_expr(e)
-        return self._element(e)
+        """The element of expression ``e``.  Its denominator leads with a
+        positive coefficient, as sympy's cancellation leaves that of every
+        sum, product and quotient; a negative power swaps numerator and
+        denominator without it, so the sign is set here."""
+        f = self._element(e) if self._roots else self.field.from_expr(e)
+        if f.denom.LC < 0:
+            f = f.raw_new(-f.numer, -f.denom)
+        return f
 
     def _element(self, e):
         """``e`` with each half-integer power of a radicand read as a power
@@ -590,14 +591,11 @@ class KernelField:
 
     def expr(self, f):
         """``f`` as the expression :func:`ratsimp` gives for it: numerator
-        over denominator, the denominator leading with a positive
-        coefficient, which is the pair ``sp.cancel`` returns."""
-        numer, denom = f.numer, f.denom
-        if not numer:
+        over denominator, which are the pair ``sp.cancel`` returns, as every
+        element's denominator leads with a positive coefficient."""
+        if not f.numer:
             return sp.S.Zero
-        if denom.LC < 0:
-            numer, denom = -numer, -denom
-        return numer.as_expr() / denom.as_expr()
+        return f.numer.as_expr() / f.denom.as_expr()
 
     # -- printing -------------------------------------------------------------
 
@@ -620,8 +618,6 @@ class KernelField:
         if special and any(m[i] for p in (numer, denom)
                            for m in p.itermonoms() for i in special):
             return render(self.expr(f))
-        if denom.LC < 0:
-            numer, denom = -numer, -denom
         num = sorted(((key(m), c) for m, c in numer.iterterms()), reverse=True)
         den = sorted(((key(m), c) for m, c in denom.iterterms()), reverse=True)
         if len(den) > 1:

@@ -89,9 +89,9 @@ def test_extra_flat_euclidean_with_frame():
     assert ctx.lg[2][2] == 1 and ctx.lg[3][3] == 1
 
 
-@pytest.mark.parametrize("count", [-2, 1.7])
+@pytest.mark.parametrize("count", [-2, 1.7, True])
 def test_extra_flat_rejects_a_count_that_is_no_non_negative_integer(count):
-    # -2 loaded the two-dimensional entry, 1.7 added one dimension
+    # -2 loaded the two-dimensional entry, 1.7 and True added one dimension
     with pytest.raises(ValueError, match="non-negative integer"):
         load("polar", extra_flat=(count, "euclidean"))
 

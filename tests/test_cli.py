@@ -108,7 +108,7 @@ def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
     for stage in ("ug", "christoffel1", "christoffel2", "riemann_lowered",
                   "riemann", "ricci", "ricci_scalar", "einstein", "weyl"):
         assert all(isinstance(v, FracElement)
-                   for v in leaves(ctx._memo[stage])), stage
+                   for v in leaves(ctx._memo[stage][1])), stage
 
 
 @pytest.mark.parametrize("frame", [(), ("--frame",)])
@@ -188,6 +188,22 @@ def test_compute_frame_file_with_matching_metric_rows(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["ricci"] == {"components": {},
                                         "zero_components": 16}
+
+
+def test_rotation_coeffs_without_frame_names_the_frame_option(tmp_path,
+                                                             capsys):
+    # the file has a [frame] section, but without --frame its metric rows
+    # make the context
+    path = tmp_path / "schwarzschild.tm"
+    path.write_text(SCHWARZSCHILD_FRAME_FILE + SCHWARZSCHILD_METRIC_ROWS)
+    code, out, err = run_cli("compute", "--metric", str(path), "--tensors",
+                             "rotation_coeffs", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: rotation_coeffs needs a frame base: add --frame "
+                   "(a metric file needs a [frame] section)\n")
+    code, _, _ = run_cli("compute", "--metric", str(path), "--frame",
+                         "--tensors", "rotation_coeffs", capsys=capsys)
+    assert code == 0
 
 
 @pytest.mark.parametrize("section", ["[nonmetricity] mu = 0, 0, 0, 0\n",

@@ -939,8 +939,27 @@ def test_kerr_frame_stages_stay_in_the_field(monkeypatch):
     for stage in ("frame_lowered", "frame_contravariant", "rotation_coeffs",
                   "riemann_frame", "weyl_frame"):
         assert all(isinstance(v, FracElement)
-                   for v in leaves(ctx._memo[stage])), stage
+                   for v in leaves(ctx._memo[stage][1])), stage
     assert not all(sp.flatten(ctx.vanishing("rotation_coeffs")))
+
+
+@pytest.mark.parametrize("name, frame", [("kerr_newman", True),
+                                         ("ellipsoidal", False)])
+def test_stored_field_components_are_canonical(name, frame):
+    # a field stage is kept once, in canonical form: each stored component
+    # has a denominator leading with a positive coefficient and is its own
+    # reduce_trig, so equal values are equal elements
+    ctx = catalog.load(name, frame=frame)
+    frame_stages = ("rotation_coeffs", "frame_bracket", "riemann_frame",
+                    "ricci_frame", "weyl_frame")
+    wanted = STAGES[:-1] + (frame_stages if frame else ())
+    for stage in wanted:
+        getattr(ctx, stage)
+    assert set(wanted) <= set(ctx._memo)
+    for stage, (K, value) in ctx._memo.items():
+        assert K is ctx.field, stage
+        for f in sp.flatten([value]):
+            assert f.denom.LC > 0 and K.reduce_trig(f) == f, stage
 
 
 @pytest.mark.parametrize("name", ["exteriorschwarzschild", "oblatespheroidal"])
