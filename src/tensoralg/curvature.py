@@ -203,7 +203,8 @@ class MetricContext:
 
     With a frame base ``fri`` and frame metric ``lfg``, the metric is
     always g = F^T eta F, derived in the frame's scalar domain; a given
-    ``lg`` is only checked exactly against it, once, at construction.
+    ``lg`` is only checked exactly against it, once, at construction: in
+    the kernel field of the stages when its rows lie in it.
 
     Each stage is kept once, as a record of its scalar domain and its
     components.  When the metric, torsion and nonmetricity entries are
@@ -257,10 +258,15 @@ class MetricContext:
         self._memo = {}
         self._exprs = {}
         self._choose_domain()
-        if self.cframe_flag and given is not None and not all(
-                scalars.is_zero(given[i][j] - self.lg[i][j])
-                for i, j in product(range(n), repeat=2)):
-            raise ValueError("frame is not orthonormal for the metric")
+        if self.cframe_flag and given is not None:
+            K, g = self._K, self._g
+            try:
+                given = _map(K.element, given)
+            except (KeyError, ZeroDivisionError):
+                K, g = TREES, self.lg
+            if not all(K.is_zero(a - b)
+                       for a, b in zip(sum(given, []), sum(g, []))):
+                raise ValueError("frame is not orthonormal for the metric")
         K, g = self._K, self._g
         for i in range(self.dim):
             for j in range(i):

@@ -16,7 +16,10 @@ functions, a :class:`KernelField`: its generators are symbols and
 ``sin``/``cos``/``sinh``/``cosh`` applications, each sin(u) with cos(u)
 and each sinh(u) with cosh(u), so it is closed under d/dx.  For a frame it
 may also hold square roots of rational functions, each a generator whose
-square is known, admitted only while the normal form stays canonical.
+square is known, admitted only while the normal form stays canonical.  Like
+Maxima's canonical rational expressions, its elements are ratios of
+polynomials with integer coefficients, and an expression enters with one
+cancel.
 Input enters a field in one place, :func:`in_field`, for a single
 expression as for the inputs of a curvature context, and from that input
 alone: a symbol in no entry has zero derivative and changes no normal form.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -371,7 +375,7 @@ def _ordered(gens):
 
 @functools.lru_cache(maxsize=128)
 def _fraction_field(gens):
-    return FracField(gens, sp.QQ)
+    return FracField(gens, sp.ZZ)
 
 
 #: The partner of each kernel: d/du of one is +-1 times the other.
@@ -473,11 +477,10 @@ def _adjoin_roots(base, radicands):
     field = KernelField(_ordered(set(base.field.symbols)
                                  | {q for q, _ in roots.values()}),
                         roots.values())
-    index = {g: i for i, g in enumerate(field.field.symbols)}
     for radicand, (a, b) in pairs.items():
         # sqrt(a/b) = q/b
-        field._roots[radicand] = field.field.new(
-            field.ring.gens[index[roots[a, b][0]]], b.set_ring(field.ring))
+        field._roots[radicand] = (field._gens[roots[a, b][0]],
+                                  b.set_ring(field.ring))
     return field
 
 
@@ -511,14 +514,17 @@ def _independent(polys):
 class KernelField:
     """Q(symbols, sin/cos/sinh/cosh kernels, roots), closed under d/dx.
 
-    Elements are sympy ``FracElement``s, so every sum and product is a
-    cancelled ratio: an element is the field image of what :func:`ratsimp`
-    returns for the same rational function, whatever generators the two
-    fields share, because the generators keep sympy's order.  The
-    operations mirror the expression-tree ones: :meth:`diff` for
-    :func:`diff`, :meth:`reduce_trig` for ``_reduce_trig_tree``,
-    :meth:`is_zero` for :func:`is_zero` and :meth:`expr` for the form
-    :func:`ratsimp` returns.
+    Elements are sympy ``FracElement``s over the integers, as in Maxima's
+    CRE: a numerator and a denominator in Z[gens] without common factor,
+    the denominator leading with a positive coefficient.  :meth:`element`
+    reads an expression into that pair in one walk and cancels once, and
+    every sum and product is a cancelled ratio: an element is the field
+    image of what :func:`ratsimp` returns for the same rational function,
+    whatever generators the two fields share, because the generators keep
+    sympy's order.  The operations mirror the expression-tree ones:
+    :meth:`diff` for :func:`diff`, :meth:`reduce_trig` for
+    ``_reduce_trig_tree``, :meth:`is_zero` for :func:`is_zero` and
+    :meth:`expr` for the form :func:`ratsimp` returns.
 
     One relation table holds every generator whose square is known,
     gens[i]^2 = p_i with p_i a polynomial in the other generators:
@@ -531,32 +537,35 @@ class KernelField:
         self.field = _fraction_field(gens)
         self.ring = self.field.ring
         self.zero = self.field.zero
+        self._gens = dict(zip(gens, self.ring.gens))
+        # radicand expression -> (numerator, denominator) of its root
+        self._roots = {}
         index = {g: i for i, g in enumerate(gens)}
         roots = dict(roots)
         # (i, p): gens[i] is a root with gens[i]^2 = p
         self._radicals = []
-        # (i, j, sign, u): d gens[i] = sign*gens[j] du, u the argument
+        # (i, j, sign, a, c): d gens[i] = sign*gens[j] da/c, a/c the argument
         self._chains = []
         # per sin/cos or sinh/cosh pair, the relations (i, p) eliminating
         # its sin or cosh and eliminating its partner
         self._pairs = []
         for i, g in enumerate(gens):
             if g in roots:
-                self._radicals.append((i, self.ring.from_expr(roots[g])))
+                self._radicals.append((i, self._pair(roots[g])[0]))
                 continue
             if g.is_Symbol:
                 continue
             partner, sign = _PARTNERS[g.func]
             j = index[partner(g.args[0])]
-            self._chains.append((i, j, sign, self.ring.from_expr(g.args[0])))
+            a, c = self._pair(g.args[0])
+            self._chains.append((i, j, sign, a, c.LC))
             if g.func in _SQUARES:
                 s = _SQUARES[g.func]
                 k, p = self.ring.gens[i], self.ring.gens[j]
                 self._pairs.append(((i, 1 + s * p ** 2), (j, s * k ** 2 - s)))
+        self._scale = math.lcm(*(c for *_, c in self._chains))
         self._radical_set = {i for i, _ in self._radicals}
         self._eliminate((0,) * len(self._pairs))
-        # radicand expression -> element of its root
-        self._roots = {}
         self._derivations = {}
         # what text() needs of the generators, built at the first print
         self._print_order = None
@@ -564,30 +573,34 @@ class KernelField:
     # -- conversions ----------------------------------------------------------
 
     def element(self, e):
-        """The element of expression ``e``.  Its denominator leads with a
-        positive coefficient, as sympy's cancellation leaves that of every
-        sum, product and quotient; a negative power swaps numerator and
-        denominator without it, so the sign is set here."""
-        f = self._element(e) if self._roots else self.field.from_expr(e)
-        if f.denom.LC < 0:
-            f = f.raw_new(-f.numer, -f.denom)
-        return f
+        """The element of expression ``e``: its numerator and denominator
+        read in one walk, then cancelled once, which leaves a denominator
+        leading with a positive coefficient.  KeyError when ``e`` is not in
+        the field, ZeroDivisionError when it divides by zero."""
+        return self.field.new(*self._pair(e))
 
-    def _element(self, e):
-        """``e`` with each half-integer power of a radicand read as a power
-        of its root."""
+    def _pair(self, e):
+        """(numerator, denominator) of ``e`` in Z[gens], not cancelled; a
+        half-integer power of a radicand is a power of its root."""
+        if e.is_Rational:
+            return self.ring(e.p), self.ring(e.q)
         if e.is_Add:
-            return sum((self._element(a) for a in e.args), self.zero)
+            return _sum(self.ring, map(self._pair, e.args))
         if e.is_Mul:
-            out = self.field.one
-            for a in e.args:
-                out *= self._element(a)
-            return out
-        if e.is_Pow and not e.exp.is_Integer:
-            return self._roots[e.base] ** int(2 * e.exp)
-        if e.is_Pow:
-            return self._element(e.base) ** int(e.exp)
-        return self.field.from_expr(e)
+            num = den = self.ring.one
+            for n, d in map(self._pair, e.args):
+                num, den = num * n, den * d
+            return num, den
+        if e.is_Pow and e.exp.is_Rational and e.exp.q <= 2:
+            num, den = (self._pair(e.base) if e.exp.q == 1
+                        else self._roots[e.base])
+            k = e.exp.p
+            if k < 0:
+                if not num:
+                    raise ZeroDivisionError("negative power of zero")
+                num, den, k = den, num, -k
+            return num ** k, den ** k
+        return self._gens[e], self.ring.one
 
     def expr(self, f):
         """``f`` as the expression :func:`ratsimp` gives for it: numerator
@@ -621,9 +634,9 @@ class KernelField:
         num = sorted(((key(m), c) for m, c in numer.iterterms()), reverse=True)
         den = sorted(((key(m), c) for m, c in denom.iterterms()), reverse=True)
         if len(den) > 1:
-            d, over = self.field.domain.one, [f"({_sum_text(names, den)})"]
+            d, over = Fraction(1), [f"({_sum_text(names, den)})"]
         else:
-            (lone, d), = den
+            lone, d = den[0][0], Fraction(den[0][1])
             over = _factors(names, lone)
             if len(num) == 1 and num[0] == ((0,) * len(lone), d) and (
                     len(over) == 1 and max(lone) > 1):
@@ -659,9 +672,9 @@ class KernelField:
 
     def diff(self, f, x):
         """Partial derivative of ``f`` by the symbol ``x``: the derivation
-        that maps each generator to its derivative.  A root q of f brings
-        the denominator 2p of dq = q dp/(2p); the derivative is taken over
-        the product w of those denominators."""
+        that maps each generator to its derivative.  Kernel arguments bring
+        their common denominator c and a root q of f that of dq = q dp/(2p);
+        the derivative is taken over the product of those denominators."""
         table, radicals = self._derivation(x)
         p, q = f.numer, f.denom
         used = [r for r in radicals
@@ -674,21 +687,22 @@ class KernelField:
             for i, num, den in used:
                 table.append((i, num * w.exquo(den)))
         dp, dq = _derive(p, table), _derive(q, table)
-        return self.field.new(dp * q - p * dq, q * q * w)
+        return self.field.new(dp * q - p * dq, q * q * w * self._scale)
 
     def _derivation(self, x):
-        """[(i, d gens[i]/dx)] for the symbols and kernels, zero ones left
-        out, and [(i, q p', 2p)] for the roots q = gens[i] with q^2 = p,
-        p' = dp/dx nonzero.  Kernel arguments are polynomials in symbols,
-        so every entry is a polynomial."""
+        """[(i, c d gens[i]/dx)] for the symbols and kernels, zero ones left
+        out, and [(i, c q p', 2p)] for the roots q = gens[i] with q^2 = p,
+        p' = dp/dx nonzero: c clears the denominators of the arguments, so
+        every entry is a polynomial."""
         if x not in self._derivations:
             symbols = [(i, self.ring.one)
                        for i, s in enumerate(self.ring.symbols) if s == x]
-            table = list(symbols)
-            for i, j, sign, arg in self._chains:
+            table = [(i, self.ring(self._scale)) for i, _ in symbols]
+            for i, j, sign, arg, c in self._chains:
                 darg = _derive(arg, symbols)
                 if darg:
-                    table.append((i, darg * self.ring.gens[j] * sign))
+                    table.append((i, darg * self.ring.gens[j]
+                                  * (sign * self._scale // c)))
             radicals = []
             for i, square in self._radicals:
                 dsquare = _derive(square, table)
@@ -781,18 +795,8 @@ class KernelField:
         squares of roots are replaced in the numerator before the gcd, as no
         caller keeps them; the squares of kernels are left to
         :meth:`reduce_trig`."""
-        groups = {}
-        for x, y in zip(xs, ys):
-            if x and y:
-                den = x.denom * y.denom
-                groups[den] = groups.get(den, self.ring.zero) + x.numer * y.numer
-        num, den = self.ring.zero, self.ring.one
-        for d, part in groups.items():
-            if d != den:
-                g = den.gcd(d)
-                num, den = num * d.exquo(g), den * d.exquo(g)
-                part = part * (den.exquo(d))
-            num += part
+        num, den = _sum(self.ring, ((x.numer * y.numer, x.denom * y.denom)
+                                    for x, y in zip(xs, ys) if x and y))
         return self.field.new(self._reduce_even(num, self._radicals), den)
 
     def is_zero(self, f):
@@ -800,6 +804,23 @@ class KernelField:
         relation table, which is when :func:`is_zero` holds for the
         expression of a field without roots."""
         return not self._reduce_even(f.numer)
+
+
+def _sum(ring, pairs):
+    """(numerator, denominator) of the sum of the fractions n/d given as
+    pairs (n, d): the terms added by denominator and the groups over their
+    least common multiple, so that no numerator takes a gcd."""
+    groups = {}
+    for n, d in pairs:
+        groups[d] = groups.get(d, ring.zero) + n
+    num, den = ring.zero, ring.one
+    for d, part in groups.items():
+        if d != den:
+            g = den.gcd(d)
+            num, den = num * d.exquo(g), den * d.exquo(g)
+            part = part * (den.exquo(d))
+        num += part
+    return num, den
 
 
 def _derive(p, table):
@@ -856,6 +877,8 @@ class _Trees:
     @staticmethod
     def expr(e):
         return e
+
+    element = expr
 
     @staticmethod
     def diff(e, x):

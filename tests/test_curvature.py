@@ -948,7 +948,9 @@ def test_kerr_frame_stages_stay_in_the_field(monkeypatch):
 def test_stored_field_components_are_canonical(name, frame):
     # a field stage is kept once, in canonical form: each stored component
     # has a denominator leading with a positive coefficient and is its own
-    # reduce_trig, so equal values are equal elements
+    # reduce_trig, so equal values are equal elements; as in a canonical
+    # rational expression, numerator and denominator have integer
+    # coefficients
     ctx = catalog.load(name, frame=frame)
     frame_stages = ("rotation_coeffs", "frame_bracket", "riemann_frame",
                     "ricci_frame", "weyl_frame")
@@ -960,6 +962,30 @@ def test_stored_field_components_are_canonical(name, frame):
         assert K is ctx.field, stage
         for f in sp.flatten([value]):
             assert f.denom.LC > 0 and K.reduce_trig(f) == f, stage
+            assert all(type(c) is int for p in (f.numer, f.denom)
+                       for c in p.coeffs()), stage
+
+
+def test_frame_field_checks_a_given_metric_in_the_field(monkeypatch):
+    # the catalog's metric rows lie in the Kerr frame's field and are
+    # checked there: no expression tree reaches the zero decision, which
+    # sees only the constant entries of the frame metric; rows outside the
+    # field are still checked on trees
+    trees = []
+    is_zero = scalars.is_zero
+    monkeypatch.setattr(scalars, "is_zero", lambda e: (
+        e.is_Number or trees.append(e), is_zero(e))[1])
+    catalog.load("kerr_newman", frame=True)
+    assert trees == []
+    rows = [["1", "0"], ["0", "r"]]
+    eta = [["1", "0"], ["0", "1"]]
+    outside = [["1", "0"], ["0", "r^2 + sin(r)^2 + cos(r)^2 - 1"]]
+    MetricContext(["r", "phi"], outside, fri=rows, lfg=eta)
+    assert trees
+    for given in ([["1", "0"], ["0", "r"]],
+                  [["1", "0"], ["0", "r^2 + sin(r)"]]):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            MetricContext(["r", "phi"], given, fri=rows, lfg=eta)
 
 
 @pytest.mark.parametrize("name", ["exteriorschwarzschild", "oblatespheroidal"])

@@ -8,7 +8,7 @@ import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 from sympy.printing.str import StrPrinter
 
-from tensoralg import catalog, scalars
+from tensoralg import catalog, cli, scalars
 from tensoralg.scalars import (ExprSyntaxError, certify_nonzero, diff,
                                evaluate, is_zero, parse, ratsimp, render, sym,
                                trigsimp)
@@ -429,6 +429,61 @@ def test_roots_and_constant_kernels_print_through_sympy(text, printed,
     assert calls
 
 
+@pytest.mark.parametrize("text, x, derivative, reduced, printed", [
+    ("x*sin(x/2)^2", "x", "x*sin(x/2)*cos(x/2) + sin(x/2)^2",
+     "-x*cos(x/2)^2 + x", "x*sin(x/2)^2"),
+    ("cosh(2*x/3) + 1/x", "x", "(2*x^2*sinh(2*x/3) - 3)/(3*x^2)",
+     "(x*cosh(2*x/3) + 1)/x", "(x*cosh(2*x/3) + 1)/x"),
+    ("r*sin(1/2) + r", "r", "sin(1/2) + 1", "r*sin(1/2) + r",
+     "r*sin(1/2) + r"),
+])
+def test_kernels_of_rational_arguments(text, x, derivative, reduced,
+                                       printed):
+    # a kernel argument with rational coefficients is an integer polynomial
+    # over an integer denominator, which the derivative carries
+    K, (f,) = scalars.in_field([parse(text)])
+    assert K.text(K.diff(f, sym(x))) == derivative
+    assert render(ratsimp(diff(parse(text), x))) == derivative
+    assert K.text(K.reduce_trig(f)) == render(trigsimp(parse(text))) == reduced
+    assert render(f, K) == render(ratsimp(parse(text))) == printed
+
+
+HALF_ANGLE_FILE = """\
+[chart] coords = u, v
+[metric] row = 1, 0
+[metric] row = 0, sin(u/2)^2
+"""
+
+HALF_ANGLE_TENSORS = """\
+christoffel1[u,v,v] = sin(u/2)*cos(u/2)/2
+christoffel1[v,u,v] = sin(u/2)*cos(u/2)/2
+christoffel1[v,v,u] = -sin(u/2)*cos(u/2)/2
+christoffel1: 5 zero components omitted
+christoffel2[u,v,v] = cos(u/2)/(2*sin(u/2))
+christoffel2[v,u,v] = cos(u/2)/(2*sin(u/2))
+christoffel2[v,v,u] = -sin(u/2)*cos(u/2)/2
+christoffel2: 5 zero components omitted
+einstein: 4 zero components omitted
+ricci[u,u] = 1/4
+ricci[v,v] = sin(u/2)^2/4
+ricci: 2 zero components omitted
+riemann[u,u,v,v] = 1/4
+riemann[u,v,u,v] = -1/4
+riemann[v,u,v,u] = -sin(u/2)^2/4
+riemann[v,v,u,u] = sin(u/2)^2/4
+riemann: 12 zero components omitted
+scalar = 1/2
+"""
+
+
+def test_metric_with_a_half_angle_kernel(tmp_path, capsys):
+    path = tmp_path / "half.tm"
+    path.write_text(HALF_ANGLE_FILE)
+    assert cli.main(["compute", "--metric", str(path), "--tensors",
+                     "all"]) == 0
+    assert capsys.readouterr().out == HALF_ANGLE_TENSORS
+
+
 @settings(max_examples=40, deadline=None)
 @given(_exprs(), _exprs(), st.fractions(min_value=-3, max_value=3,
                                         max_denominator=4))
@@ -473,20 +528,29 @@ def test_diff_matches_finite_differences(e, seed):
 @given(_exprs())
 # summands near 5e12 leave a double-precision residue near 5e-4
 @example(sp.exp(sp.exp(sym("x") + 3) / 4))
+# summands near 1e92 leave a 50-digit residue near 1e42
+@example(sp.exp(sp.exp(sp.Rational(27, 4)) / 4))
 def test_is_zero_soundness(e):
     # e*(x+y) - e*x - e*y is identically zero however e evaluates; the
-    # residue is taken at 50 digits from the exact values of the points
+    # residue is taken from the exact values of the points at 50 digits
+    # beyond the digits of the largest summand
     x, y = sym("x"), sym("y")
     z = e * (x + y) - e * x - e * y
     assert is_zero(z)
     names = sorted(s.name for s in z.free_symbols)
-    residue = sp.lambdify([sym(n) for n in names], z, modules="mpmath")
+    symbols = [sym(n) for n in names]
+    residue = sp.lambdify(symbols, z, modules="mpmath")
+    summands = [sp.lambdify(symbols, t, modules="mpmath")
+                for t in sp.Add.make_args(z)]
     rng = random.Random(1234)
     for _ in range(20):
         point = _sample_point(rng)
         if _safe_eval(z, point) is not None:
-            with mpmath.workdps(50):
-                v = residue(*(mpmath.mpf(point[n]) for n in names))
+            values = [mpmath.mpf(point[n]) for n in names]
+            size = max(abs(t(*values)) for t in summands)
+            digits = max(0, int(mpmath.log10(size))) if size else 0
+            with mpmath.workdps(50 + digits):
+                v = residue(*values)
             assert abs(v) < 1e-6
 
 
