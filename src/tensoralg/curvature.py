@@ -211,10 +211,12 @@ class MetricContext:
     rational functions of symbols and sin/cos/sinh/cosh kernels, ``field``
     is their :class:`scalars.KernelField`, built from these entries alone,
     and every coordinate stage computes on its elements, reduced by
-    ``reduce_trig`` as the stage is stored; a public property converts
-    them to expressions at its first read and caches those beside the
-    record.  Otherwise ``field`` is None and the stages work on expression
-    trees, kept as computed.  A frame context whose frame rows lie in a
+    ``reduce_trig`` as the stage is stored.  Stages read one another, and
+    :meth:`printable` and :meth:`vanishing` read them, as records, with no
+    conversion; only a caller's read of a public property converts its
+    stage to expressions, once, cached beside the record.  Otherwise
+    ``field`` is None and the stages work on expression trees, kept as
+    computed.  A frame context whose frame rows lie in a
     kernel field with square roots as generators (see
     :func:`scalars.kernel_field`) takes that field for every stage, frame
     stages included, and derives its metric there; any other frame keeps
@@ -257,6 +259,7 @@ class MetricContext:
         self.nonmetricity_values = None
         self._memo = {}
         self._exprs = {}
+        self._internal = False
         self._choose_domain()
         if self.cframe_flag and given is not None:
             K, g = self._K, self._g
@@ -355,10 +358,17 @@ class MetricContext:
         return self._memo[key]
 
     def _public(self, key, fn, K=None):
-        """Stage ``key`` as expressions: a field stage's are converted from
-        its record at the first read and cached beside it, a tree stage's
-        are the record's components."""
-        K, value = self._record(key, fn, K)
+        """Stage ``key`` as its property returns it: the record's components
+        inside :meth:`_read`, which converts nothing, and expressions to
+        any other caller (see :meth:`_expressions`)."""
+        value = self._record(key, fn, K)[1]
+        return value if self._internal else self._expressions(key)
+
+    def _expressions(self, key):
+        """The components of stage ``key`` as expressions: a field stage's
+        are converted from its record at the first call and cached beside
+        it, a tree stage's are the record's components."""
+        K, value = self._memo[key]
         if K is TREES:
             return value
         if key not in self._exprs:
@@ -366,9 +376,15 @@ class MetricContext:
         return self._exprs[key]
 
     def _read(self, key):
-        """The record of stage ``key``, computed through its public
-        property, so the work is done (and timed) there."""
-        getattr(self, key)
+        """The record of stage ``key``, computed through its property, so
+        the work is done (and timed) there, but read as a record: the
+        property converts nothing to expressions, also for the stages it
+        reads in turn."""
+        outer, self._internal = self._internal, True
+        try:
+            getattr(self, key)
+        finally:
+            self._internal = outer
         return self._memo[key]
 
     def _values(self, key):
@@ -376,10 +392,11 @@ class MetricContext:
         return self._read(key)[1]
 
     def _frame_values(self, key):
-        """Stage ``key`` in the frame's scalar domain: as expressions when
-        the frame is on expression trees and the stage is not."""
+        """Stage ``key`` in the frame's scalar domain: the record's
+        components, or expressions when the frame is on expression trees
+        and the stage is not, the one internal read that converts."""
         K, value = self._read(key)
-        return value if K is self._FK else getattr(self, key)
+        return value if K is self._FK else self._expressions(key)
 
     def printable(self, key):
         """Stage ``key`` for printing with :func:`scalars.render`: its

@@ -111,6 +111,27 @@ def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
                    for v in leaves(ctx._memo[stage][1])), stage
 
 
+@pytest.mark.parametrize("source, most", [("metric", 0), ("frame", 40)])
+def test_compute_converts_no_printed_stage_to_expressions(
+        source, most, tmp_path, monkeypatch, capsys):
+    # stages pass between stages as field records and print from their
+    # elements: the Kerr-Newman coordinate stages convert no element to an
+    # expression.  Its frame context converts its 16 derived metric entries
+    # and the 24 components with roots, which print through render
+    _, text, _ = run_cli("catalog", "show", "kerr_newman", capsys=capsys)
+    path = tmp_path / "kerr_newman.tm"
+    path.write_text(text)
+    argv = (("--metric", str(path)) if source == "metric"
+            else ("--catalog", "kerr_newman", "--frame"))
+    calls = []
+    expr = scalars.KernelField.expr
+    monkeypatch.setattr(scalars.KernelField, "expr",
+                        lambda K, f: calls.append(f) or expr(K, f))
+    code, _, _ = run_cli("compute", *argv, "--tensors", "all", capsys=capsys)
+    assert code == 0
+    assert len(calls) <= most
+
+
 @pytest.mark.parametrize("frame", [(), ("--frame",)])
 def test_compute_parses_each_value_of_a_metric_file_once(frame, tmp_path,
                                                          monkeypatch, capsys):
