@@ -82,13 +82,13 @@ def _zeros(*shape, zero=sp.S.Zero):
     return [_zeros(*shape[1:], zero=zero) for _ in range(shape[0])]
 
 
-def _det(m, zero):
-    """Determinant by cofactor expansion along the first row."""
+def _det(m, K):
+    """Determinant by cofactor expansion along the first row, in ``K``."""
     if len(m) == 1:
         return m[0][0]
-    return sum(((-1) ** j * m[0][j]
-                * _det([row[:j] + row[j + 1:] for row in m[1:]], zero)
-                for j in range(len(m)) if m[0][j] != 0), zero)
+    minors = [_det([row[:j] + row[j + 1:] for row in m[1:]], K) if x != 0
+              else x for j, x in enumerate(m[0])]
+    return K.dot(m[0], [-d if j % 2 else d for j, d in enumerate(minors)])
 
 
 def _contract_last(array, matrix, K, simp):
@@ -343,7 +343,7 @@ class MetricContext:
     @property
     def det(self):
         return self._public("det", lambda: self._K.ratsimp(
-            _det(self._g, self._K.zero)))
+            _det(self._g, self._K)))
 
     def _record(self, key, fn, K=None):
         """The record (domain, components) of stage ``key``, computed once
@@ -442,15 +442,15 @@ class MetricContext:
                 for i in range(n):
                     out[i][i] = K.ratsimp(1 / g[i][i])
                 return out
-            det = self._values("det")
+            inverse = K.one / self._values("det")
 
             def cofactor(i, j):
-                minor = [row[:j] + row[j + 1:]
-                         for r, row in enumerate(g) if r != i]
-                return (-1) ** (i + j) * _det(minor, K.zero)
+                minor = _det([row[:j] + row[j + 1:]
+                              for r, row in enumerate(g) if r != i], K)
+                return -minor if (i + j) % 2 else minor
 
-            return [[K.trigsimp(cofactor(j, i) / det) for j in range(n)]
-                    for i in range(n)]
+            return [[K.trigsimp(K.dot((cofactor(j, i),), (inverse,)))
+                     for j in range(n)] for i in range(n)]
         return self._public("ug", compute)
 
     # -- connection -----------------------------------------------------------
@@ -475,13 +475,10 @@ class MetricContext:
         """First-kind Christoffel symbols Gamma[h][k][l]."""
         def compute():
             n, K, dg = self.dim, self._K, self._dmetric
-            out = _zeros(n, n, n, zero=K.zero)
-            for h in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        out[h][k][l] = K.ratsimp(
-                            (dg[h][k][l] + dg[k][l][h] - dg[l][h][k]) / 2)
-            return out
+            half = K.element(sp.S.Half)
+            return [[[K.ratsimp(K.dot((dg[h][k][l], dg[k][l][h], dg[l][h][k]),
+                                      (half, half, -half)))
+                      for l in range(n)] for k in range(n)] for h in range(n)]
         return self._public("christoffel1", compute)
 
     @property
@@ -613,24 +610,23 @@ class MetricContext:
             if not self.plain_connection:
                 return _contract_last(self._values("riemann"), self._g, K,
                                       K.ratsimp)
-            coords = self.coords
-            dg = self._dmetric
+            coords, dg = self.coords, self._dmetric
             c1, c2 = self._values("christoffel1"), self._values("christoffel2")
-            d2 = {}
+            half, d2 = K.element(sp.S.Half), {}
 
             def d2g(a, b, c, d):
-                c, d = min(c, d), max(c, d)
-                key = (a, b, c, d)
-                if key not in d2:
-                    d2[key] = (K.diff(dg[c][a][b], coords[d])
-                               if dg[c][a][b] != 0 else K.zero)
-                return d2[key]
+                c, d = sorted((c, d))
+                if (a, b, c, d) not in d2:
+                    d2[a, b, c, d] = (K.diff(dg[c][a][b], coords[d])
+                                      if dg[c][a][b] != 0 else K.zero)
+                return d2[a, b, c, d]
 
             def component(i, k, l, m):
-                return (d2g(i, m, k, l) + d2g(k, l, i, m)
-                        - d2g(i, l, k, m) - d2g(k, m, i, l)) / 2 \
-                    + K.dot(c1[k][l] + c1[k][m],
-                            c2[i][m] + [-v for v in c2[i][l]])
+                return K.dot([d2g(i, m, k, l), d2g(k, l, i, m),
+                              d2g(i, l, k, m), d2g(k, m, i, l)]
+                             + c1[k][l] + c1[k][m],
+                             [half, half, -half, -half] + c2[i][m]
+                             + [-v for v in c2[i][l]])
 
             return _pair_fill(n, component, K.trigsimp, K.zero)
         return self._public("riemann_lowered", compute)
@@ -660,7 +656,8 @@ class MetricContext:
         def compute():
             n, K, g = self.dim, self._K, self._g
             ric, r = self._values("ricci"), self._values("ricci_scalar")
-            return [[K.trigsimp(ric[i][j] - r * g[i][j] / 2)
+            r_half = K.dot((r,), (K.element(sp.S.Half),))
+            return [[K.trigsimp(K.dot((ric[i][j], r_half), (K.one, -g[i][j])))
                      for j in range(n)] for i in range(n)]
         return self._public("einstein", compute)
 
@@ -684,13 +681,16 @@ class MetricContext:
             P, ric, r = (self._values(key) for key in (
                 "riemann_lowered", "ricci", "ricci_scalar"))
 
+            # the Schouten tensor S = (ric - r g / (2 (n - 1))) / (n - 2)
+            k = K.element(sp.Rational(1, n - 2))
+            rk = K.dot((r,), (k * K.element(sp.Rational(-1, 2 * n - 2)),))
+            S = [[K.dot((ric[i][j], rk), (k, g[i][j])) for j in range(n)]
+                 for i in range(n)]
+
             def component(a, b, c, d):
-                return (P[b][d][c][a]
-                        + r * (g[b][d] * g[a][c] - g[a][d] * g[b][c])
-                        / ((n - 1) * (n - 2))
-                        + (g[b][c] * ric[a][d] - g[a][c] * ric[b][d]
-                           - g[b][d] * ric[a][c] + g[a][d] * ric[b][c])
-                        / (n - 2))
+                return K.dot((P[b][d][c][a], g[b][c], g[a][c], g[b][d],
+                              g[a][d]),
+                             (K.one, S[a][d], -S[b][d], -S[a][c], S[b][c]))
 
             return _pair_fill(n, component, K.ratsimp, K.zero)
         return self._public("weyl", compute)

@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import cmath
 import functools
+import heapq
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
@@ -480,7 +482,7 @@ def _adjoin_roots(base, radicands):
     for radicand, (a, b) in pairs.items():
         # sqrt(a/b) = q/b
         field._roots[radicand] = (field._gens[roots[a, b][0]],
-                                  b.set_ring(field.ring))
+                                  *field._split(b.set_ring(field.ring)))
     return field
 
 
@@ -526,6 +528,18 @@ class KernelField:
     ``_reduce_trig_tree``, :meth:`is_zero` for :func:`is_zero` and
     :meth:`expr` for the form :func:`ratsimp` returns.
 
+    A field cancels with no polynomial gcd, as Maxima's ``ratfac`` keeps a
+    CRE partly factored.  Its factor base holds irreducible primitive
+    polynomials with a positive leading coefficient, and its memo maps each
+    denominator it has met to its integer content and its exponents over
+    the base; only what the base factors leave of a new denominator is
+    factored, once.  A numerator is divided by each factor of its
+    denominator as often as it goes, up to its exponent, then by the integer
+    gcd.  A division is tried only where the factor's value divides the
+    numerator's at fixed integer points, and counts only with remainder 0;
+    the factors being irreducible, this divides by the exact gcd and gives
+    the element ``field.new`` gives.  Base and memo live on the field.
+
     One relation table holds every generator whose square is known,
     gens[i]^2 = p_i with p_i a polynomial in the other generators:
     sin(u)^2 = 1 - cos(u)^2 or its converse, cosh(u)^2 = 1 + sinh(u)^2 or
@@ -536,9 +550,14 @@ class KernelField:
     def __init__(self, gens, roots=()):
         self.field = _fraction_field(gens)
         self.ring = self.field.ring
-        self.zero = self.field.zero
+        self.zero, self.one = self.field.zero, self.field.one
         self._gens = dict(zip(gens, self.ring.gens))
-        # radicand expression -> (numerator, denominator) of its root
+        # the factor base, (factor, its values at the test points), and
+        # denominator -> (c, {base index: exponent}) with den = c * prod
+        self._base, self._split_memo = [], {}
+        self._points = [[13 + 19 * i for i in range(len(gens))],
+                        [47 + 23 * i for i in range(len(gens))]]
+        # radicand expression -> its root as _pair gives it
         self._roots = {}
         index = {g: i for i, g in enumerate(gens)}
         roots = dict(roots)
@@ -557,8 +576,8 @@ class KernelField:
                 continue
             partner, sign = _PARTNERS[g.func]
             j = index[partner(g.args[0])]
-            a, c = self._pair(g.args[0])
-            self._chains.append((i, j, sign, a, c.LC))
+            a, c, _ = self._pair(g.args[0])
+            self._chains.append((i, j, sign, a, c))
             if g.func in _SQUARES:
                 s = _SQUARES[g.func]
                 k, p = self.ring.gens[i], self.ring.gens[j]
@@ -577,30 +596,32 @@ class KernelField:
         read in one walk, then cancelled once, which leaves a denominator
         leading with a positive coefficient.  KeyError when ``e`` is not in
         the field, ZeroDivisionError when it divides by zero."""
-        return self.field.new(*self._pair(e))
+        return self._cancel(*self._pair(e))
 
     def _pair(self, e):
-        """(numerator, denominator) of ``e`` in Z[gens], not cancelled; a
-        half-integer power of a radicand is a power of its root."""
+        """(n, c, exps) with ``e`` = n / (c prod base[i]^exps[i]), n in
+        Z[gens], not cancelled: a sum is taken over the denominator of the
+        largest exponents, and a half-integer power of a radicand is a power
+        of its root."""
         if e.is_Rational:
-            return self.ring(e.p), self.ring(e.q)
+            return self.ring(e.p), e.q, Counter()
         if e.is_Add:
-            return _sum(self.ring, map(self._pair, e.args))
+            return self._common(list(map(self._pair, e.args)))
         if e.is_Mul:
-            num = den = self.ring.one
-            for n, d in map(self._pair, e.args):
-                num, den = num * n, den * d
-            return num, den
+            num, c, exps = self.ring.one, 1, Counter()
+            for n, cn, en in map(self._pair, e.args):
+                num, c, exps = num * n, c * cn, exps + en
+            return num, c, exps
         if e.is_Pow and e.exp.is_Rational and e.exp.q <= 2:
-            num, den = (self._pair(e.base) if e.exp.q == 1
-                        else self._roots[e.base])
-            k = e.exp.p
-            if k < 0:
+            num, c, exps = (self._pair(e.base) if e.exp.q == 1
+                            else self._roots[e.base])
+            if e.exp.p < 0:
                 if not num:
                     raise ZeroDivisionError("negative power of zero")
-                num, den, k = den, num, -k
-            return num ** k, den ** k
-        return self._gens[e], self.ring.one
+                num, (c, exps) = self._product(c, exps), self._split(num)
+            k = abs(e.exp.p)
+            return num ** k, c ** k, sum([exps] * k, Counter())
+        return self._gens[e], 1, Counter()
 
     def expr(self, f):
         """``f`` as the expression :func:`ratsimp` gives for it: numerator
@@ -687,7 +708,9 @@ class KernelField:
             for i, num, den in used:
                 table.append((i, num * w.exquo(den)))
         dp, dq = _derive(p, table), _derive(q, table)
-        return self.field.new(dp * q - p * dq, q * q * w * self._scale)
+        (c, exps), (cw, ew) = self._split(q), self._split(w)
+        return self._cancel(dp * q - p * dq, c * c * cw * self._scale,
+                            exps + exps + ew)
 
     def _derivation(self, x):
         """[(i, c d gens[i]/dx)] for the symbols and kernels, zero ones left
@@ -761,7 +784,7 @@ class KernelField:
             den = self._reduce_even(den * multiplier)
         if num is f.numer and den is f.denom:
             return f
-        return self.field.new(num, den)
+        return self._cancel(num, *self._split(den))
 
     def _reduce_even(self, p, squares=None):
         """gens[i]^2 -> p_i in the polynomial ``p`` for each relation of
@@ -790,14 +813,24 @@ class KernelField:
 
     def dot(self, xs, ys):
         """sum x*y over the pairs of ``xs`` and ``ys``, cancelled once: the
-        terms are added by denominator and the groups over their least
-        common multiple, so no product or partial sum takes a gcd.  The
-        squares of roots are replaced in the numerator before the gcd, as no
-        caller keeps them; the squares of kernels are left to
-        :meth:`reduce_trig`."""
-        num, den = _sum(self.ring, ((x.numer * y.numer, x.denom * y.denom)
-                                    for x, y in zip(xs, ys) if x and y))
-        return self.field.new(self._reduce_even(num, self._radicals), den)
+        products are added by their pair of denominators, whose exponents
+        over the factor base add, and the groups over the common
+        denominator of the largest exponents, so no product or partial sum
+        takes a gcd.  The squares of roots are replaced in the numerator
+        before the cancellation, as no caller keeps them; the squares of
+        kernels are left to :meth:`reduce_trig`."""
+        groups = {}
+        for x, y in zip(xs, ys):
+            if x and y:
+                key = x.denom, y.denom
+                groups[key] = (groups.get(key, self.ring.zero)
+                               + x.numer * y.numer)
+        parts = []
+        for (a, b), n in groups.items():
+            (ca, ea), (cb, eb) = self._split(a), self._split(b)
+            parts.append((n, ca * cb, ea + eb))
+        num, c, exps = self._common(parts)
+        return self._cancel(self._reduce_even(num, self._radicals), c, exps)
 
     def is_zero(self, f):
         """True iff the numerator vanishes after the reduction by the
@@ -805,22 +838,109 @@ class KernelField:
         expression of a field without roots."""
         return not self._reduce_even(f.numer)
 
+    # -- cancellation over the factor base -----------------------------------
 
-def _sum(ring, pairs):
-    """(numerator, denominator) of the sum of the fractions n/d given as
-    pairs (n, d): the terms added by denominator and the groups over their
-    least common multiple, so that no numerator takes a gcd."""
-    groups = {}
-    for n, d in pairs:
-        groups[d] = groups.get(d, ring.zero) + n
-    num, den = ring.zero, ring.one
-    for d, part in groups.items():
-        if d != den:
-            g = den.gcd(d)
-            num, den = num * d.exquo(g), den * d.exquo(g)
-            part = part * (den.exquo(d))
-        num += part
-    return num, den
+    def _common(self, parts):
+        """(n, c, exps): the sum of the fractions n_i / (c_i prod
+        base[j]^exps_i[j]) given as (n_i, c_i, exps_i), over the denominator
+        of the lcm of the c_i and the largest exponents, with no gcd."""
+        c, exps = 1, Counter()
+        for _, ci, ei in parts:
+            c, exps = math.lcm(c, ci), exps | ei
+        return sum((n if ci == c and ei == exps else
+                    n * self._product(c // ci, exps - ei)
+                    for n, ci, ei in parts), self.ring.zero), c, exps
+
+    def _cancel(self, num, c, exps):
+        """The element num/den for den = c * prod base[i]^exps[i]: num
+        divided by each base factor as often as it divides, up to its
+        exponent, then by the gcd of its content and c, signed as c is.  The
+        base factors are irreducible, so this is ``field.new(num, den)``."""
+        if not num:
+            return self.zero
+        at, left = self._at(num) if exps else None, Counter()
+        for i, k in exps.items():
+            num, at, j = self._strip(num, at, i, k)
+            left[i] = k - j
+        left = +left
+        g = math.gcd(num.content(), c) * (1 if c > 0 else -1)
+        num, c = num.quo_ground(g), c // g
+        den = self._product(c, left)
+        self._split_memo.setdefault(den, (c, left))
+        return self.field.raw_new(num, den)
+
+    def _split(self, den):
+        """(c, {i: k}) with den = c * prod base[i]^k: den divided by the
+        base factors, and the irreducible factors of what is left, if
+        anything, added to the base.  Kept in the memo."""
+        if den in self._split_memo:
+            return self._split_memo[den]
+        c, rest = den.primitive()
+        if rest.LC < 0:
+            c, rest = -c, -rest
+        exps, at = Counter(), self._at(rest)
+        for i in range(len(self._base)):
+            if rest.is_ground:
+                break
+            rest, at, exps[i] = self._strip(rest, at, i, math.inf)
+        exps = +exps
+        if not rest.is_ground:
+            for factor, k in rest.factor_list()[1]:
+                factor = factor if factor.LC > 0 else -factor
+                exps[len(self._base)] = k
+                self._base.append((factor, self._at(factor)))
+        self._split_memo[den] = c, exps
+        return c, exps
+
+    def _strip(self, num, at, i, most):
+        """(num / p^j, its values at the test points, j) for the base factor
+        p = base[i] and the largest j <= ``most`` with p^j dividing num.  A
+        division is tried only while p's value divides num's at each test
+        point where p's is not 0 or +-1, and counts only with remainder 0."""
+        p, values = self._base[i]
+        j = 0
+        while j < most and all(v in (0, 1, -1) or n % v == 0
+                               for n, v in zip(at, values)):
+            q = _exquo(num, p)
+            if q is None:
+                break
+            num, j, at = q, j + 1, self._at(q)
+        return num, at, j
+
+    def _at(self, p):
+        """The values of the polynomial ``p`` at the test points."""
+        return [sum(c * math.prod(map(pow, point, m))
+                    for m, c in p.iterterms()) for point in self._points]
+
+    def _product(self, c, exps):
+        """The polynomial c * prod base[i]^exps[i]."""
+        return math.prod((self._base[i][0] ** k for i, k in exps.items()),
+                         start=self.ring(c))
+
+
+def _exquo(num, p):
+    """num / p when p divides num, else None: long division in lex order,
+    the remainder's terms in a heap, so that no step scans the remainder;
+    it stops at the first term that p's leading term does not divide."""
+    (lm, lc), *tail = p.terms()
+    rem, quo = dict(num), {}
+    heap = [(tuple(-e for e in m), m) for m in rem]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = rem.pop(m, 0)
+        if not c:
+            continue
+        d = tuple(a - b for a, b in zip(m, lm))
+        if min(d) < 0 or c % lc:
+            return None
+        quo[d] = c = c // lc
+        for mt, ct in tail:
+            mm = tuple(a + b for a, b in zip(d, mt))
+            if mm not in rem:
+                heapq.heappush(heap, (tuple(-e for e in mm), mm))
+            rem[mm] = rem.get(mm, 0) - c * ct
+    return num.ring.from_dict(quo)
 
 
 def _derive(p, table):
@@ -872,7 +992,7 @@ class _Trees:
     """Expression trees with the operations of :class:`KernelField`: the
     scalar domain of input outside every kernel field."""
 
-    zero = sp.S.Zero
+    zero, one = sp.S.Zero, sp.S.One
 
     @staticmethod
     def expr(e):

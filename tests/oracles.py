@@ -532,6 +532,12 @@ TREE_FRAMES = ("exteriorschwarzschild", "interiorschwarzschild",
                "oblatespheroidal", "oblatespheroidalsqrt", "prolatespheroidal",
                "prolatespheroidalsqrt")
 
+#: Frames whose frame stages compute in a kernel field (Kerr's with roots):
+#: every other entry with a frame base.
+FIELD_FRAMES = tuple(name for name in catalog.list_entries()
+                     if catalog.entry(name).fri is not None
+                     and name not in TREE_FRAMES)
+
 #: File name under ``tests/golden`` -> the ``tensoralg`` arguments whose
 #: output it holds.
 CLI_GOLDENS = {
@@ -540,7 +546,7 @@ CLI_GOLDENS = {
        for name in catalog.list_entries()},
     **{f"{name}_frame.json": ("compute", "--catalog", name, "--frame",
                               "--tensors", "all", "--format", "json")
-       for name in TREE_FRAMES},
+       for name in TREE_FRAMES + FIELD_FRAMES},
     **{f"{name}_rotation.json": ("compute", "--catalog", name, "--frame",
                                  "--tensors", "rotation_coeffs", "--format",
                                  "json")

@@ -132,6 +132,30 @@ def test_compute_converts_no_printed_stage_to_expressions(
     assert len(calls) <= most
 
 
+@pytest.mark.parametrize("name, frame, most", [
+    ("confocalellipsoidal", False, 45), ("kerr_newman", True, 180)])
+def test_kernel_field_cancels_without_polynomial_gcds(
+        name, frame, most, tmp_path, monkeypatch, capsys):
+    # the kernel field cancels by trial division over its factor base; the
+    # few gcds left are sympy's own field operations, a difference or an
+    # inverse written with - or /
+    from sympy.polys.rings import PolyElement
+    if frame:
+        argv = ("--catalog", name, "--frame")
+    else:
+        _, text, _ = run_cli("catalog", "show", name, capsys=capsys)
+        path = tmp_path / f"{name}.tm"
+        path.write_text(text)
+        argv = ("--metric", str(path))
+    calls = []
+    gcd = PolyElement._gcd_ZZ
+    monkeypatch.setattr(PolyElement, "_gcd_ZZ",
+                        lambda f, g: calls.append(f) or gcd(f, g))
+    code, _, _ = run_cli("compute", *argv, "--tensors", "all", capsys=capsys)
+    assert code == 0
+    assert len(calls) <= most
+
+
 @pytest.mark.parametrize("frame", [(), ("--frame",)])
 def test_compute_parses_each_value_of_a_metric_file_once(frame, tmp_path,
                                                          monkeypatch, capsys):
@@ -280,6 +304,15 @@ def test_frame_rotation_coeffs_match_golden_within_budget(name, capsys):
 
 @pytest.mark.parametrize("name", oracles.TREE_FRAMES)
 def test_tree_frame_stages_match_golden(name, capsys):
+    _check_frame_golden(name, capsys)
+
+
+@pytest.mark.parametrize("name", oracles.FIELD_FRAMES)
+def test_field_frame_stages_match_golden(name, capsys):
+    _check_frame_golden(name, capsys)
+
+
+def _check_frame_golden(name, capsys):
     code, out, err = run_cli(*oracles.CLI_GOLDENS[f"{name}_frame.json"],
                              capsys=capsys)
     assert code == 0 and err == ""

@@ -648,6 +648,121 @@ def _assert_roots_hold_no_eliminated_kernel(field):
                        for i in field._eliminated)
 
 
+# ---------------------------------------------------------------------------
+# cancellation over the factor base
+
+
+def _checked_field():
+    """A field with a root and kernels, sin(u) and cosh(x) eliminated in
+    favour of cos(u) and sinh(x), whose every split of a denominator
+    over the factor base is checked to multiply back to it, and whose every
+    cancellation is checked against sympy's full one: ``field.new`` of the
+    same numerator and denominator, compared term by term."""
+    field, _ = _root_field("sqrt(x^2 + y)", "x*y*sin(u)*cosh(x)")
+    split, cancel = field._split, field._cancel
+
+    def checked_split(den):
+        c, exps = split(den)
+        assert field._product(c, exps) == den
+        return c, exps
+
+    def checked_cancel(num, c, exps):
+        got = cancel(num, c, exps)
+        want = field.field.new(num, field._product(c, exps))
+        assert (got.numer, got.denom) == (want.numer, want.denom)
+        return got
+    field._split, field._cancel = checked_split, checked_cancel
+    return field
+
+
+@st.composite
+def _shared_factor_elements(draw):
+    """(field, xs, ys): elements c * prod F_i^k_i and sums of two of them,
+    over three random polynomials F_i shared by all, k_i in -2..1 and c a
+    rational, so that numerators and denominators share factors.  The F_i
+    hold no eliminated kernel, which keeps reduce_trig to one conjugate, by
+    the root."""
+    field = _checked_field()
+    gens = [field._gens[parse(t)] for t in (
+        "x", "y", "cos(u)", "sinh(x)", "sqrt(x^2 + y)")]
+    monomial = st.tuples(st.integers(-3, 3).filter(bool),
+                         st.lists(st.sampled_from(gens), max_size=2))
+    factors = [p for p in draw(st.lists(st.lists(monomial, min_size=1,
+                                                 max_size=2),
+                                        min_size=3, max_size=3))
+               for p in [sum((c * math.prod(g, start=field.ring.one)
+                              for c, g in p), field.ring.zero)]]
+    assume(all(factors))
+
+    def product():
+        c = draw(st.fractions(-6, 6, max_denominator=6).filter(bool))
+        num, den = field.ring(c.numerator), field.ring(c.denominator)
+        for f in factors:
+            k = draw(st.integers(-2, 1))
+            num, den = (num * f ** k, den) if k >= 0 else (num, den * f ** -k)
+        return field.field.new(num, den)
+
+    def element():
+        return product() + product() if draw(st.booleans()) else product()
+    size = draw(st.integers(1, 3))
+    return field, [element() for _ in range(size)], [
+        element() for _ in range(size)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_shared_factor_elements(), st.sampled_from(["x", "y", "u"]))
+def test_factor_base_cancels_as_sympy_does(data, name):
+    # every split and cancellation inside dot, diff and reduce_trig is
+    # checked by the field, and dot also whole, against sympy's cancel of
+    # the sum over the lcm of its denominators
+    field, xs, ys = data
+    got = field.dot(xs, ys)
+    terms = [(x.numer * y.numer, x.denom * y.denom)
+             for x, y in zip(xs, ys) if x and y]
+    den = field.ring.one
+    for _, d in terms:
+        den = den.lcm(d)
+    num = sum((n * den.exquo(d) for n, d in terms), field.ring.zero)
+    want = field.field.new(field._reduce_even(num, field._radicals), den)
+    assert (got.numer, got.denom) == (want.numer, want.denom)
+    for f in xs + [got]:
+        field.diff(f, sym(name))
+        field.reduce_trig(f)
+
+
+@pytest.mark.parametrize("vanishing", [False, True])
+def test_trial_division_counts_only_with_remainder_zero(vanishing,
+                                                        monkeypatch):
+    # n = p*y + L with L the lcm of p's nonzero values at the test points
+    # a: p(a) divides n(a), so the division is tried, and only its
+    # remainder L shows that p does not divide n; where p(a) = 0 the point
+    # tells nothing
+    field = scalars.kernel_field([parse("x*y")])
+    x, y = (field._gens[sym(t)] for t in "xy")
+    p = x - (field._at(x)[0] if vanishing else 1)
+    values = field._at(p)
+    n = p * y + math.lcm(*(v for v in values if v))
+    assert all(not v or m % v == 0 for m, v in zip(field._at(n), values))
+    assert (0 in values) == vanishing
+    divisions = []
+    exquo = scalars._exquo
+    monkeypatch.setattr(scalars, "_exquo",
+                        lambda f, g: divisions.append(g) or exquo(f, g))
+    f = field.element(scalars.TREES.expr(field.expr(field.field.new(n, p))))
+    assert (f.numer, f.denom) == (n, p) and p in divisions
+    assert field._base == [(p, values)]
+
+
+def test_exact_division_needs_every_leading_coefficient_to_divide():
+    field = scalars.kernel_field([parse("x*y")])
+    x, y = (field._gens[sym(t)] for t in "xy")
+    p = 2 * x + 1
+    assert scalars._exquo(p * (x - 3 * y) ** 2, p) == (x - 3 * y) ** 2
+    # 3xy + y = p*y + xy: every monomial divides by x, 3 not by 2
+    assert scalars._exquo(3 * x * y + y, p) is None
+    assert scalars._exquo(p * y + 1, p) is None
+
+
 @pytest.mark.parametrize("texts", [
     ("sqrt((r-2*m)/r)", "sqrt(r/(r-2*m))"),
     ("sqrt(x*y)", "sqrt(x)", "sqrt(y)"),
