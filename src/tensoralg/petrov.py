@@ -5,10 +5,21 @@ components of an orthonormal Lorentz frame; there the Newman-Penrose null
 tetrad has constant components, and the five complex Weyl scalars are
 contractions of the frame Weyl tensor with it.  The algebraic type
 follows from a decision tree driven by which scalars (and which derived
-invariants) vanish.  Every zero test is the package's one decision,
+invariants) vanish.  Every condition of the tree is a homogeneous
+polynomial in the scalars, so multiplying all five by one nonzero function
+changes no decision.  :func:`classify` therefore reads the scalars into one
+kernel field and writes them as numerators N_k over their common
+denominator D; when D holds symbols only, the tree runs on the N_k with
+ring arithmetic, and :meth:`scalars.KernelField.vanishes` decides each
+condition: zero when its polynomial reduced by the field's relations is 0,
+nonzero when that polynomial holds symbols only, and refused when it holds
+a kernel or a root.  Plain numbers, scalars outside every kernel field
+(``%i``, roots, ``exp``, ...), a D with a kernel or a root, and scalars
+with a condition refused in the field are decided on expression trees by
 :func:`scalars.vanishes`: zero by the normal form, nonzero by the interval
-certificate, and otherwise refused with :class:`UnclassifiableError`, so a
-type is decided or refused, never guessed.
+certificate.  What neither decides is refused with
+:class:`UnclassifiableError`, so a type is decided or refused, never
+guessed.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from enum import Enum
 import sympy as sp
 
 from .curvature import MetricContext
-from .scalars import UnclassifiableError, ratsimp, trigsimp, vanishes
+from .scalars import TREES, UnclassifiableError, in_field, ratsimp, trigsimp
 
 
 class PetrovType(Enum):
@@ -140,113 +151,136 @@ def classify(psi) -> PetrovType:
 
     Direct table hit on the zero pattern where possible; otherwise the
     numbered branch conditions decide, computing auxiliary invariants only
-    as needed.
+    as needed.  Scalars that are not all numbers are read into one kernel
+    field and the tree runs on their numerators over the common denominator
+    D (see the module docstring); outside every field, or when the field
+    refuses D or a condition, it runs on the expressions.
     """
     if isinstance(psi, WeylScalars):
         psi = psi.psi
     psi = [sp.sympify(p) for p in psi]
     if len(psi) != 5:
         raise ValueError("expected five Weyl scalars")
+    # plain numbers are decided at once by the trees
+    found = None if all(p.is_Number for p in psi) else in_field(psi)
+    if found is not None:
+        K, elements = found
+        den, numerators = K.numerators(elements)
+        try:
+            if not K.vanishes(den):
+                return _decide(numerators, K)
+        except UnclassifiableError:
+            # D or a condition holds a kernel or a root: the trees decide
+            # as before or refuse
+            pass
+    return _decide(psi, TREES)
+
+
+def _decide(psi, dom):
+    """The decision tree on the five values ``psi`` of the domain ``dom``,
+    whose ``vanishes`` decides zero and ``ratsimp`` normalizes."""
     P = 1
     for weight, index in ((1, 4), (2, 3), (4, 2), (8, 1), (16, 0)):
-        if not vanishes(psi[index]):
+        if not dom.vanishes(psi[index]):
             P += weight
     entry = _TABLE[P - 1]
     if entry == 0:
         return PetrovType.O
     if isinstance(entry, str):
         return PetrovType(entry)
-    return _branch(entry, psi)
+    return _branch(entry, psi, dom)
 
 
-def _branch(case, psi):
+def _branch(case, psi, dom):
     p0, p1, p2, p3, p4 = psi
     if case == 7:
-        return PetrovType.D if vanishes(p3 ** 2 - 3 * p2 * p4) else PetrovType.II
+        return (PetrovType.D if dom.vanishes(p3 ** 2 - 3 * p2 * p4)
+                else PetrovType.II)
     if case == 11:
-        return (PetrovType.II if vanishes(27 * p4 ** 2 * p1 + 64 * p3 ** 3)
+        return (PetrovType.II if dom.vanishes(27 * p4 ** 2 * p1 + 64 * p3 ** 3)
                 else PetrovType.I)
     if case == 13:
-        return (PetrovType.II if vanishes(p1 ** 2 * p4 + 2 * p2 ** 3)
+        return (PetrovType.II if dom.vanishes(p1 ** 2 * p4 + 2 * p2 ** 3)
                 else PetrovType.I)
     if case == 14:
-        return (PetrovType.II if vanishes(9 * p2 ** 2 - 16 * p1 * p3)
+        return (PetrovType.II if dom.vanishes(9 * p2 ** 2 - 16 * p1 * p3)
                 else PetrovType.I)
     if case == 15:
         return (PetrovType.II
-                if vanishes(3 * p2 ** 2 - 4 * p1 * p3)
-                and vanishes(p2 * p3 - 3 * p1 * p4)
+                if dom.vanishes(3 * p2 ** 2 - 4 * p1 * p3)
+                and dom.vanishes(p2 * p3 - 3 * p1 * p4)
                 else PetrovType.I)
     if case == 19:
-        return (PetrovType.II if vanishes(p0 * p4 ** 3 - 27 * p3 ** 4)
+        return (PetrovType.II if dom.vanishes(p0 * p4 ** 3 - 27 * p3 ** 4)
                 else PetrovType.I)
     if case == 21:
         # The source writes this condition without "=0"; it is ported as a
         # zero test like every sibling branch.
-        return PetrovType.D if vanishes(9 * p2 ** 2 - p4 ** 2) else PetrovType.I
+        return (PetrovType.D if dom.vanishes(9 * p2 ** 2 - p4 ** 2)
+                else PetrovType.I)
     if case == 23:
-        inv_i = ratsimp(p0 * p4 + 3 * p2 ** 2)
-        if vanishes(inv_i) and vanishes(4 * p2 * p4 - 3 * p3 ** 2):
+        inv_i = dom.ratsimp(p0 * p4 + 3 * p2 ** 2)
+        if dom.vanishes(inv_i) and dom.vanishes(4 * p2 * p4 - 3 * p3 ** 2):
             return PetrovType.III
-        inv_j = ratsimp(4 * p2 * p4 - 3 * p3 ** 2)
+        inv_j = dom.ratsimp(4 * p2 * p4 - 3 * p3 ** 2)
         cond = p4 * inv_i ** 2 - 3 * inv_j * (p0 * inv_j - 2 * p2 * inv_i)
-        return PetrovType.II if vanishes(cond) else PetrovType.I
+        return PetrovType.II if dom.vanishes(cond) else PetrovType.I
     if case == 27:
-        if vanishes(p0 * p3 ** 2 - p1 ** 2 * p4):
-            if vanishes(p0 * p4 + 2 * p1 * p3):
+        if dom.vanishes(p0 * p3 ** 2 - p1 ** 2 * p4):
+            if dom.vanishes(p0 * p4 + 2 * p1 * p3):
                 return PetrovType.D
-            if vanishes(p0 * p4 - 16 * p1 * p3):
+            if dom.vanishes(p0 * p4 - 16 * p1 * p3):
                 return PetrovType.II
             return PetrovType.I
-        inv_i = ratsimp(p0 * p4 + 2 * p1 * p3)
-        if vanishes(inv_i):
-            inv_j = ratsimp(-p0 * p3 ** 2 - p1 ** 2 * p4)
-            if vanishes(inv_j):
+        inv_i = dom.ratsimp(p0 * p4 + 2 * p1 * p3)
+        if dom.vanishes(inv_i):
+            inv_j = dom.ratsimp(-p0 * p3 ** 2 - p1 ** 2 * p4)
+            if dom.vanishes(inv_j):
                 return PetrovType.III
-            if vanishes(inv_i ** 3 - 27 * inv_j ** 2):
+            if dom.vanishes(inv_i ** 3 - 27 * inv_j ** 2):
                 return PetrovType.II
             return PetrovType.I
         return PetrovType.I
     if case == 31:
-        return _general_branch(psi)
+        return _general_branch(psi, dom)
     raise AssertionError(f"unknown branch {case}")
 
 
-def _general_branch(psi):
+def _general_branch(psi, dom):
     p0, p1, p2, p3, p4 = psi
-    h = ratsimp(p0 * p2 - p1 ** 2)
-    if vanishes(h):
-        if vanishes(p0 * p3 - p1 * p2):
-            if vanishes(p0 * p4 - p2 ** 2):
+    h = dom.ratsimp(p0 * p2 - p1 ** 2)
+    if dom.vanishes(h):
+        if dom.vanishes(p0 * p3 - p1 * p2):
+            if dom.vanishes(p0 * p4 - p2 ** 2):
                 return PetrovType.N
             return PetrovType.I
-        e = ratsimp(p0 * p4 - p2 ** 2)
-        if vanishes(e):
-            if vanishes(37 * p2 ** 2 + 27 * p1 * p3):
+        e = dom.ratsimp(p0 * p4 - p2 ** 2)
+        if dom.vanishes(e):
+            if dom.vanishes(37 * p2 ** 2 + 27 * p1 * p3):
                 return PetrovType.II
             return PetrovType.I
-        a = ratsimp(p1 * p3 + p2 ** 2)
-        inv_i = ratsimp(e - 4 * a)
+        a = dom.ratsimp(p1 * p3 + p2 ** 2)
+        inv_i = dom.ratsimp(e - 4 * a)
         cond = inv_i ** 3 - 27 * (p4 * h - p3 ** 2 * p0
                                   + p1 * p2 * p3 + p2 * a) ** 2
-        if not vanishes(inv_i) and vanishes(cond):
+        if not dom.vanishes(inv_i) and dom.vanishes(cond):
             return PetrovType.II
         return PetrovType.I
-    inv_i = ratsimp(p0 * p4 - p2 ** 2 - 4 * (p1 * p3 + p2 ** 2))
-    if vanishes(inv_i):
-        if vanishes(p4 * h - p3 ** 2 * p0 + p1 * p2 * p3
-                     + p2 * (p1 * p3 + p2 ** 2)):
+    inv_i = dom.ratsimp(p0 * p4 - p2 ** 2 - 4 * (p1 * p3 + p2 ** 2))
+    if dom.vanishes(inv_i):
+        if dom.vanishes(p4 * h - p3 ** 2 * p0 + p1 * p2 * p3
+                         + p2 * (p1 * p3 + p2 ** 2)):
             return PetrovType.III
         return PetrovType.I
-    if vanishes(p0 ** 2 * p3 - p0 * p1 * p2 - 2 * p1 * h):
-        if vanishes(p0 ** 2 * inv_i - 12 * h ** 2):
+    if dom.vanishes(p0 ** 2 * p3 - p0 * p1 * p2 - 2 * p1 * h):
+        if dom.vanishes(p0 ** 2 * inv_i - 12 * h ** 2):
             return PetrovType.D
-        if vanishes(p0 ** 2 * inv_i - 3 * h ** 2):
+        if dom.vanishes(p0 ** 2 * inv_i - 3 * h ** 2):
             return PetrovType.II
         return PetrovType.I
-    inv_j = ratsimp(p4 * h - p3 ** 2 * p0 + p1 * p2 * p3
-                    + p2 * (p1 * p3 + p2 ** 2))
-    if not vanishes(inv_j) and vanishes(inv_i ** 3 - 27 * inv_j ** 2):
+    inv_j = dom.ratsimp(p4 * h - p3 ** 2 * p0 + p1 * p2 * p3
+                        + p2 * (p1 * p3 + p2 ** 2))
+    if not dom.vanishes(inv_j) and dom.vanishes(inv_i ** 3 - 27 * inv_j ** 2):
         return PetrovType.II
     return PetrovType.I
 

@@ -584,6 +584,8 @@ class KernelField:
                 self._pairs.append(((i, 1 + s * p ** 2), (j, s * k ** 2 - s)))
         self._scale = math.lcm(*(c for *_, c in self._chains))
         self._radical_set = {i for i, _ in self._radicals}
+        # the generators that are not symbols: kernels and roots
+        self._kernels = [i for i, g in enumerate(gens) if not g.is_Symbol]
         self._eliminate((0,) * len(self._pairs))
         self._derivations = {}
         # what text() needs of the generators, built at the first print
@@ -808,7 +810,8 @@ class KernelField:
         return self.reduce_trig(f)
 
     def ratsimp(self, f):
-        """Elements are in normal form already."""
+        """Elements are in normal form already, and a polynomial is left to
+        :meth:`vanishes`, which reduces it."""
         return f
 
     def dot(self, xs, ys):
@@ -838,18 +841,50 @@ class KernelField:
         expression of a field without roots."""
         return not self._reduce_even(f.numer)
 
+    def numerators(self, elements):
+        """(D, [N_k]) with N_k / D the k-th of ``elements``: D is their
+        common denominator, of the lcm of their contents and the largest
+        exponents over the factor base, taken with no gcd, and each N_k in
+        Z[gens] is reduced by the relation table."""
+        nums, c, exps = self._over([(f.numer, *self._split(f.denom))
+                                    for f in elements])
+        return self._product(c, exps), list(map(self._reduce_even, nums))
+
+    def vanishes(self, p):
+        """The zero decision on ``p / D`` for a polynomial ``p`` and a
+        denominator D known to be nonzero, that is on ``p``: True when ``p``
+        reduced by the relation table is 0, False when it is not and holds
+        symbols only, as a nonzero polynomial in independent variables is a
+        nonzero function.  A reduced ``p`` that holds a kernel or a root is
+        refused with :class:`UnclassifiableError`: the field does not know
+        every relation between its kernels (sin(2x) and sin(x) are both
+        generators), so such a caller decides on expression trees."""
+        p = self._reduce_even(p)
+        if not p:
+            return True
+        if any(m[i] for m in p.itermonoms() for i in self._kernels):
+            raise UnclassifiableError(p.as_expr())
+        return False
+
     # -- cancellation over the factor base -----------------------------------
 
     def _common(self, parts):
-        """(n, c, exps): the sum of the fractions n_i / (c_i prod
-        base[j]^exps_i[j]) given as (n_i, c_i, exps_i), over the denominator
-        of the lcm of the c_i and the largest exponents, with no gcd."""
+        """(n, c, exps): the sum of the fractions of :meth:`_over`, over
+        their common denominator, with no gcd."""
+        nums, c, exps = self._over(parts)
+        return sum(nums, self.ring.zero), c, exps
+
+    def _over(self, parts):
+        """([m_i], c, exps): the fractions n_i / (c_i prod base[j]^exps_i[j])
+        given as (n_i, c_i, exps_i), written as m_i / (c prod
+        base[j]^exps[j]) over the lcm c of the c_i and the largest
+        exponents, with no gcd."""
         c, exps = 1, Counter()
         for _, ci, ei in parts:
             c, exps = math.lcm(c, ci), exps | ei
-        return sum((n if ci == c and ei == exps else
-                    n * self._product(c // ci, exps - ei)
-                    for n, ci, ei in parts), self.ring.zero), c, exps
+        return [n if ci == c and ei == exps else
+                n * self._product(c // ci, exps - ei)
+                for n, ci, ei in parts], c, exps
 
     def _cancel(self, num, c, exps):
         """The element num/den for den = c * prod base[i]^exps[i]: num
@@ -1021,6 +1056,10 @@ class _Trees:
     def is_zero(e):
         return is_zero(e)
 
+    @staticmethod
+    def vanishes(e):
+        return vanishes(e)
+
 
 TREES = _Trees()
 
@@ -1123,7 +1162,17 @@ def vanishes(e: Expr) -> bool:
     0, False when :func:`certify_nonzero` holds, otherwise
     :class:`UnclassifiableError`.  The certificate is asked first, as it
     needs no simplification, and each expression is decided once while it
-    stays in the cache."""
+    stays in the cache.
+
+    Its field form, :meth:`KernelField.vanishes`, decides a polynomial
+    numerator over a denominator known to be nonzero with no certificate
+    where it can: zero when the numerator reduced by the relation table is
+    the zero polynomial, nonzero when that reduced numerator holds symbols
+    only, since a nonzero polynomial in independent variables is a nonzero
+    function.  A reduced numerator that holds a kernel or a root is refused
+    there, as sin(2x) and sin(x) are generators with a relation the field
+    does not know, and the caller decides on expression trees with this
+    function."""
     e = sp.sympify(e)
     if e.is_Number:
         return e == 0

@@ -4,6 +4,7 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from tensoralg import catalog, petrov, scalars
@@ -237,14 +238,18 @@ def test_classify_branch7_inequality():
     assert classify([0, 0, 1, 3, 4]) is PetrovType.II
 
 
+def symbolic_pattern(bits):
+    """Fresh symbols in the nonzero slots of a zero pattern."""
+    return [sym(f"q{i}") if bits[i] else sp.S.Zero for i in range(5)]
+
+
 def test_classify_all_32_zero_patterns_match_reference():
     # fresh symbols in the nonzero slots; the expectation comes from the
     # independent numeric port evaluated at two prime assignments
     primes_a = (3, 5, 7, 11, 13)
     primes_b = (17, 23, 29, 37, 41)
     for bits in itertools.product((0, 1), repeat=5):
-        psi_sym = [sym(f"q{i}") if bits[i] else sp.S.Zero for i in range(5)]
-        got = classify(psi_sym)
+        got = classify(symbolic_pattern(bits))
         expect_a = oracles.petrov_reference(
             [primes_a[i] if bits[i] else 0 for i in range(5)])
         expect_b = oracles.petrov_reference(
@@ -264,16 +269,19 @@ def test_classification_scale_invariance():
             assert classify([c * p for p in psi]) is base
 
 
+# deliberately satisfied branch conditions
+SPECIAL_CASES = (
+    (0, 0, 1, 3, 3),       # branch 7 -> D
+    (1, 1, 0, 0, -2),      # branch 27-ish pattern
+    (1, 2, 3, 4, 5),       # full pattern, general block
+    (1, 0, 1, 0, 1),
+    (0, 1, 0, 1, 0),
+)
+
+
 def test_classify_special_numeric_branches():
-    # deliberately satisfied branch conditions, cross-checked with the oracle
-    cases = [
-        [0, 0, 1, 3, 3],       # branch 7 -> D
-        [1, 1, 0, 0, -2],      # branch 27-ish pattern
-        [1, 2, 3, 4, 5],       # full pattern, general block
-        [1, 0, 1, 0, 1],
-        [0, 1, 0, 1, 0],
-    ]
-    for psi in cases:
+    # cross-checked with the oracle
+    for psi in SPECIAL_CASES:
         assert classify(psi).value == oracles.petrov_reference(psi)
 
 
@@ -325,8 +333,100 @@ def test_classify_certifies_each_expression_once(monkeypatch):
             if value is original:
                 monkeypatch.setattr(module, name, counted)
     x, y = sym("x"), sym("y")
-    assert classify([x, 1 + y, x * y, 2 - x, x + y]) is PetrovType.I
-    assert calls and max(calls.values()) == 1
+    for psi in (
+            # outside every kernel field: decided on expression trees
+            [sp.exp(x), 1 + y, x * y, 2 - x, x + y],
+            # in a field, with kernels: the field refuses a numerator that
+            # holds one, and the trees decide
+            [x * sp.sin(x), 1 + y, x * y, 2 - sp.cos(x), x + y]):
+        calls.clear()
+        assert classify(psi) is PetrovType.I
+        assert calls and max(calls.values()) == 1
+
+
+def test_classify_decides_rational_and_symbolic_scalars_in_one_field(
+        monkeypatch):
+    # symbolic zero patterns are decided on their numerators in one kernel
+    # field, plain numbers at once with no field: no certificate and no
+    # polynomial gcd
+    from sympy.polys.rings import PolyElement
+    counts = collections.Counter()
+    for module, name, key in ((scalars, "certify_nonzero", "certificates"),
+                              (PolyElement, "_gcd_ZZ", "gcds")):
+        original = getattr(module, name)
+
+        def counted(*args, original=original, key=key):
+            counts[key] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+    init = scalars.KernelField.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["fields"] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(scalars.KernelField, "__init__", counted_init)
+    monkeypatch.setattr(scalars, "_zero_cache", {})
+    symbolic = [symbolic_pattern(bits)
+                for bits in itertools.product((0, 1), repeat=5) if any(bits)]
+    for psi in [*symbolic, *SPECIAL_CASES, (0, 0, 0, 0, 0)]:
+        classify(psi)
+    assert counts == {"fields": len(symbolic)}
+
+
+def test_classify_is_invariant_under_a_common_factor():
+    x = sym("x")
+    tuples = [*SPECIAL_CASES, (0, 0, 1, 3, 4), (0, 0, 0, 0, 1),
+              (0, 0, 1, 0, 0), (2, 0, 3, 0, 9)]
+    for factor in ((x + 7) / (x ** 2 + 3), 1 + sp.sin(x) ** 2):
+        for psi in tuples:
+            scaled = [sp.sympify(p) * factor for p in psi]
+            assert classify(scaled) is classify(psi)
+
+
+def test_classify_refuses_a_denominator_that_is_zero():
+    # sin(2x) - 2 sin(x) cos(x) is a nonzero element of its kernel field but
+    # 0 as a function, so these scalars are not defined anywhere
+    x = sym("x")
+    murky = sp.sin(2 * x) - 2 * sp.sin(x) * sp.cos(x)
+    for psi in ((0, 0, 1, 0, 0), (1, 2, 3, 4, 5)):
+        with pytest.raises(UnclassifiableError):
+            classify([p / murky for p in psi])
+
+
+_X = sym("x")
+_ZERO = sp.sin(_X) ** 2 + sp.cos(_X) ** 2 - 1
+_KERNEL_FACTORS = (sp.S.One, sp.sin(_X), sp.cos(_X), 1 + sp.sin(_X) ** 2,
+                   1 / (2 + sp.cos(_X)))
+
+
+@st.composite
+def _weyl_tuples(draw):
+    # as frame-petrov draws them: psi_k = q_k * w for rationals q_k and one
+    # rational function w of x, a zero entry written as
+    # (sin(x)^2 + cos(x)^2 - 1) * w; some entries carry a sin/cos factor
+    a, b = draw(st.integers(1, 16)), draw(st.integers(1, 6))
+    w = (_X + a) / (_X ** 2 + b)
+    psi = []
+    for _ in range(5):
+        q = sp.Rational(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        factor = draw(st.sampled_from(_KERNEL_FACTORS)
+                      | st.just(sp.S.One) | st.just(sp.S.One))
+        psi.append(q * w * factor if q else _ZERO * w)
+    return psi
+
+
+def _outcome(decide, psi):
+    try:
+        return decide(psi)
+    except UnclassifiableError:
+        return UnclassifiableError
+
+
+@settings(max_examples=40, deadline=None)
+@given(_weyl_tuples())
+def test_field_decision_agrees_with_expression_trees(psi):
+    tree = _outcome(lambda p: petrov._decide(p, scalars.TREES), psi)
+    assert _outcome(classify, psi) is tree
 
 
 # ---------------------------------------------------------------------------
