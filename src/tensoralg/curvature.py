@@ -218,7 +218,8 @@ class MetricContext:
     ``field`` is None and the stages work on expression trees, kept as
     computed.  A frame context whose frame rows lie in a
     kernel field with square roots as generators (see
-    :func:`scalars.kernel_field`) takes that field for every stage, frame
+    :func:`scalars.kernel_field`), two roots of one square included, as
+    in the Schwarzschild frames, takes that field for every stage, frame
     stages included, and derives its metric there; any other frame keeps
     its frame stages on expression trees.
 
@@ -295,7 +296,9 @@ class MetricContext:
 
         A frame context whose frame, frame metric, torsion and nonmetricity
         lie in one kernel field, roots admitted, computes every stage in it
-        and derives the metric there.  Otherwise the frame stays on
+        and derives the metric there, unless that metric or the inverse of
+        its determinant, the one divisor of the stages, meets a zero
+        divisor.  Otherwise the frame stays on
         expression trees, where the metric is derived, and ``_K`` is the
         kernel field of metric, torsion and nonmetricity, or else expression
         trees too.  A coordinate or constant in no entry is no generator."""
@@ -307,7 +310,12 @@ class MetricContext:
                                      radicals=True)
             if found is not None:
                 K, (f, eta, tau, mu) = found
-                g = self._frame_metric(K, f, eta)
+                try:
+                    g = self._frame_metric(K, f, eta)
+                    K.reduce_trig(K.one / _det(g, K))
+                except ZeroDivisionError:
+                    found = None
+            if found is not None:
                 K.choose_table(sum(g, []))
                 self.lg = _map(K.expr, g)
                 self.field = self._K = self._FK = K

@@ -16,10 +16,10 @@ functions, a :class:`KernelField`: its generators are symbols and
 ``sin``/``cos``/``sinh``/``cosh`` applications, each sin(u) with cos(u)
 and each sinh(u) with cosh(u), so it is closed under d/dx.  For a frame it
 may also hold square roots of rational functions, each a generator whose
-square is known, admitted only while the normal form stays canonical.  Like
-Maxima's canonical rational expressions, its elements are ratios of
-polynomials with integer coefficients, and an expression enters with one
-cancel.
+square is known, two roots of one square included, while the normal form
+stays canonical.  Like Maxima's canonical rational expressions, its
+elements are ratios of polynomials with integer coefficients, and an
+expression enters with one cancel.
 Input enters a field in one place, :func:`in_field`, for a single
 expression as for the inputs of a curvature context, and from that input
 alone: a symbol in no entry has zero derivative and changes no normal form.
@@ -30,9 +30,9 @@ context whose frame lies in one its frame stages too:
 :meth:`KernelField.reduce_trig` the
 reduction by the known squares as a ring operation, and an element becomes
 an expression once, through the form :func:`ratsimp` returns.  Other input
-(dependent roots, ``%i``, ``exp``, ``log``, ``abs``, ``tan`` or ``tanh``,
-and roots in a metric) keeps expression trees and the functions below,
-through :data:`TREES`.
+(roots whose squares are dependent but not equal, ``%i``, ``exp``,
+``log``, ``abs``, ``tan`` or ``tanh``, and roots in a metric) keeps
+expression trees and the functions below, through :data:`TREES`.
 """
 
 from __future__ import annotations
@@ -401,10 +401,11 @@ def kernel_field(exprs, radicals=False):
 
     With ``radicals``, a half-integer power is admitted too when its base
     reduces to a ratio a/b of polynomials in the generators other than sin
-    and cosh: its root is the generator q = b*sqrt(a/b), with q^2 = a*b.  The field is returned only
-    when its normal form stays canonical, that is when the radicands a*b
-    and the relations 1 - cos(u)^2 and 1 + sinh(u)^2 are independent
-    modulo squares: no branch of a root is ever chosen.
+    and cosh: its root is the generator q = b*sqrt(a/b), with q^2 = a*b.
+    The field is returned only when its normal form stays canonical, that
+    is when the distinct radicands a*b and the relations 1 - cos(u)^2 and
+    1 + sinh(u)^2 are independent modulo squares: no branch of a root is
+    ever chosen, and two roots of one a*b stay two generators.
     """
     radicands = set() if radicals else None
     found = _generators(exprs, radicands)
@@ -455,8 +456,11 @@ def _map(fn, value):
 def _adjoin_roots(base, radicands):
     """``base`` with the root of each radicand adjoined, or None when a
     radicand is not a ratio a/b of polynomials in the generators that are
-    not eliminated, or the radicands a*b are not independent modulo
-    squares together with the relations of ``base``."""
+    not eliminated, or the distinct radicands a*b are not independent
+    modulo squares together with the relations of ``base``.  The roots of
+    one a*b, as of (r-2m)/r and r/(r-2m), are equal where a/b > 0 and
+    opposite where not: their relations q_i^2 = a*b are a Groebner basis,
+    a normal form 0 is 0 on both branches, and q_1 - q_2 is a zero divisor."""
     pairs = {}
     for radicand in radicands:
         try:
@@ -469,7 +473,7 @@ def _adjoin_roots(base, radicands):
         pairs[radicand] = (f.numer, f.denom)
     distinct = set(pairs.values())
     if not _independent([square for _, square in base._squares]
-                        + [a * b for a, b in distinct]):
+                        + list({a * b for a, b in distinct})):
         return None
     roots = {}
     for a, b in distinct:
@@ -544,7 +548,8 @@ class KernelField:
     gens[i]^2 = p_i with p_i a polynomial in the other generators:
     sin(u)^2 = 1 - cos(u)^2 or its converse, cosh(u)^2 = 1 + sinh(u)^2 or
     its converse, as :meth:`choose_table` decides, and, for a root q
-    given in ``roots`` as (q, p), q^2 = p, with dq = q dp/(2p).
+    given in ``roots`` as (q, p), q^2 = p, with dq = q dp/(2p).  Two roots
+    may share p (see :func:`_adjoin_roots`), making zero divisors.
     """
 
     def __init__(self, gens, roots=()):
@@ -768,10 +773,12 @@ class KernelField:
         """The canonical form of ``f``: each square of the relation table
         replaced in numerator and denominator, then each odd root or
         eliminated kernel of the denominator cleared by its conjugate, the
-        roots first and then the kernels in generator order.  ``f`` itself
-        when nothing changes, so a reduced element costs no gcd."""
+        roots first and then the kernels in generator order, one generator
+        per round.  ``f`` itself when nothing changes, so a reduced element
+        costs no gcd.  ZeroDivisionError when clearing makes the
+        denominator 0, which a zero divisor does."""
         num, den = self._reduce_even(f.numer), self._reduce_even(f.denom)
-        for _ in range(16):
+        for _ in self._eliminated:
             odd = [i for i in self._eliminated
                    if any(m[i] % 2 for m in den.itermonoms())]
             if not odd:
@@ -780,10 +787,13 @@ class KernelField:
             rest = self.ring.from_dict(
                 {m: c for m, c in den.iterterms() if not m[i]})
             # den = rest + linear*k; the conjugate rest - linear*k, or k
-            # itself when rest vanishes, clears k from the denominator
+            # itself when rest vanishes, clears k from the denominator for
+            # good, as no square brings an eliminated generator back
             multiplier = 2 * rest - den if rest else self.ring.gens[i]
             num = self._reduce_even(num * multiplier)
             den = self._reduce_even(den * multiplier)
+            if not den:
+                raise ZeroDivisionError("division by a zero divisor")
         if num is f.numer and den is f.denom:
             return f
         return self._cancel(num, *self._split(den))

@@ -526,14 +526,13 @@ def indicial_ops_golden(seed=18):
 # ---------------------------------------------------------------------------
 # golden records of the command line
 
-#: Frames whose frame stages stay on expression trees: a dependent radicand
-#: pair (Schwarzschild) or abs (spheroidal).
-TREE_FRAMES = ("exteriorschwarzschild", "interiorschwarzschild",
-               "oblatespheroidal", "oblatespheroidalsqrt", "prolatespheroidal",
+#: Frames whose frame stages stay on expression trees: the spheroidal ones,
+#: which hold abs.
+TREE_FRAMES = ("oblatespheroidal", "oblatespheroidalsqrt", "prolatespheroidal",
                "prolatespheroidalsqrt")
 
-#: Frames whose frame stages compute in a kernel field (Kerr's with roots):
-#: every other entry with a frame base.
+#: Frames whose frame stages compute in a kernel field (Kerr's and the
+#: Schwarzschild pair's with roots): every other entry with a frame base.
 FIELD_FRAMES = tuple(name for name in catalog.list_entries()
                      if catalog.entry(name).fri is not None
                      and name not in TREE_FRAMES)

@@ -111,6 +111,43 @@ def test_kerr_curvature_and_rendering_stay_in_the_field(monkeypatch, capsys):
                    for v in leaves(ctx._memo[stage][1])), stage
 
 
+@pytest.mark.parametrize("name", ["exteriorschwarzschild",
+                                  "interiorschwarzschild"])
+def test_schwarzschild_frame_stages_run_no_tree_simplifier(name, monkeypatch,
+                                                           capsys):
+    # the roots of the Schwarzschild frames are field generators: the frame
+    # pipeline and classify make no expression-tree ratsimp or trigsimp
+    # call inside the frame stages
+    from tensoralg.curvature import MetricContext
+
+    inside, calls = [], []
+    for stage in ("rotation_coeffs", "riemann_frame", "weyl_frame"):
+        prop = MetricContext.__dict__[stage]
+
+        def getter(self, fget=prop.fget, stage=stage):
+            inside.append(stage)
+            try:
+                return fget(self)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(MetricContext, stage,
+                            property(getter, doc=prop.__doc__))
+    for fn in ("ratsimp", "trigsimp"):
+        def counted(e, original=getattr(scalars, fn), fn=fn):
+            if inside:
+                calls.append((inside[-1], fn))
+            return original(e)
+        monkeypatch.setattr(scalars, fn, counted)
+    ctx = catalog.load(name, frame=True)
+    ctx.rotation_coeffs
+    ctx.riemann_frame
+    assert all(v == 0 for row in ctx.ricci_frame for v in row)
+    code, out, _ = run_cli("classify", "--catalog", name, "--format", "json",
+                           capsys=capsys)
+    assert code == 0 and json.loads(out)["petrov_type"] == "D"
+    assert calls == []
+
+
 @pytest.mark.parametrize("source, most", [("metric", 0), ("frame", 40)])
 def test_compute_converts_no_printed_stage_to_expressions(
         source, most, tmp_path, monkeypatch, capsys):

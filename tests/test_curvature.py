@@ -984,13 +984,13 @@ def _frame_context(name):
 
 
 @pytest.mark.parametrize("name", ["kerr_newman", "exteriorschwarzschild",
-                                  "exp"])
+                                  "oblatespheroidal", "exp"])
 def test_public_stages_do_not_depend_on_read_order(name):
     # internal reads take a stage's record and convert nothing; a public
     # read converts its stage once.  Reading every public property first,
-    # or printing every stage first, gives the same expressions.  Kerr is
-    # in a field, the Schwarzschild frame on trees beside a coordinate
-    # field, and the exp frame on trees
+    # or printing every stage first, gives the same expressions.  Kerr and
+    # the Schwarzschild frame are in a field, the oblate spheroidal frame
+    # on trees beside a coordinate field, and the exp frame on trees
     public_first, printed_first = _frame_context(name), _frame_context(name)
     stages = STAGES + ("connection2",) + FRAME_STAGES
     first = {stage: getattr(public_first, stage) for stage in stages}
@@ -1052,16 +1052,24 @@ def test_frame_field_checks_a_given_metric_in_the_field(monkeypatch):
             MetricContext(["r", "phi"], given, fri=rows, lfg=eta)
 
 
-@pytest.mark.parametrize("name", ["exteriorschwarzschild", "oblatespheroidal"])
+@pytest.mark.parametrize("name", ["oblatespheroidal"])
 def test_frame_outside_kernel_field_keeps_expression_trees(name):
-    # the Schwarzschild roots of r/(r-2m) and (r-2m)/r are dependent, and
     # the spheroidal frames have abs: their frame stages stay on trees,
     # while the metric is in the field
     ctx = catalog.load(name, frame=True)
     assert ctx.field is not None
-    assert not any(g.is_Pow for g in ctx.field.field.symbols)
-    assert all(isinstance(v, sp.Expr) for row in ctx.frame_contravariant
-               for v in row)
+    assert ctx.printable("frame_contravariant")[0] is None
+
+
+@pytest.mark.parametrize("name", ["exteriorschwarzschild",
+                                  "interiorschwarzschild"])
+def test_schwarzschild_frame_stages_compute_in_the_kernel_field(name):
+    # the roots of (r-2m)/r and r/(r-2m) share the square r(r-2m) and are
+    # two generators, so no branch is taken and every stage is in the field
+    ctx = catalog.load(name, frame=True)
+    assert ctx.printable("frame_contravariant")[0] is ctx.field
+    (_, p), (_, p2) = ctx.field._radicals
+    assert p == p2
 
 
 @pytest.mark.parametrize("entry", ["sqrt(x)", "sin(1/x)", "exp(x)"])

@@ -764,7 +764,7 @@ def test_exact_division_needs_every_leading_coefficient_to_divide():
 
 
 @pytest.mark.parametrize("texts", [
-    ("sqrt((r-2*m)/r)", "sqrt(r/(r-2*m))"),
+    ("sqrt((r-2*m)/r)", "sqrt(r)", "sqrt(r-2*m)"),
     ("sqrt(x*y)", "sqrt(x)", "sqrt(y)"),
     ("sqrt(1-cos(x)^2)", "sin(x)"),
     ("sqrt(x^3*y)", "sqrt(x*y)"),
@@ -777,6 +777,74 @@ def test_dependent_radicands_stay_on_trees(texts):
     # them; a nested root is no rational function of the generators
     field, _ = _root_field(*texts)
     assert field is None
+
+
+def test_roots_of_one_square_are_two_generators():
+    # sqrt((r-2m)/r) = q1/r and sqrt(r/(r-2m)) = q2/(r-2m) with
+    # q1^2 = q2^2 = r(r-2m): q1 = q2 where r > 2m and q1 = -q2 where
+    # 0 < r < 2m, so the ring keeps both and identifies neither
+    field, _ = _root_field("sqrt((r-2*m)/r)", "sqrt(r/(r-2*m))")
+    assert field is not None
+    (i, p), (j, p2) = field._radicals
+    r, m = (field._gens[sym(t)] for t in "rm")
+    assert p == p2 == r * (r - 2 * m)
+    q1, q2 = (field.field(field.ring.gens[k]) for k in (i, j))
+    assert field.reduce_trig(q1 ** 2 - q2 ** 2) == 0
+    assert not field.is_zero(field.reduce_trig(q1 - q2))
+    with pytest.raises(ZeroDivisionError):
+        field.reduce_trig(field.one / (q1 - q2))
+
+
+#: The walker of :func:`scalars.evaluate` in mpmath: the principal square
+#: root, as cmath takes it.
+_MP = {sp.I: mpmath.mpc(0, 1), sp.Rational: lambda q: mpmath.mpf(q.p) / q.q,
+       sp.Pow: lambda base, ex: (mpmath.sqrt(base) ** int(2 * ex)
+                                 if ex.denominator == 2 else base ** ex)}
+
+
+def _polynomials():
+    # integer combinations of 1, x, y, x*y, x^2, y^2, not all zero
+    x, y = sym("x"), sym("y")
+    monomials = (1, x, y, x * y, x ** 2, y ** 2)
+    return st.lists(st.integers(-3, 3), min_size=6, max_size=6).filter(
+        any).map(lambda cs: sum(c * t for c, t in zip(cs, monomials)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polynomials(), _polynomials())
+def test_roots_of_one_square_match_expression_trees(u, v):
+    # sums, products and derivatives of sqrt(u/v) and sqrt(v/u) in their
+    # ring equal the expression-tree values, at 50 digits, on both sides:
+    # where u/v > 0 the two roots are reciprocal, where u/v < 0 their
+    # product is -1
+    x, y = sym("x"), sym("y")
+    p, q = sp.sqrt(u / v), sp.sqrt(v / u)
+    grid = [{"x": sp.Rational(a, 2), "y": sp.Rational(b, 3)}
+            for a in (-5, -2, 1, 3, 7) for b in (-4, 1, 5)]
+    signs = {}
+    for point in grid:
+        uv = (u * v).subs({x: point["x"], y: point["y"]})
+        if uv:
+            signs.setdefault(bool(uv > 0), point)
+    assume(len(signs) == 2)
+    field = scalars.kernel_field([p, q], True)
+    assume(field is not None)
+    P, Q = field.element(p), field.element(q)
+    pairs = [(P + Q, p + q), (P * Q, p * q),
+             (P * P * Q - 3 * Q, p * p * q - 3 * q),
+             (field.diff(P, x), diff(p, x)), (field.diff(Q, y), diff(q, y)),
+             (field.diff(P * Q + P, x), diff(p * q + p, x))]
+    for point in signs.values():
+        with mpmath.workdps(50):
+            values = {n: _MP[sp.Rational](c) for n, c in point.items()}
+            for f, tree in pairs:
+                f = field.reduce_trig(f)
+                assert not any(m[i] for m in f.denom.itermonoms()
+                               for i in field._eliminated)
+                got = scalars._eval(field.expr(f), values, _MP)
+                want = scalars._eval(tree, values, _MP)
+                assert abs(got - want) <= mpmath.mpf(10) ** -40 * max(
+                    1, abs(want)), (f, tree, point)
 
 
 # ---------------------------------------------------------------------------
