@@ -5,14 +5,17 @@ An algebra type fixes how products of basis vectors reorder: not at all
 vector correction terms whose values live in the ``aform`` matrix
 (clifford, symplectic, lie enveloping).  Elements are formal sums of
 scalar-weighted words of basis vectors; :func:`atensimp` rewrites every
-word to non-decreasing index order, which is a terminating and confluent
-procedure for all supported types.
+word to non-decreasing index order.  Those words are a basis, so the
+normal form is unique, when each overlap c.b.a, c > b > a, resolves
+(Bergman's diamond lemma): for lie_envelop exactly when its bracket
+satisfies the Jacobi identity, which :class:`AlgebraConfig` checks.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import combinations
 
 import sympy as sp
 
@@ -32,6 +35,25 @@ class AlgebraConfig:
     def __post_init__(self):
         if self.algebra_type not in ALGEBRA_TYPES:
             raise ValueError(f"unknown algebra type {self.algebra_type!r}")
+        if self.algebra_type != "lie_envelop":
+            return
+        # the bracket is alternating: the triples i < j < k decide Jacobi
+        for triple in combinations(range(1, self.adim + 1), 3):
+            total = {}
+            for a, b, c in (triple, triple[1:] + triple[:1],
+                            triple[2:] + triple[:2]):
+                for m, s in self._bracket(b, c):
+                    for k, t in self._bracket(a, m):
+                        total[k] = total.get(k, 0) + s * t
+            if any(total.values()):
+                raise ValueError("the lie_envelop bracket fails the Jacobi "
+                                 "identity on v%d, v%d, v%d" % triple)
+
+    def _bracket(self, a, b):
+        """[v_a, v_b]/2 as [(index, sign)], by the rule for a > b."""
+        sign, (i, j) = (a > b) - (a < b), sorted((a, b))
+        e = sign * int(self.aform[j - 1][i - 1])
+        return [(abs(e), 1 if e > 0 else -1)] if e else []
 
 
 def _perm_sign(i, j, n):

@@ -6,9 +6,10 @@ metrics), ``algebra`` (abstract algebra simplification and tables) and
 ``indicial`` (abstract-index operations on textual tensor expressions).
 
 Exit codes: 0 success, 1 input error, 2 computation error (for example an
-unclassifiable Petrov zero test).  Setting TENSOR_TRACE=1 logs steps to
-stderr.  Output is deterministic: identical inputs produce byte-identical
-output.
+unclassifiable Petrov zero test; ``compute`` exits 2 on a component it
+cannot decide, naming the stage and the component).  Setting
+TENSOR_TRACE=1 logs steps to stderr.  Output is deterministic: identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations

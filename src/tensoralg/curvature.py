@@ -82,6 +82,17 @@ def _zeros(*shape, zero=sp.S.Zero):
     return [_zeros(*shape[1:], zero=zero) for _ in range(shape[0])]
 
 
+def _vanishes(K, value, claim):
+    """``K.vanishes(value)``, a field's refusal retried by the certificate,
+    as on trees; still undecided, "cannot decide whether ``claim``"."""
+    try:
+        return K.vanishes(value)
+    except scalars.UnclassifiableError:
+        if K is not TREES and scalars.certify_nonzero(K.expr(value)):
+            return False
+        raise scalars.UnclassifiableError(K.expr(value), "whether " + claim)
+
+
 def _det(m, K):
     """Determinant by cofactor expansion along the first row, in ``K``."""
     if len(m) == 1:
@@ -250,10 +261,10 @@ class MetricContext:
             if eta is None or len(self.fri) != n or len(eta) != n:
                 raise ValueError(
                     "frame matrices must match the chart dimension")
-            for a in range(n):
-                for b in range(a):
-                    if not scalars.is_zero(eta[a][b] - eta[b][a]):
-                        raise ValueError("frame metric must be symmetric")
+            if not all(_vanishes(TREES, eta[a][b] - eta[b][a],
+                                 "the frame metric is symmetric")
+                       for a in range(n) for b in range(a)):
+                raise ValueError("frame metric must be symmetric")
         elif self.lg is None:
             raise ValueError("a metric or a frame base is needed")
         self.torsion_values = None
@@ -268,15 +279,14 @@ class MetricContext:
                 given = _map(K.element, given)
             except (KeyError, ZeroDivisionError):
                 K, g = TREES, self.lg
-            if not all(K.is_zero(a - b)
+            if not all(_vanishes(K, a - b, "the frame is orthonormal")
                        for a, b in zip(sum(given, []), sum(g, []))):
                 raise ValueError("frame is not orthonormal for the metric")
         K, g = self._K, self._g
-        for i in range(self.dim):
-            for j in range(i):
-                if not K.is_zero(g[i][j] - g[j][i]):
-                    raise ValueError("metric must be symmetric")
-        if K.is_zero(self._values("det")):
+        if not all(_vanishes(K, g[i][j] - g[j][i], "the metric is symmetric")
+                   for i in range(self.dim) for j in range(i)):
+            raise ValueError("metric must be symmetric")
+        if _vanishes(K, self._values("det"), "the metric is singular"):
             raise ValueError("metric is symbolically singular")
 
     # -- basic structure ----------------------------------------------------
@@ -312,11 +322,13 @@ class MetricContext:
                 K, (f, eta, tau, mu) = found
                 try:
                     g = self._frame_metric(K, f, eta)
-                    K.reduce_trig(K.one / _det(g, K))
+                    det = _det(g, K)
+                    K.reduce_trig(K.one / det)
                 except ZeroDivisionError:
                     found = None
             if found is not None:
                 K.choose_table(sum(g, []))
+                self._memo["det"] = (K, K.reduce_trig(det))
                 self.lg = _map(K.expr, g)
                 self.field = self._K = self._FK = K
                 self._g, self._tau, self._mu, self._fri, self._eta = (
@@ -345,8 +357,11 @@ class MetricContext:
     @property
     def diagonal(self):
         K, g = self._K, self._g
-        return all(g[i][j] == 0 or K.is_zero(g[i][j])
-                   for i in range(self.dim) for j in range(self.dim) if i != j)
+        try:
+            return all(g[i][j] == 0 or K.vanishes(g[i][j]) for i in
+                       range(self.dim) for j in range(self.dim) if i != j)
+        except scalars.UnclassifiableError:
+            return False
 
     @property
     def det(self):
@@ -413,17 +428,25 @@ class MetricContext:
         return (None if K is TREES else K), value
 
     def vanishing(self, key):
-        """For each component of stage ``key``, whether it is zero, decided
-        by its scalar domain: a field component is zero iff its canonical
-        numerator is, with no numeric probe."""
+        """For each component of stage ``key``, whether it is zero by
+        :func:`_vanishes`; a refusal names the stage and the component."""
         K, value = self._read(key)
-        return _map(K.is_zero, value)
+        names = [c.name for c in self.coords]
+
+        def walk(node, index):
+            if isinstance(node, list):
+                return [walk(sub, index + [names[i]])
+                        for i, sub in enumerate(node)]
+            where = f"{key}[{','.join(index)}]" if index else key
+            return _vanishes(K, node, where + " vanishes")
+        return walk(value, [])
 
     def set_torsion(self, values):
         """Install a torsion tensor tau_ij^k (antisymmetric in i, j)."""
         tau = [[[_scalar(x) for x in row] for row in plane]
                for plane in values]
-        if not all(scalars.is_zero(tau[i][j][k] + tau[j][i][k])
+        if not all(_vanishes(TREES, tau[i][j][k] + tau[j][i][k],
+                             "the torsion is antisymmetric")
                    for i, j, k in product(range(self.dim), repeat=3)):
             raise ValueError(
                 "torsion must be antisymmetric in its covariant indices")

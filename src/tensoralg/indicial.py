@@ -425,6 +425,9 @@ class TensorContext:
     vectors: set = field(default_factory=set)
 
     def __post_init__(self):
+        if self.dim is not None and not (
+                isinstance(self.dim, int) and self.dim > 0):
+            raise ValueError(f"dim must be a positive integer: {self.dim!r}")
         self._register_builtins()
 
     def _register_builtins(self):

@@ -12,10 +12,10 @@ kernel field and writes them as numerators N_k over their common
 denominator D; when D holds symbols only, the tree runs on the N_k with
 ring arithmetic, and :meth:`scalars.KernelField.vanishes` decides each
 condition: zero when its polynomial reduced by the field's relations is 0,
-nonzero when that polynomial holds symbols only, and refused when it holds
-a kernel or a root.  Plain numbers, scalars outside every kernel field
-(``%i``, roots, ``exp``, ...), a D with a kernel or a root, and scalars
-with a condition refused in the field are decided on expression trees by
+nonzero when that polynomial holds symbols only or the field is
+canonical, and refused otherwise.  Plain numbers, scalars outside every
+kernel field (``%i``, roots, ``exp``, ...), and scalars whose D or a
+condition the field refuses are decided on expression trees by
 :func:`scalars.vanishes`: zero by the normal form, nonzero by the interval
 certificate.  What neither decides is refused with
 :class:`UnclassifiableError`, so a type is decided or refused, never
@@ -170,8 +170,8 @@ def classify(psi) -> PetrovType:
             if not K.vanishes(den):
                 return _decide(numerators, K)
         except UnclassifiableError:
-            # D or a condition holds a kernel or a root: the trees decide
-            # as before or refuse
+            # D or a condition is undecided in a field that is not
+            # canonical: the trees decide or refuse
             pass
     return _decide(psi, TREES)
 

@@ -529,7 +529,7 @@ class KernelField:
     whatever generators the two fields share, because the generators keep
     sympy's order.  The operations mirror the expression-tree ones:
     :meth:`diff` for :func:`diff`, :meth:`reduce_trig` for
-    ``_reduce_trig_tree``, :meth:`is_zero` for :func:`is_zero` and
+    ``_reduce_trig_tree``, :meth:`vanishes` for :func:`vanishes` and
     :meth:`expr` for the form :func:`ratsimp` returns.
 
     A field cancels with no polynomial gcd, as Maxima's ``ratfac`` keeps a
@@ -845,12 +845,6 @@ class KernelField:
         num, c, exps = self._common(parts)
         return self._cancel(self._reduce_even(num, self._radicals), c, exps)
 
-    def is_zero(self, f):
-        """True iff the numerator vanishes after the reduction by the
-        relation table, which is when :func:`is_zero` holds for the
-        expression of a field without roots."""
-        return not self._reduce_even(f.numer)
-
     def numerators(self, elements):
         """(D, [N_k]) with N_k / D the k-th of ``elements``: D is their
         common denominator, of the lcm of their contents and the largest
@@ -861,20 +855,39 @@ class KernelField:
         return self._product(c, exps), list(map(self._reduce_even, nums))
 
     def vanishes(self, p):
-        """The zero decision on ``p / D`` for a polynomial ``p`` and a
-        denominator D known to be nonzero, that is on ``p``: True when ``p``
-        reduced by the relation table is 0, False when it is not and holds
-        symbols only, as a nonzero polynomial in independent variables is a
-        nonzero function.  A reduced ``p`` that holds a kernel or a root is
-        refused with :class:`UnclassifiableError`: the field does not know
-        every relation between its kernels (sin(2x) and sin(x) are both
-        generators), so such a caller decides on expression trees."""
-        p = self._reduce_even(p)
+        """The zero test on an element, or a polynomial over a nonzero
+        denominator: True when the numerator reduced by the relation table
+        is 0, False when it is not and holds symbols only or the field is
+        :attr:`canonical`, and otherwise :class:`UnclassifiableError`, as
+        for a numerator holding sin(2x) and sin(x)."""
+        p = self._reduce_even(getattr(p, "numer", p))
         if not p:
             return True
-        if any(m[i] for m in p.itermonoms() for i in self._kernels):
+        if any(m[i] for m in p.itermonoms() for i in self._kernels) and (
+                not self.canonical):
             raise UnclassifiableError(p.as_expr())
         return False
+
+    @functools.cached_property
+    def canonical(self):
+        """Whether a nonzero normal form is a nonzero function: the sin/cos
+        arguments, and apart from them the sinh/cosh ones, are nonconstant
+        and linearly independent over Q modulo constants (%pi is one), so
+        the kernels are algebraically independent (Ax, Ann. Math. 93 (1971)
+        252).  Radicands are independent modulo squares by construction."""
+        for funcs in ((sp.sin, sp.cos), (sp.sinh, sp.cosh)):
+            args = {g.args[0] for g in self.field.symbols if g.func in funcs}
+            if all(u.is_Symbol and u is not PI for u in args):
+                continue
+            # rational coefficients over the monomials not in %pi alone
+            rows = [{m: c for c, m in (t.as_coeff_Mul() for t in
+                                       sp.Add.make_args(sp.expand(u)))
+                     if m.free_symbols - {PI}} for u in args]
+            keys = set().union(*rows)
+            if sp.Matrix([[row.get(k, 0) for k in keys] for row in rows]
+                         ).rank() < len(rows):
+                return False
+        return True
 
     # -- cancellation over the factor base -----------------------------------
 
@@ -1063,10 +1076,6 @@ class _Trees:
                    sp.S.Zero)
 
     @staticmethod
-    def is_zero(e):
-        return is_zero(e)
-
-    @staticmethod
     def vanishes(e):
         return vanishes(e)
 
@@ -1155,9 +1164,9 @@ def _split_linear(poly, kernel):
 class UnclassifiableError(ValueError):
     """A zero test could not be decided; carries the offending expression."""
 
-    def __init__(self, expression):
-        super().__init__(
-            f"cannot decide whether this expression vanishes: {expression}")
+    def __init__(self, expression,
+                 question="whether this expression vanishes"):
+        super().__init__(f"cannot decide {question}: {expression}")
         self.expression = expression
 
 
@@ -1172,17 +1181,7 @@ def vanishes(e: Expr) -> bool:
     0, False when :func:`certify_nonzero` holds, otherwise
     :class:`UnclassifiableError`.  The certificate is asked first, as it
     needs no simplification, and each expression is decided once while it
-    stays in the cache.
-
-    Its field form, :meth:`KernelField.vanishes`, decides a polynomial
-    numerator over a denominator known to be nonzero with no certificate
-    where it can: zero when the numerator reduced by the relation table is
-    the zero polynomial, nonzero when that reduced numerator holds symbols
-    only, since a nonzero polynomial in independent variables is a nonzero
-    function.  A reduced numerator that holds a kernel or a root is refused
-    there, as sin(2x) and sin(x) are generators with a relation the field
-    does not know, and the caller decides on expression trees with this
-    function."""
+    stays in the cache."""
     e = sp.sympify(e)
     if e.is_Number:
         return e == 0

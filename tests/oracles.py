@@ -149,6 +149,24 @@ def weyl(R, g):
     return rl + r * gg / ((n - 1) * (n - 2)) + gric / (n - 2)
 
 
+def kretschmann(ctx):
+    """(K, R_abcd R^abcd) of a frame context whose frame metric eta is
+    diagonal with entries +-1, in the scalar domain K of its frame stages:
+    one ``K.dot`` over the ``riemann_frame`` record R[h][l][k][j], each
+    component times its partner across the antisymmetric slots l, k,
+    negated and signed by eta.  Reading R_hlkj = -R_hklj from the array
+    makes a wrong sign in either half of an antisymmetric pair change the
+    value, which plain squares would not."""
+    field, R = ctx.printable("riemann_frame")
+    K = field or scalars.TREES
+    eta = [int(ctx.lfg[a][a]) for a in range(ctx.dim)]
+    xs, ys = [], []
+    for h, l, k, j in itertools.product(range(ctx.dim), repeat=4):
+        xs.append(R[h][l][k][j])
+        ys.append(-eta[h] * eta[l] * eta[k] * eta[j] * R[h][k][l][j])
+    return K, K.dot(xs, ys)
+
+
 # ---------------------------------------------------------------------------
 # abstract-algebra reference
 

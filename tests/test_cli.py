@@ -5,8 +5,10 @@ import tempfile
 import time
 from pathlib import Path
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
 from tensoralg import algebras, catalog, cli, indicial, scalars
@@ -701,7 +703,6 @@ def test_exit_code_computation_error_unclassifiable(tmp_path, capsys,
 
     # an unclassifiable Petrov zero test is a computation error (exit 2)
     # and still reports the petrov_type field
-    import sympy as sp
     from tensoralg import petrov
     from tensoralg.scalars import sym
 
@@ -714,6 +715,105 @@ def test_exit_code_computation_error_unclassifiable(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert code == 2 and "computation error" in err
     assert json.loads(out) == {"petrov_type": "unclassifiable"}
+
+
+#: Flat space in spherical coordinates, with g_phiphi = r^2 sin(theta)^2
+#: written through sin(2 theta): its kernel field holds sin(2 theta) beside
+#: sin(theta) and is not canonical.
+SIN_2THETA_FILE = """\
+[chart] coords = r, theta, phi
+[metric] row = 1, 0, 0
+[metric] row = 0, r^2, 0
+[metric] row = 0, 0, r^2*sin(2*theta)^2/(4*cos(theta)^2)
+"""
+
+
+@pytest.mark.parametrize("tensors, stage", [
+    ("riemann", "riemann[theta,theta,phi,phi]"),
+    ("ricci", "ricci[theta,theta]"), ("scalar", "ricci_scalar"),
+    ("riemann,ricci,scalar", "riemann[")])
+def test_compute_exits_2_on_a_component_it_cannot_decide(tensors, stage,
+                                                         tmp_path, capsys):
+    # these components are identically 0, but their numerators are not 0
+    # in the field and no interval certificate holds: they printed as
+    # nonzero with exit 0
+    path = tmp_path / "sin2theta.tm"
+    path.write_text(SIN_2THETA_FILE)
+    code, out, err = run_cli("compute", "--metric", str(path), "--tensors",
+                             tensors, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"computation error: cannot decide whether {stage}")
+
+
+def test_compute_cannot_decide_whether_a_metric_is_symmetric(tmp_path,
+                                                              capsys):
+    # sin(2x) - 2 sin(x) cos(x) is 0; this was "metric must be symmetric"
+    path = tmp_path / "murky.tm"
+    path.write_text("[chart] coords = x, y\n"
+                    "[metric] row = 1, sin(2*x)-2*sin(x)*cos(x)\n"
+                    "[metric] row = 0, 1\n")
+    code, out, err = run_cli("compute", "--metric", str(path), capsys=capsys)
+    assert code == 2 and out == ""
+    assert "cannot decide whether the metric is symmetric" in err
+
+
+@pytest.mark.parametrize("dim", ["-2", "0"])
+def test_indicial_refuses_a_dimension_that_is_not_positive(dim, capsys):
+    # --dim -2 printed "result = -2" with exit 0
+    code, out, err = run_cli("indicial", "--dim", dim, "--op", "contract",
+                             "--expr", "g([a,-a],[])", capsys=capsys)
+    assert code == 1 and out == "" and "positive integer" in err
+
+
+#: mpmath forms of the functions a printed component holds.
+_MP = {sp.Rational: lambda q: mpmath.mpf(q.p) / q.q, scalars.PI: mpmath.pi,
+       sp.Pow: lambda base, ex: base ** ex, sp.sin: mpmath.sin,
+       sp.cos: mpmath.cos, sp.sinh: mpmath.sinh, sp.cosh: mpmath.cosh}
+
+#: Metric factors; the last is 1 written through sin(2x), sin(x), cos(x).
+_FACTORS = ("x", "y", "x^2 + 1", "sin(x)", "cos(x)", "sin(2*x)", "cos(2*x)",
+            "sin(x + y)", "cosh(y)", "sinh(2*y)", "sin(2*x)/(2*sin(x)*cos(x))")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=st.lists(st.lists(st.sampled_from(_FACTORS), min_size=1,
+                                 max_size=2), min_size=2, max_size=2),
+       point=st.tuples(st.fractions(1, 3, max_denominator=7),
+                       st.fractions(1, 3, max_denominator=7)))
+def test_every_component_printed_as_nonzero_is_nonzero(entries, point,
+                                                       capsys):
+    # a component compute prints is nonzero at a rational point at 50
+    # digits, or certifies; one it cannot decide exits 2 and prints nothing
+    metric = "[chart] coords = x, y\n" + "".join(
+        f"[metric] row = {row}\n" for row in (
+            f"{'*'.join(entries[0])}, 0", f"0, {'*'.join(entries[1])}"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "metric.tm"
+        path.write_text(metric)
+        code, out, err = run_cli(
+            "compute", "--metric", str(path), "--tensors",
+            "christoffel2,riemann,ricci,scalar", "--format", "json",
+            capsys=capsys)
+    if code == 2:
+        assert out == "" and "cannot decide whether" in err
+        return
+    assert code == 0, err
+    values = {"x": mpmath.mpf(point[0].numerator) / point[0].denominator,
+              "y": mpmath.mpf(point[1].numerator) / point[1].denominator}
+    document = json.loads(out)
+    scalar = document.pop("scalar")
+    printed = [] if scalar["zero"] else [scalar["value"]]
+    for tensor in document.values():
+        printed += tensor["components"].values()
+    for text in printed:
+        e = scalars.parse(text)
+        with mpmath.workdps(50):
+            try:
+                nonzero = abs(scalars._eval(e, values, _MP)) > 1e-30
+            except ZeroDivisionError:
+                nonzero = False
+        assert nonzero or scalars.certify_nonzero(e), text
 
 
 def test_trace_logging():

@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 
 import oracles
-from tensoralg import catalog, scalars
+from tensoralg import catalog, curvature, scalars
 from tensoralg.curvature import (Chart, DimensionError, MetricContext,
                                  setup_frame, setup_metric)
 from tensoralg.scalars import is_zero, parse, sym
@@ -1036,9 +1036,9 @@ def test_frame_field_checks_a_given_metric_in_the_field(monkeypatch):
     # sees only the constant entries of the frame metric; rows outside the
     # field are still checked on trees
     trees = []
-    is_zero = scalars.is_zero
-    monkeypatch.setattr(scalars, "is_zero", lambda e: (
-        e.is_Number or trees.append(e), is_zero(e))[1])
+    vanishes = scalars.vanishes
+    monkeypatch.setattr(scalars, "vanishes", lambda e: (
+        e.is_Number or trees.append(e), vanishes(e))[1])
     catalog.load("kerr_newman", frame=True)
     assert trees == []
     rows = [["1", "0"], ["0", "r"]]
@@ -1080,3 +1080,36 @@ def test_metric_outside_kernel_field_keeps_expression_trees(entry):
     x = sym("x")
     expected = -sp.diff(g, x) / 2
     assert is_zero(ctx.christoffel2[1][1][0] - expected)
+
+
+@pytest.mark.parametrize("name,value", [
+    # Henry, ApJ 535 (2000) 350, with c = cos(theta), Sigma = r^2 + a^2 c^2
+    ("kerr_newman", "48*m^2*(r^2 - a^2*cos(theta)^2)"
+                    "*(r^4 - 14*a^2*r^2*cos(theta)^2 + a^4*cos(theta)^4)"
+                    "/(r^2 + a^2*cos(theta)^2)^6"),
+    ("exteriorschwarzschild", "48*m^2/r^6"),
+    ("interiorschwarzschild", "48*m^2/t^6"),
+], ids=["kerr_newman", "exteriorschwarzschild", "interiorschwarzschild"])
+def test_kretschmann_scalar_matches_the_literature(name, value):
+    # a nonzero curvature invariant against its published value, decided
+    # exactly in the frame's kernel field
+    K, kretschmann = oracles.kretschmann(catalog.load(name, frame=True))
+    assert K is not scalars.TREES
+    assert K.vanishes(kretschmann - K.element(parse(value)))
+
+
+@pytest.mark.parametrize("name", ["kerr_newman", "exteriorschwarzschild"])
+def test_frame_field_context_computes_one_metric_determinant(monkeypatch,
+                                                             name):
+    # the determinant that the choice of domain inverts seeds the det
+    # record, which the singularity check and ug read
+    sizes = []
+    det = curvature._det
+    monkeypatch.setattr(curvature, "_det", lambda m, K: (
+        sizes.append(len(m)), det(m, K))[1])
+    ctx = catalog.load(name, frame=True)
+    ctx.ug
+    assert ctx.printable("det")[0] is ctx.field is not None
+    assert sizes.count(4) == 1
+    K, value = ctx._memo["det"]
+    assert value == K.reduce_trig(det(ctx._g, K))
