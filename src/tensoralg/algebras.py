@@ -163,8 +163,8 @@ def av(config: AlgebraConfig, u: int, v: int) -> "MVec":
 
 class MVec:
     """Element of an abstract tensor algebra: a formal sum of scalar
-    coefficients times ordered words of basis vectors (the empty word is
-    the scalar unit)."""
+    coefficients, symbolic ones in ``scalars.ratsimp`` form, times ordered
+    words of basis vectors (the empty word is the scalar unit)."""
 
     __slots__ = ("terms",)
 
@@ -175,7 +175,8 @@ class MVec:
             coeff = sp.sympify(coeff)
             collected[word] = collected.get(word, sp.S.Zero) + coeff
         self.terms = tuple(sorted(
-            ((w, c) for w, c in collected.items() if not scalars.is_zero(c)),
+            ((w, c if c.is_Number else scalars.ratsimp(c))
+             for w, c in collected.items() if not scalars.is_zero(c)),
             key=lambda t: (len(t[0]), t[0])))
 
     @staticmethod

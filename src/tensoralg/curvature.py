@@ -19,7 +19,7 @@ components.  The domain is a :class:`scalars.KernelField` when the inputs
 lie in one, with the square roots of a frame as field generators, and
 expression trees otherwise.  A frame outside every kernel field keeps its
 frame stages on trees beside a coordinate field, that of its derived
-metric, when there is one.
+metric, when there is one.  Zero is decided by the domain's ``vanishes``.
 """
 
 from __future__ import annotations
@@ -80,17 +80,6 @@ def _zeros(*shape, zero=sp.S.Zero):
     if len(shape) == 1:
         return [zero] * shape[0]
     return [_zeros(*shape[1:], zero=zero) for _ in range(shape[0])]
-
-
-def _vanishes(K, value, claim):
-    """``K.vanishes(value)``, a field's refusal retried by the certificate,
-    as on trees; still undecided, "cannot decide whether ``claim``"."""
-    try:
-        return K.vanishes(value)
-    except scalars.UnclassifiableError:
-        if K is not TREES and scalars.certify_nonzero(K.expr(value)):
-            return False
-        raise scalars.UnclassifiableError(K.expr(value), "whether " + claim)
 
 
 def _det(m, K):
@@ -261,8 +250,8 @@ class MetricContext:
             if eta is None or len(self.fri) != n or len(eta) != n:
                 raise ValueError(
                     "frame matrices must match the chart dimension")
-            if not all(_vanishes(TREES, eta[a][b] - eta[b][a],
-                                 "the frame metric is symmetric")
+            if not all(scalars.vanishes(eta[a][b] - eta[b][a], "whether the "
+                                        "frame metric is symmetric")
                        for a in range(n) for b in range(a)):
                 raise ValueError("frame metric must be symmetric")
         elif self.lg is None:
@@ -279,14 +268,15 @@ class MetricContext:
                 given = _map(K.element, given)
             except (KeyError, ZeroDivisionError):
                 K, g = TREES, self.lg
-            if not all(_vanishes(K, a - b, "the frame is orthonormal")
+            if not all(K.vanishes(a - b, "whether the frame is orthonormal")
                        for a, b in zip(sum(given, []), sum(g, []))):
                 raise ValueError("frame is not orthonormal for the metric")
         K, g = self._K, self._g
-        if not all(_vanishes(K, g[i][j] - g[j][i], "the metric is symmetric")
+        if not all(K.vanishes(g[i][j] - g[j][i],
+                              "whether the metric is symmetric")
                    for i in range(self.dim) for j in range(i)):
             raise ValueError("metric must be symmetric")
-        if _vanishes(K, self._values("det"), "the metric is singular"):
+        if K.vanishes(self._values("det"), "whether the metric is singular"):
             raise ValueError("metric is symbolically singular")
 
     # -- basic structure ----------------------------------------------------
@@ -428,25 +418,28 @@ class MetricContext:
         return (None if K is TREES else K), value
 
     def vanishing(self, key):
-        """For each component of stage ``key``, whether it is zero by
-        :func:`_vanishes`; a refusal names the stage and the component."""
+        """For each component of stage ``key``, whether it is zero by its
+        domain's ``vanishes``; a refusal names the stage and the component."""
         K, value = self._read(key)
-        names = [c.name for c in self.coords]
 
         def walk(node, index):
             if isinstance(node, list):
-                return [walk(sub, index + [names[i]])
-                        for i, sub in enumerate(node)]
-            where = f"{key}[{','.join(index)}]" if index else key
-            return _vanishes(K, node, where + " vanishes")
-        return walk(value, [])
+                return [walk(sub, index + (i,)) for i, sub in enumerate(node)]
+            try:
+                return K.vanishes(node)
+            except scalars.UnclassifiableError as exc:
+                names = ",".join(self.coords[i].name for i in index)
+                where = f"{key}[{names}]" if index else key
+                raise scalars.UnclassifiableError(
+                    exc.expression, f"whether {where} vanishes") from None
+        return walk(value, ())
 
     def set_torsion(self, values):
         """Install a torsion tensor tau_ij^k (antisymmetric in i, j)."""
         tau = [[[_scalar(x) for x in row] for row in plane]
                for plane in values]
-        if not all(_vanishes(TREES, tau[i][j][k] + tau[j][i][k],
-                             "the torsion is antisymmetric")
+        if not all(scalars.vanishes(tau[i][j][k] + tau[j][i][k],
+                                    "whether the torsion is antisymmetric")
                    for i, j, k in product(range(self.dim), repeat=3)):
             raise ValueError(
                 "torsion must be antisymmetric in its covariant indices")

@@ -9,15 +9,14 @@ invariants) vanish.  Every condition of the tree is a homogeneous
 polynomial in the scalars, so multiplying all five by one nonzero function
 changes no decision.  :func:`classify` therefore reads the scalars into one
 kernel field and writes them as numerators N_k over their common
-denominator D; when D holds symbols only, the tree runs on the N_k with
-ring arithmetic, and :meth:`scalars.KernelField.vanishes` decides each
+denominator D; when D is not zero, the tree runs once on the N_k with ring
+arithmetic, and :meth:`scalars.KernelField.vanishes` decides each
 condition: zero when its polynomial reduced by the field's relations is 0,
-nonzero when that polynomial holds symbols only or the field is
-canonical, and refused otherwise.  Plain numbers, scalars outside every
-kernel field (``%i``, roots, ``exp``, ...), and scalars whose D or a
-condition the field refuses are decided on expression trees by
-:func:`scalars.vanishes`: zero by the normal form, nonzero by the interval
-certificate.  What neither decides is refused with
+nonzero when that polynomial holds symbols only, the field is canonical or
+the interval certificate proves it, and refused otherwise.  Plain numbers
+and scalars outside every kernel field (``%i``, roots, ``exp``, ...) are
+decided on expression trees by :func:`scalars.vanishes`: zero by the
+normal form, nonzero by the interval certificate.  A refusal raises
 :class:`UnclassifiableError`, so a type is decided or refused, never
 guessed.
 """
@@ -153,8 +152,8 @@ def classify(psi) -> PetrovType:
     numbered branch conditions decide, computing auxiliary invariants only
     as needed.  Scalars that are not all numbers are read into one kernel
     field and the tree runs on their numerators over the common denominator
-    D (see the module docstring); outside every field, or when the field
-    refuses D or a condition, it runs on the expressions.
+    D (see the module docstring); outside every field it runs on the
+    expressions.  ValueError when D is zero.
     """
     if isinstance(psi, WeylScalars):
         psi = psi.psi
@@ -163,17 +162,13 @@ def classify(psi) -> PetrovType:
         raise ValueError("expected five Weyl scalars")
     # plain numbers are decided at once by the trees
     found = None if all(p.is_Number for p in psi) else in_field(psi)
-    if found is not None:
-        K, elements = found
-        den, numerators = K.numerators(elements)
-        try:
-            if not K.vanishes(den):
-                return _decide(numerators, K)
-        except UnclassifiableError:
-            # D or a condition is undecided in a field that is not
-            # canonical: the trees decide or refuse
-            pass
-    return _decide(psi, TREES)
+    if found is None:
+        return _decide(psi, TREES)
+    K, elements = found
+    den, numerators = K.numerators(elements)
+    if K.vanishes(den):
+        raise ValueError("the Weyl scalars divide by zero")
+    return _decide(numerators, K)
 
 
 def _decide(psi, dom):

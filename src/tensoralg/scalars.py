@@ -5,11 +5,13 @@ coefficients) is built from the expressions handled here: exact rationals,
 symbols, the imaginary unit, and a fixed set of elementary functions.  The
 heavy lifting of polynomial arithmetic is delegated to sympy; this module
 pins down the grammar, the rational normal form, the limited trigonometric
-closure, and the one zero decision of the package, :func:`vanishes`: zero
-when the normal form is 0, nonzero when an interval enclosure that excludes
-0 at a rational point (:func:`certify_nonzero`) proves it, and otherwise
-refused, since zero equivalence of elementary expressions is undecidable in
-general (Richardson, 1968).  No float threshold enters a decision.
+closure, and the zero decision of the package, one test per scalar domain,
+:func:`vanishes` and :meth:`KernelField.vanishes`: zero when the normal
+form is 0, nonzero when an interval enclosure that excludes 0 at a
+rational point (:func:`certify_nonzero`) or, in a field, the normal form
+proves it, and otherwise refused, since zero equivalence of elementary
+expressions is undecidable in general (Richardson, 1968).  No float
+threshold enters a decision.
 
 As in Maxima's ``ratsimp``, the normal form lives in a field of rational
 functions, a :class:`KernelField`: its generators are symbols and
@@ -53,6 +55,9 @@ from sympy.polys.polyutils import _sort_gens
 from sympy.printing.str import StrPrinter
 
 Expr = sp.Expr
+
+#: What a refused zero test asks, unless its caller names the claim.
+_QUESTION = "whether this expression vanishes"
 
 # Functions admitted by the expression grammar.  Anything else is rejected
 # at parse time; derivatives of these stay within sympy's elementary set.
@@ -854,19 +859,25 @@ class KernelField:
                                     for f in elements])
         return self._product(c, exps), list(map(self._reduce_even, nums))
 
-    def vanishes(self, p):
+    def vanishes(self, p, question=_QUESTION):
         """The zero test on an element, or a polynomial over a nonzero
         denominator: True when the numerator reduced by the relation table
-        is 0, False when it is not and holds symbols only or the field is
-        :attr:`canonical`, and otherwise :class:`UnclassifiableError`, as
-        for a numerator holding sin(2x) and sin(x)."""
-        p = self._reduce_even(getattr(p, "numer", p))
-        if not p:
+        is 0; False when it holds symbols only, or the field is
+        :attr:`canonical` (not computed for symbols only), or
+        :func:`certify_nonzero` proves the element's :meth:`expr` or the
+        reduced polynomial; else :class:`UnclassifiableError`."""
+        numer = self._reduce_even(getattr(p, "numer", p))
+        if not numer:
             return True
-        if any(m[i] for m in p.itermonoms() for i in self._kernels) and (
-                not self.canonical):
-            raise UnclassifiableError(p.as_expr())
-        return False
+        if (self.__dict__.get("canonical")
+                or not any(m[i] for m in numer.itermonoms()
+                           for i in self._kernels)
+                or self.canonical):
+            return False
+        value = self.expr(p) if hasattr(p, "numer") else numer.as_expr()
+        if certify_nonzero(value):
+            return False
+        raise UnclassifiableError(value, question)
 
     @functools.cached_property
     def canonical(self):
@@ -1076,8 +1087,8 @@ class _Trees:
                    sp.S.Zero)
 
     @staticmethod
-    def vanishes(e):
-        return vanishes(e)
+    def vanishes(e, question=_QUESTION):
+        return vanishes(e, question)
 
 
 TREES = _Trees()
@@ -1164,9 +1175,8 @@ def _split_linear(poly, kernel):
 class UnclassifiableError(ValueError):
     """A zero test could not be decided; carries the offending expression."""
 
-    def __init__(self, expression,
-                 question="whether this expression vanishes"):
-        super().__init__(f"cannot decide {question}: {expression}")
+    def __init__(self, expression, question=_QUESTION):
+        super().__init__(f"cannot decide {question}: {render(expression)}")
         self.expression = expression
 
 
@@ -1176,12 +1186,12 @@ _ZERO_CACHE_MAX = 4096
 _zero_cache: dict = {}
 
 
-def vanishes(e: Expr) -> bool:
+def vanishes(e: Expr, question=_QUESTION) -> bool:
     """The zero decision: True when ``trigsimp(e)`` is the literal constant
     0, False when :func:`certify_nonzero` holds, otherwise
-    :class:`UnclassifiableError`.  The certificate is asked first, as it
-    needs no simplification, and each expression is decided once while it
-    stays in the cache."""
+    :class:`UnclassifiableError` asking ``question``.  The certificate is
+    asked first, as it needs no simplification, and each expression is
+    decided once while it stays in the cache."""
     e = sp.sympify(e)
     if e.is_Number:
         return e == 0
@@ -1191,7 +1201,7 @@ def vanishes(e: Expr) -> bool:
         _zero_cache[e] = (False if certify_nonzero(e)
                           else True if trigsimp(e) == 0 else None)
     if _zero_cache[e] is None:
-        raise UnclassifiableError(e)
+        raise UnclassifiableError(e, question)
     return _zero_cache[e]
 
 

@@ -300,14 +300,28 @@ ALGEBRA_CASES = [
 @given(data=st.data())
 def test_atensimp_is_associative(algebra, dims, data):
     # the canonical words are a basis, so reducing x.y.z in either grouping
-    # gives one normal form
+    # gives one normal form, also with coefficients a + b*c in a symbol c
     cfg = init_atensor(algebra, *dims)
+    c = syms("c")[0]
     word = st.lists(st.integers(1, cfg.adim), max_size=3).map(tuple)
-    term = st.tuples(word, st.integers(-3, 3))
+    coeff = st.builds(lambda a, b: a + b * c, st.integers(-3, 3),
+                      st.integers(-1, 1))
+    term = st.tuples(word, coeff)
     x, y, z = (MVec(data.draw(st.lists(term, min_size=1, max_size=3)))
                for _ in range(3))
     assert atensimp(cfg, x * atensimp(cfg, y * z)) == \
         atensimp(cfg, atensimp(cfg, x * y) * z)
+
+
+def test_equal_symbolic_coefficients_compare_equal(lie3):
+    # -c*(c + 1) and c*(-c - 1) are one coefficient: the two groupings of
+    # x.y.z printed them apart and compared unequal
+    c = syms("c")[0]
+    x, y, z = (MVec.word((1,), c + 1), MVec.word((2,), -1),
+               MVec.word((3,), c))
+    left = atensimp(lie3, x * atensimp(lie3, y * z))
+    right = atensimp(lie3, atensimp(lie3, x * y) * z)
+    assert left == right and str(left) == str(right)
 
 
 def test_commutator_helper(lie3):

@@ -11,7 +11,7 @@ import sympy as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracles
-from tensoralg import algebras, catalog, cli, indicial, scalars
+from tensoralg import algebras, catalog, cli, indicial, metricfile, scalars
 from tensoralg.indicial import TensorContext, anti_group, sym_group
 
 POLAR_FILE = """\
@@ -743,6 +743,22 @@ def test_compute_exits_2_on_a_component_it_cannot_decide(tensors, stage,
                              tensors, capsys=capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"computation error: cannot decide whether {stage}")
+
+
+def test_refusal_writes_its_expression_in_the_package_syntax(tmp_path,
+                                                             capsys):
+    # the message wrote cos(theta)**2, which neither the metric-file grammar
+    # nor --expr reads; it is written as scalars.render writes it
+    path = tmp_path / "sin2theta.tm"
+    path.write_text(SIN_2THETA_FILE)
+    code, _, err = run_cli("compute", "--metric", str(path), "--tensors",
+                           "ricci", capsys=capsys)
+    text = err.strip().rsplit(": ", 1)[1]
+    ctx = metricfile.parse_metric_file(SIN_2THETA_FILE).to_context()
+    with pytest.raises(scalars.UnclassifiableError) as exc:
+        ctx.vanishing("ricci")
+    assert code == 2 and "**" not in text
+    assert scalars.parse(text) == exc.value.expression
 
 
 def test_compute_cannot_decide_whether_a_metric_is_symmetric(tmp_path,

@@ -82,6 +82,23 @@ def test_setup_metric_offdiagonal_involutory():
     assert ctx.ug == [[0, 1], [1, 0]]
 
 
+def test_setup_metric_undecided_offdiagonal_is_not_diagonal():
+    # sin(2x) - 2 sin(x) cos(x) is 0, but the field holding sin(2x) beside
+    # sin(x) cannot decide it: a refusal reads as not diagonal, and the
+    # inverse metric is computed with the entry as it is
+    murky = "sin(2*x) - 2*sin(x)*cos(x)"
+    ctx = setup_metric(["x", "y"], [["1", murky], [murky, "x"]])
+    assert ctx.field is not None and not ctx.field.canonical
+    assert not ctx.diagonal
+    inverse = sp.Matrix(ctx.lg).inv()
+    point = {"x": sp.Rational(3, 2), "y": sp.Rational(1, 3)}
+    for i in range(2):
+        for j in range(2):
+            got = complex(scalars.evaluate(ctx.ug[i][j], point))
+            want = complex(scalars.evaluate(inverse[i, j], point))
+            assert abs(got - want) < 1e-12
+
+
 def test_setup_metric_rejects_asymmetric():
     with pytest.raises(ValueError):
         setup_metric(["x", "y"], [["1", "x"], ["0", "1"]])
@@ -1037,8 +1054,8 @@ def test_frame_field_checks_a_given_metric_in_the_field(monkeypatch):
     # field are still checked on trees
     trees = []
     vanishes = scalars.vanishes
-    monkeypatch.setattr(scalars, "vanishes", lambda e: (
-        e.is_Number or trees.append(e), vanishes(e))[1])
+    monkeypatch.setattr(scalars, "vanishes", lambda e, *question: (
+        e.is_Number or trees.append(e), vanishes(e, *question))[1])
     catalog.load("kerr_newman", frame=True)
     assert trees == []
     rows = [["1", "0"], ["0", "r"]]

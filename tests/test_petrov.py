@@ -317,6 +317,13 @@ def test_tiny_exact_value_certifies_nonzero():
     assert scalars.vanishes(e) is False
 
 
+#: Nonzero scalars of type I in a field that is not canonical, as sin(2x)
+#: and sin(x) are both generators.
+_DEPENDENT_KERNELS = [sym("x") * sp.sin(sym("x")), 1 + sym("y"),
+                      sym("x") * sym("y"), 2 - sp.cos(2 * sym("x")),
+                      sym("x") + sym("y")]
+
+
 def test_classify_certifies_each_expression_once(monkeypatch):
     # the zero cache keeps the certificate's answer, so a nonzero
     # expression is not certified again by the Petrov decision
@@ -327,22 +334,29 @@ def test_classify_certifies_each_expression_once(monkeypatch):
     def counted(e):
         calls[e] += 1
         return original(e)
-    # every binding of the certificate, wherever it was imported
-    for module in (scalars, petrov):
-        for name, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(scalars, "certify_nonzero", counted)
     x, y = sym("x"), sym("y")
     for psi in (
             # outside every kernel field: decided on expression trees
             [sp.exp(x), 1 + y, x * y, 2 - x, x + y],
-            # in a field that is not canonical, as sin(2x) and sin(x) are
-            # both generators: the field refuses a numerator that holds a
-            # kernel, and the trees decide
-            [x * sp.sin(x), 1 + y, x * y, 2 - sp.cos(2 * x), x + y]):
+            # in a field that is not canonical: the field certifies each
+            # numerator that holds a kernel
+            _DEPENDENT_KERNELS):
         calls.clear()
         assert classify(psi) is PetrovType.I
         assert calls and max(calls.values()) == 1
+
+
+def test_classify_runs_the_decision_tree_once(monkeypatch):
+    # a field that is not canonical decides each condition itself, by the
+    # certificate where it must: the tree runs once, in the field, and not
+    # a second time on expression trees
+    runs = []
+    decide = petrov._decide
+    monkeypatch.setattr(petrov, "_decide", lambda psi, dom: (
+        runs.append(dom), decide(psi, dom))[1])
+    assert classify(_DEPENDENT_KERNELS) is PetrovType.I
+    assert len(runs) == 1 and runs[0] is not scalars.TREES
 
 
 def test_classify_decides_rational_and_symbolic_scalars_in_one_field(
@@ -394,17 +408,40 @@ def test_classify_refuses_a_denominator_that_is_zero():
             classify([p / murky for p in psi])
 
 
+def test_classify_rejects_a_denominator_that_is_provably_zero():
+    # sin(x)^2 + cos(x)^2 - 1 reduces to 0 in the field, so the scalars
+    # divide by zero: sympy's bare ZeroDivisionError leaked from the trees
+    x = sym("x")
+    zero = sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1
+    for psi in ([1 / zero, 0, 0, 0, 0], [0, 0, 1 / zero, 0, x]):
+        with pytest.raises(ValueError) as err:
+            classify(psi)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "the Weyl scalars divide by zero"
+
+
+def test_refusal_writes_its_expression_in_the_package_syntax():
+    # the message wrote x**2 where the grammar reads x^2
+    x = sym("x")
+    murky = x ** 2 * (sp.sin(2 * x) - 2 * sp.sin(x) * sp.cos(x))
+    with pytest.raises(UnclassifiableError) as err:
+        classify([0, 0, 1, 0, murky])
+    text = str(err.value).rsplit(": ", 1)[1]
+    assert "**" not in text and parse(text) == err.value.expression
+
+
 _X = sym("x")
 _ZERO = sp.sin(_X) ** 2 + sp.cos(_X) ** 2 - 1
 _KERNEL_FACTORS = (sp.S.One, sp.sin(_X), sp.cos(_X), 1 + sp.sin(_X) ** 2,
-                   1 / (2 + sp.cos(_X)))
+                   1 / (2 + sp.cos(_X)), sp.sin(2 * _X))
 
 
 @st.composite
 def _weyl_tuples(draw):
     # as frame-petrov draws them: psi_k = q_k * w for rationals q_k and one
     # rational function w of x, a zero entry written as
-    # (sin(x)^2 + cos(x)^2 - 1) * w; some entries carry a sin/cos factor
+    # (sin(x)^2 + cos(x)^2 - 1) * w; some entries carry a sin/cos factor,
+    # and sin(2x) beside sin(x) makes the field not canonical
     a, b = draw(st.integers(1, 16)), draw(st.integers(1, 6))
     w = (_X + a) / (_X ** 2 + b)
     psi = []
