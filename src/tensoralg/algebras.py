@@ -14,6 +14,7 @@ satisfies the Jacobi identity, which :class:`AlgebraConfig` checks.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -75,7 +76,10 @@ def init_atensor(algebra_type: str, *dims) -> AlgebraConfig:
     exactly one; the rule-only types take an optional basis dimension
     (default 2).
     """
-    dims = tuple(int(d) for d in dims)
+    if any(isinstance(d, bool) or not hasattr(type(d), "__index__")
+           for d in dims):
+        raise ValueError(f"dimension counts must be integers: {dims!r}")
+    dims = tuple(map(operator.index, dims))
     if any(d < 0 for d in dims):
         raise ValueError("dimension counts must be nonnegative")
     if algebra_type == "clifford":

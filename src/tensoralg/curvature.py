@@ -57,15 +57,9 @@ class Chart:
 
 
 def _scalar(x):
-    """An entry as an exact expression: text through the parser, which
-    refuses floats and undefined values; any other object is checked for
-    them here."""
-    if isinstance(x, str):
-        return scalars.parse(x)
-    e = sp.sympify(x)
-    if e.has(sp.Float, sp.zoo, sp.oo, -sp.oo, sp.nan):
-        raise ValueError(f"entry {e} is not a finite exact expression")
-    return e
+    """An entry as an exact expression: text through the parser, any other
+    object through :func:`scalars.exact`."""
+    return scalars.parse(x) if isinstance(x, str) else scalars.exact(x)
 
 
 def _as_matrix(rows, what="matrix"):
@@ -137,14 +131,6 @@ def _last_first(array, j):
     return array[j]
 
 
-def _partial_reduce(K):
-    """The reduction of the partial sums of a change of basis in the scalar
-    domain ``K``: the closure in a kernel field, where it keeps the
-    squares of roots out of the products, and the rational normal form on
-    trees, where the closure costs more than it saves."""
-    return K.ratsimp if K is TREES else K.trigsimp
-
-
 def _frame_components(array, E, K):
     """out[a][b]... = sum array[i][j]... E[a][i] E[b][j]... for a covariant
     coordinate array of any rank: one slot is carried into the frame at a
@@ -157,7 +143,7 @@ def _frame_components(array, E, K):
         rank, sub = rank + 1, sub[0]
     for step in range(rank):
         array = _contract_last(array, ET, K, K.trigsimp if step == rank - 1
-                               else _partial_reduce(K))
+                               else K.ratsimp)
         array = [_last_first(array, j) for j in range(n)]
     return array
 
@@ -171,14 +157,12 @@ def _frame_pairs(array, E, K):
     B_ab^ij = E_a^i E_b^j - E_a^j E_b^i, i < j: first
     half[ij][cd] = sum_kl P_ijkl B_cd^kl, then P_abcd = sum_ij B_ab^ij
     half[ij][cd] on the independent components only, in the scalar domain
-    ``K``.  The bivectors are reduced by :func:`_partial_reduce`, the half
-    sums are only put in rational normal form, and the components are
-    reduced by ``K.trigsimp``.
+    ``K``.  The bivectors and the half sums are put in the normal form
+    ``K.ratsimp``, and the components are reduced by ``K.trigsimp``.
     """
     n = len(E)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    reduce = _partial_reduce(K)
-    B = {(a, b): [reduce(E[a][i] * E[b][j] - E[a][j] * E[b][i])
+    B = {(a, b): [K.ratsimp(E[a][i] * E[b][j] - E[a][j] * E[b][i])
                   for i, j in pairs] for a, b in pairs}
 
     half = [{cd: K.ratsimp(K.dot([array[j][l][k][i] for k, l in pairs], bv))
@@ -210,8 +194,8 @@ class MetricContext:
     components.  When the metric, torsion and nonmetricity entries are
     rational functions of symbols and sin/cos/sinh/cosh kernels, ``field``
     is their :class:`scalars.KernelField`, built from these entries alone,
-    and every coordinate stage computes on its elements, reduced by
-    ``reduce_trig`` as the stage is stored.  Stages read one another, and
+    and every coordinate stage computes on its elements and makes each
+    component in the normal form ``K.ratsimp``.  Stages read one another, and
     :meth:`printable` and :meth:`vanishing` read them, as records, with no
     conversion; only a caller's read of a public property converts its
     stage to expressions, once, cached beside the record.  Otherwise
@@ -360,14 +344,11 @@ class MetricContext:
 
     def _record(self, key, fn, K=None):
         """The record (domain, components) of stage ``key``, computed once
-        by ``fn`` in the scalar domain ``K``, by default the context's.  A
-        field stage is kept in its canonical ``reduce_trig`` form, so equal
-        values are equal elements; a tree stage is kept as computed."""
+        by ``fn`` in the scalar domain ``K``, by default the context's, and
+        kept as computed: every stage ends in its domain's ``ratsimp`` or
+        ``trigsimp``, so a field stage is in its normal form."""
         if key not in self._memo:
-            K = self._K if K is None else K
-            value = fn()
-            self._memo[key] = (K, value if K is TREES
-                               else _map(K.reduce_trig, value))
+            self._memo[key] = (self._K if K is None else K, fn())
         return self._memo[key]
 
     def _public(self, key, fn, K=None):
@@ -378,12 +359,10 @@ class MetricContext:
         return value if self._internal else self._expressions(key)
 
     def _expressions(self, key):
-        """The components of stage ``key`` as expressions: a field stage's
-        are converted from its record at the first call and cached beside
-        it, a tree stage's are the record's components."""
+        """The components of stage ``key`` as expressions, converted from
+        its record by ``K.expr`` (the identity on trees) at the first call
+        and cached beside it."""
         K, value = self._memo[key]
-        if K is TREES:
-            return value
         if key not in self._exprs:
             self._exprs[key] = _map(K.expr, value)
         return self._exprs[key]
@@ -481,16 +460,16 @@ class MetricContext:
 
     @property
     def _dmetric(self):
-        """dg[h][k][l] = d g_kl / d x^h, skipping derivatives of literal 0."""
+        """dg[h][k][l] = d g_kl / d x^h in normal form, skipping literal 0."""
         def compute():
-            n, K, g = self.dim, self._K, self._g
+            n, K, g, x = self.dim, self._K, self._g, self.coords
             dg = _zeros(n, n, n, zero=K.zero)
             for k in range(n):
                 for l in range(n):
                     if g[k][l] == 0:
                         continue
                     for h in range(n):
-                        dg[h][k][l] = K.diff(g[k][l], self.coords[h])
+                        dg[h][k][l] = K.ratsimp(K.diff(g[k][l], x[h]))
             return dg
         return self._record("dmetric", compute)[1]
 
@@ -787,7 +766,6 @@ class MetricContext:
             # mu_(c) = E_c^k mu_k, the frame components of nabla g = -mu g
             mu = None if mu is None else [K.trigsimp(K.dot(E[c], mu))
                                           for c in range(n)]
-            reduce = _partial_reduce(K)
 
             def nabla(a, i, k):
                 d = K.diff(e[a][i], coords[k]) if e[a][i] != 0 else K.zero
@@ -802,7 +780,7 @@ class MetricContext:
                     break
                 D = [[nabla(a, i, k) for i in range(n)] for k in range(n)]
                 for b in range(a + 1, n):
-                    Y = [reduce(K.dot(E[b], D[k])) for k in range(n)]
+                    Y = [K.ratsimp(K.dot(E[b], D[k])) for k in range(n)]
                     for c in range(n):
                         g = K.trigsimp(K.dot(E[c], Y))
                         out[a][b][c] = g

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import sympy as sp
@@ -425,9 +426,11 @@ class TensorContext:
     vectors: set = field(default_factory=set)
 
     def __post_init__(self):
-        if self.dim is not None and not (
-                isinstance(self.dim, int) and self.dim > 0):
-            raise ValueError(f"dim must be a positive integer: {self.dim!r}")
+        dim = self.dim
+        if dim is not None and (isinstance(dim, bool) or not hasattr(
+                type(dim), "__index__") or dim <= 0):
+            raise ValueError(f"dim must be a positive integer: {dim!r}")
+        self.dim = dim if dim is None else operator.index(dim)
         self._register_builtins()
 
     def _register_builtins(self):

@@ -29,7 +29,8 @@ from enum import Enum
 import sympy as sp
 
 from .curvature import MetricContext
-from .scalars import TREES, UnclassifiableError, in_field, ratsimp, trigsimp
+from .scalars import (TREES, UnclassifiableError, exact, in_field, ratsimp,
+                      trigsimp)
 
 
 class PetrovType(Enum):
@@ -153,17 +154,20 @@ def classify(psi) -> PetrovType:
     as needed.  Scalars that are not all numbers are read into one kernel
     field and the tree runs on their numerators over the common denominator
     D (see the module docstring); outside every field it runs on the
-    expressions.  ValueError when D is zero.
+    expressions.  ValueError when D is zero or a scalar is not finite and
+    exact (a float, ``nan``, ``oo``): no rounding decides a type.
     """
     if isinstance(psi, WeylScalars):
         psi = psi.psi
     psi = [sp.sympify(p) for p in psi]
     if len(psi) != 5:
         raise ValueError("expected five Weyl scalars")
-    # plain numbers are decided at once by the trees
+    # plain numbers are decided at once by the trees; a kernel field holds
+    # no float or undefined value, so only the trees need the check
     found = None if all(p.is_Number for p in psi) else in_field(psi)
     if found is None:
-        return _decide(psi, TREES)
+        return _decide([exact(p, f"Weyl scalar psi{k}")
+                        for k, p in enumerate(psi)], TREES)
     K, elements = found
     den, numerators = K.numerators(elements)
     if K.vanishes(den):

@@ -279,6 +279,16 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+def exact(x, what="entry"):
+    """``x`` sympified; ValueError naming ``what`` when it holds a float or
+    an undefined value, as the parser refuses in text."""
+    e = sp.sympify(x)
+    # atoms, as Basic.has keeps every expression it meets in sympy's cache
+    if e.atoms(sp.Float, *map(type, _UNDEFINED)):
+        raise ValueError(f"{what} {e} is not a finite exact expression")
+    return e
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -532,10 +542,10 @@ class KernelField:
     every sum and product is a cancelled ratio: an element is the field
     image of what :func:`ratsimp` returns for the same rational function,
     whatever generators the two fields share, because the generators keep
-    sympy's order.  The operations mirror the expression-tree ones:
-    :meth:`diff` for :func:`diff`, :meth:`reduce_trig` for
-    ``_reduce_trig_tree``, :meth:`vanishes` for :func:`vanishes` and
-    :meth:`expr` for the form :func:`ratsimp` returns.
+    sympy's order.  :meth:`diff` mirrors :func:`diff`, :meth:`vanishes`
+    :func:`vanishes` and :meth:`expr` the form :func:`ratsimp` returns;
+    the one normal form, :meth:`ratsimp`, also :meth:`trigsimp`, is
+    :meth:`reduce_trig` of an element (``_reduce_trig_tree`` on trees).
 
     A field cancels with no polynomial gcd, as Maxima's ``ratfac`` keeps a
     CRE partly factored.  Its factor base holds irreducible primitive
@@ -821,13 +831,13 @@ class KernelField:
                 p += part * square ** half if half else part
         return p
 
-    def trigsimp(self, f):
-        return self.reduce_trig(f)
-
     def ratsimp(self, f):
-        """Elements are in normal form already, and a polynomial is left to
-        :meth:`vanishes`, which reduces it."""
-        return f
+        """The normal form of the field: :meth:`reduce_trig` of an element,
+        and of a polynomial its reduction by the relation table."""
+        return self.reduce_trig(f) if hasattr(f, "numer") else (
+            self._reduce_even(f))
+
+    trigsimp = ratsimp
 
     def dot(self, xs, ys):
         """sum x*y over the pairs of ``xs`` and ``ys``, cancelled once: the
@@ -836,7 +846,7 @@ class KernelField:
         denominator of the largest exponents, so no product or partial sum
         takes a gcd.  The squares of roots are replaced in the numerator
         before the cancellation, as no caller keeps them; the squares of
-        kernels are left to :meth:`reduce_trig`."""
+        kernels are left to :meth:`ratsimp`."""
         groups = {}
         for x, y in zip(xs, ys):
             if x and y:
@@ -857,7 +867,7 @@ class KernelField:
         Z[gens] is reduced by the relation table."""
         nums, c, exps = self._over([(f.numer, *self._split(f.denom))
                                     for f in elements])
-        return self._product(c, exps), list(map(self._reduce_even, nums))
+        return self._product(c, exps), list(map(self.ratsimp, nums))
 
     def vanishes(self, p, question=_QUESTION):
         """The zero test on an element, or a polynomial over a nonzero
@@ -866,7 +876,7 @@ class KernelField:
         :attr:`canonical` (not computed for symbols only), or
         :func:`certify_nonzero` proves the element's :meth:`expr` or the
         reduced polynomial; else :class:`UnclassifiableError`."""
-        numer = self._reduce_even(getattr(p, "numer", p))
+        numer = self.ratsimp(getattr(p, "numer", p))
         if not numer:
             return True
         if (self.__dict__.get("canonical")

@@ -76,6 +76,14 @@ def test_init_validation():
         init_atensor("nosuch", 1)
 
 
+@pytest.mark.parametrize("dims", [(1.7,), (True,), (0, 0, 2.0), ("2",)])
+def test_dimension_counts_refuse_bool_and_non_integral_values(dims):
+    # clifford 1.7 used to build a 1-dimensional algebra through int(1.7),
+    # and True counted as 1
+    with pytest.raises(ValueError, match="dimension counts must be integers"):
+        init_atensor("clifford", *dims)
+
+
 # ---------------------------------------------------------------------------
 # commutator table values
 

@@ -960,18 +960,43 @@ def test_kerr_frame_stages_stay_in_the_field(monkeypatch):
     assert not all(sp.flatten(ctx.vanishing("rotation_coeffs")))
 
 
+# the stages of a connection with torsion and nonmetricity: the direct
+# curvature, lowered, and no Weyl tensor
+TORSION_STAGES = ("det", "ug", "christoffel1", "contortion",
+                  "nonmetricity_coeffs", "connection", "connection2",
+                  "riemann", "riemann_lowered", "ricci", "ricci_scalar",
+                  "einstein")
+
+
+def _spherical_with_torsion(frame):
+    ctx = catalog.load("spherical", frame=frame)
+    tau = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    tau[0][1][2], tau[1][0][2] = parse("sin(theta)"), -parse("sin(theta)")
+    tau[1][2][0], tau[2][1][0] = parse("r*cos(theta)"), -parse("r*cos(theta)")
+    ctx.set_torsion(tau)
+    ctx.set_nonmetricity(["r", "cos(theta)^2", "sin(theta)/r"])
+    return ctx
+
+
 @pytest.mark.parametrize("name, frame", [("kerr_newman", True),
-                                         ("ellipsoidal", False)])
+                                         ("ellipsoidal", False),
+                                         ("spherical_torsion", False),
+                                         ("spherical_torsion", True)])
 def test_stored_field_components_are_canonical(name, frame):
     # a field stage is kept once, in canonical form: each stored component
     # has a denominator leading with a positive coefficient and is its own
     # reduce_trig, so equal values are equal elements; as in a canonical
     # rational expression, numerator and denominator have integer
-    # coefficients
-    ctx = catalog.load(name, frame=frame)
+    # coefficients.  The record keeps what the stage computes, so each
+    # stage makes that form itself.
     frame_stages = ("rotation_coeffs", "frame_bracket", "riemann_frame",
-                    "ricci_frame", "weyl_frame")
-    wanted = STAGES[:-1] + (frame_stages if frame else ())
+                    "ricci_frame")
+    if name == "spherical_torsion":
+        ctx, stages = _spherical_with_torsion(frame), TORSION_STAGES
+    else:
+        ctx, stages = catalog.load(name, frame=frame), STAGES[:-1]
+        frame_stages += ("weyl_frame",)
+    wanted = stages + (frame_stages if frame else ())
     for stage in wanted:
         getattr(ctx, stage)
     assert set(wanted) <= set(ctx._memo)

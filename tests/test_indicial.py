@@ -491,6 +491,18 @@ def test_wedge_dimension_cutoff():
     assert wedge(ctx, obj("a", ["i"]), obj("B", ["j", "k"])).is_zero
 
 
+@pytest.mark.parametrize("dim", [True, 1.7, 2.0, "2", 0])
+def test_dim_refuses_bool_and_non_integral_values(dim):
+    # True used to give dim_scalar 1
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        TensorContext(dim=dim)
+
+
+def test_dim_takes_an_integer_like_value():
+    ctx = TensorContext(dim=sp.Integer(3))
+    assert ctx.dim == 3 and type(ctx.dim) is int
+
+
 def test_extdiff_conventions():
     ctx = TensorContext(dim=4)
     out = extdiff(ctx, obj("a", ["j"]), "i")

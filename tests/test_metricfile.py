@@ -121,3 +121,36 @@ def test_expression_error_carries_its_line(entry):
             f"[metric] row = 0, {entry}\n")
     with pytest.raises(MetricFileError, match="line 3: "):
         parse_metric_file(text)
+
+
+NULL_FRAME = """\
+[chart] coords = x, y
+[constants] a
+[frame] row = 1, 0
+[frame] row = 0, x
+[frame] metric_row = 0, 1
+[frame] metric_row = 1, 0
+[torsion] entry = 1, 2, 1, a*x
+[nonmetricity] mu = x, y
+"""
+
+
+def test_round_trip_keeps_torsion_nonmetricity_and_frame_metric_rows():
+    # a frame metric that is not diagonal is written as metric_row lines;
+    # torsion entries and the nonmetricity vector are written as read
+    mf = parse_metric_file(NULL_FRAME)
+    assert mf.frame_metric == [["0", "1"], ["1", "0"]]
+    assert mf.torsion_entries == [(1, 2, 1, "a*x")]
+    assert mf.nonmetricity == ["x", "y"]
+    assert mf.render() == NULL_FRAME
+    again = parse_metric_file(mf.render())
+    assert again == mf
+    first, second = mf.to_context(), again.to_context()
+    x, y, a = sym("x"), sym("y"), sym("a")
+    assert first.cframe_flag and first.lg == [[0, x], [x, 0]]
+    assert first.torsion_values[0][1][0] == a * x
+    assert first.nonmetricity_values == [x, y]
+    for stage in ("christoffel1", "contortion", "nonmetricity_coeffs",
+                  "connection2", "riemann", "ricci", "rotation_coeffs",
+                  "frame_bracket"):
+        assert getattr(first, stage) == getattr(second, stage), stage

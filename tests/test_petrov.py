@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -305,6 +306,22 @@ def test_magnified_rounding_is_refused_not_read_as_nonzero():
     with pytest.raises(UnclassifiableError) as err:
         classify([0, 0, 1, 0, psi4])
     assert err.value.expression == psi4
+
+
+def test_classify_refuses_scalars_that_are_not_finite_exact_values():
+    # nan and oo used to give N; floats gave II where the exact tuple
+    # (1/90, 1/10, 3/10) is D, so a rounding error decided the type.  A
+    # float inside a kernel keeps the scalars out of every kernel field.
+    p3, p4 = 0.1, 0.3
+    for psi, name in (([sp.nan, 0, 0, 0, 0], "psi0"),
+                      ([sp.oo, 0, 0, 0, 0], "psi0"),
+                      ([0, 0, p3 ** 2 / (3 * p4), p3, p4], "psi2"),
+                      ([0, sym("x"), 0, sp.sin(1.5 * sym("x")), 0], "psi3")):
+        with pytest.raises(ValueError, match=f"Weyl scalar {name} .* is "
+                           "not a finite exact expression"):
+            classify(psi)
+    exact = [0, 0, Fraction(1, 90), Fraction(1, 10), Fraction(3, 10)]
+    assert classify(exact) is PetrovType.D
 
 
 def test_tiny_exact_value_certifies_nonzero():
