@@ -158,11 +158,7 @@ def av(config: AlgebraConfig, u: int, v: int) -> "MVec":
         raise ValueError("av is defined for lie enveloping algebras")
     _check_index(config, u)
     _check_index(config, v)
-    entry = int(config.aform[u - 1][v - 1])
-    if entry == 0:
-        return MVec.zero()
-    sign = 1 if entry > 0 else -1
-    return MVec(((( abs(entry),), sp.Integer(sign)),))
+    return MVec(((k,), s) for k, s in config._bracket(u, v))
 
 
 class MVec:
@@ -288,9 +284,8 @@ def _rewrite(config, word):
                 return [(swapped, -1 if kind == "grassmann" else 1)]
             if kind == "lie_envelop":
                 # u.v = v.u + 2 v_a(u, v)
-                entry = int(config.aform[a - 1][b - 1])
-                sign = (entry > 0) - (entry < 0)
-                return [(swapped, 1), (head + (abs(entry),) + tail, 2 * sign)]
+                return [(swapped, 1)] + [(head + (k,) + tail, 2 * s)
+                                         for k, s in config._bracket(a, b)]
             # clifford: u.v = 2 f_s(u, v) - v.u; symplectic:
             # u.v = v.u + 2 f_a(u, v)
             return [(swapped, -1 if kind == "clifford" else 1),

@@ -503,13 +503,13 @@ def _label_key(label):
 
 def _sort_group(slots, kind):
     """Sort (label, up) slots; return (sorted, sign) with sign 0 collapsing
-    an antisymmetric group holding two identical slots."""
+    an antisymmetric group that holds one label twice, a trace, which is 0."""
     order = sorted(range(len(slots)),
                    key=lambda i: (_label_key(slots[i][0]), slots[i][1]))
     sorted_slots = [tuple(slots[i]) for i in order]
     if kind != "anti":
         return sorted_slots, 1
-    if any(a == b for a, b in zip(sorted_slots, sorted_slots[1:])):
+    if any(a[0] == b[0] for a, b in zip(sorted_slots, sorted_slots[1:])):
         return sorted_slots, 0
     return sorted_slots, _perm_sign(order)
 

@@ -2,23 +2,24 @@
 
 The Weyl tensor is computed in coordinates and carried into the
 components of an orthonormal Lorentz frame; there the Newman-Penrose null
-tetrad has constant components, and the five complex Weyl scalars are
-contractions of the frame Weyl tensor with it.  The algebraic type
-follows from a decision tree driven by which scalars (and which derived
-invariants) vanish.  Every condition of the tree is a homogeneous
-polynomial in the scalars, so multiplying all five by one nonzero function
-changes no decision.  :func:`classify` therefore reads the scalars into one
-kernel field and writes them as numerators N_k over their common
-denominator D; when D is not zero, the tree runs once on the N_k with ring
-arithmetic, and :meth:`scalars.KernelField.vanishes` decides each
-condition: zero when its polynomial reduced by the field's relations is 0,
-nonzero when that polynomial holds symbols only, the field is canonical or
-the interval certificate proves it, and refused otherwise.  Plain numbers
-and scalars outside every kernel field (``%i``, roots, ``exp``, ...) are
-decided on expression trees by :func:`scalars.vanishes`: zero by the
-normal form, nonzero by the interval certificate.  A refusal raises
-:class:`UnclassifiableError`, so a type is decided or refused, never
-guessed.
+tetrad has constant components, two nonzero ones per vector, and the five
+complex Weyl scalars are contractions of the frame Weyl tensor with it,
+left as unnormalized sums.  The algebraic type follows from a decision
+tree driven by which scalars (and which derived invariants) vanish.  Every
+condition of the tree is a homogeneous polynomial in the scalars, so
+multiplying all five by one nonzero function changes no decision.
+:func:`classify`, the one place the scalars are normalized, therefore
+reads them into one kernel field and writes them as numerators N_k over
+their common denominator D; when D is not zero, the tree runs once on the
+N_k with ring arithmetic, and :meth:`scalars.KernelField.vanishes` decides
+each condition: zero when its polynomial reduced by the field's relations
+is 0, nonzero when that polynomial holds symbols only, the field is
+canonical or the interval certificate proves it, and refused otherwise.
+Plain numbers and scalars outside every kernel field (``%i``, roots,
+``exp``, ...) are decided on expression trees by :func:`scalars.vanishes`:
+zero by the normal form, nonzero by the interval certificate.  A refusal
+raises :class:`UnclassifiableError`, so a type is decided or refused,
+never guessed.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from enum import Enum
 import sympy as sp
 
 from .curvature import MetricContext
-from .scalars import (TREES, UnclassifiableError, exact, in_field, ratsimp,
-                      trigsimp)
+from .scalars import TREES, UnclassifiableError, exact, in_field, ratsimp
 
 
 class PetrovType(Enum):
@@ -98,23 +98,19 @@ def weyl_scalars(weyl, tetrad: NPTetrad) -> WeylScalars:
     The curvature arrays keep the transported index first and the
     antisymmetric derivative pair in the middle slots; the Newman-Penrose
     contractions are written for the pairwise arrangement W_{abcd} =
-    weyl[c][a][b][d], which is how the array is read here.
+    weyl[c][a][b][d], which is how the array is read here.  Only the
+    nonzero tetrad components enter, and each scalar is returned as the
+    sum of its products, unnormalized: :func:`classify` normalizes it.
     """
     if len(weyl) != 4:
         raise ValueError("the Weyl array must be four dimensional")
-    k, l, m, mb = tetrad.k, tetrad.l, tetrad.m, tetrad.mbar
+    k, l, m, mb = ([(i, x) for i, x in enumerate(v) if x != 0]
+                   for v in (tetrad.k, tetrad.l, tetrad.m, tetrad.mbar))
 
     def contract4(va, vb, vc, vd):
-        total = sp.S.Zero
-        for p in range(4):
-            for q in range(4):
-                for r in range(4):
-                    for s in range(4):
-                        w = weyl[p][q][r][s]
-                        if w == 0:
-                            continue
-                        total += w * va[q] * vb[r] * vc[p] * vd[s]
-        return trigsimp(total)
+        return sp.Add(*(weyl[p][q][r][s] * x * y * z * w
+                        for q, x in va for r, y in vb
+                        for p, z in vc for s, w in vd))
 
     return WeylScalars((
         contract4(k, m, k, m),

@@ -1250,8 +1250,8 @@ def certify_nonzero(e: Expr) -> bool:
     contains the exact value, so that value is nonzero.  A complex
     enclosure excludes 0 when its real or its imaginary part does.  A point
     where the enclosure fails (a pole, ``log`` of a negative interval, a
-    square root of an enclosure that meets its branch cut, a node such as
-    ``sign`` that has no interval form) is skipped.  False means only that
+    square root or ``sign`` of an enclosure that meets its branch cut or 0,
+    a node that has no interval form) is skipped.  False means only that
     no point gave a certificate.
     """
     e = sp.sympify(e)
@@ -1367,6 +1367,13 @@ def _pole_free(x):
     return x
 
 
+def _interval_sign(x):
+    """The sign, exactly 1 or -1, of a real enclosure that excludes 0."""
+    if isinstance(x, _IV.mpc) or 0 in x:
+        raise ValueError(f"no interval sign of {x}")
+    return _IV.mpf(1 if x.a > 0 else -1)
+
+
 #: Enclosures in ``mpmath.iv``, which has no sinh, cosh or tanh: they are
 #: built from ``iv.exp``, and tan and tanh are quotients whose poles
 #: :func:`_pole_free` finds.
@@ -1379,4 +1386,5 @@ _INTERVAL = {
     sp.cosh: lambda x: (_IV.exp(x) + _IV.exp(-x)) / 2,
     sp.tanh: lambda x: 1 - 2 / _pole_free(_IV.exp(2 * x) + 1),
     sp.exp: _IV.exp, sp.log: lambda x: _IV.ln(_pole_free(x)), sp.Abs: abs,
+    sp.sign: _interval_sign,
 }

@@ -773,6 +773,21 @@ def test_compute_cannot_decide_whether_a_metric_is_symmetric(tmp_path,
     assert "cannot decide whether the metric is symmetric" in err
 
 
+def test_compute_decides_a_component_holding_sign(tmp_path, capsys):
+    # christoffel1[z,z,z] = sign(z)/2 exited 2 as undecided; only the first
+    # two stages, as the later ones of this tree metric are slow
+    path = tmp_path / "abs.tm"
+    path.write_text("[chart] coords = x, y, z\n"
+                    "[metric] row = 1+tan(x)^2, 0, 0\n"
+                    "[metric] row = 0, sqrt(x^2+y^2), log(y)\n"
+                    "[metric] row = 0, log(y), abs(z)+2\n")
+    code, out, err = run_cli("compute", "--metric", str(path), "--tensors",
+                             "christoffel1,christoffel2", capsys=capsys)
+    assert code == 0, err
+    assert "christoffel1[z,z,z] = sign(z)/2" in out
+    assert "christoffel2[z,z,z] = " in out
+
+
 @pytest.mark.parametrize("dim", ["-2", "0"])
 def test_indicial_refuses_a_dimension_that_is_not_positive(dim, capsys):
     # --dim -2 printed "result = -2" with exit 0

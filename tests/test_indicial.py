@@ -182,6 +182,23 @@ def test_sort_group_sign_is_permutation_parity():
     assert ind._sort_group([c, b, a], "anti") == ([a, b, c], -1)
     assert ind._sort_group([b, a, b], "anti")[1] == 0
     assert ind._sort_group([c, a, b], "sym") == ([a, b, c], 1)
+    # one label up and down: a trace over an antisymmetric pair
+    up = ("a", True)
+    assert ind._sort_group([b, up, a], "anti")[1] == 0
+    assert ind._sort_group([b, up, a], "sym") == ([a, up, b], 1)
+
+
+def test_canform_antisymmetric_trace_is_zero(ctx):
+    # F_m^m_r W^r: the trace of F over two antisymmetric slots vanishes
+    ctx.decsym("F", 3, 0, [anti_group()])
+    e = parse_tensor_expr("F([m,-m,-r],[])*W([r],[])")
+    assert canform(ctx, e).is_zero
+    assert contract(ctx, e).is_zero
+    assert equivalent(ctx, e, 0 * e)
+    # a trace over slots outside the antisymmetric group stays
+    ctx.decsym("G", 3, 0, [anti_group(1, 2)])
+    kept = parse_tensor_expr("G([m,-r,-m],[])*W([r],[])")
+    assert not canform(ctx, kept).is_zero
 
 
 def test_canform_antisymmetric_cancellation(ctx):
@@ -270,6 +287,22 @@ def test_ichr1_expansion(ctx):
                 + IndexExpr.of(iobj("g", ["l", "h"], (), "k"), coeff=half)
                 - IndexExpr.of(iobj("g", ["h", "k"], (), "l"), coeff=half))
     assert equivalent(ctx, ichr1(ctx, ["h", "k", "l"]), expected)
+
+
+def test_ichr1_with_derivative_label(ctx):
+    # Gamma_abc,d = 1/2 (g_bc,ad + g_ca,bd - g_ab,cd)
+    half = sp.Rational(1, 2)
+    expected = (IndexExpr.of(iobj("g", ["b", "c"], (), "a", "d"),
+                             coeff=half)
+                + IndexExpr.of(iobj("g", ["c", "a"], (), "b", "d"),
+                               coeff=half)
+                - IndexExpr.of(iobj("g", ["a", "b"], (), "c", "d"),
+                               coeff=half))
+    e = ichr1(ctx, ["a", "b", "c"], ["d"])
+    assert len(e.terms) == 3
+    assert equivalent(ctx, e, expected)
+    assert equivalent(ctx, expand_christoffels(
+        ctx, obj("ichr1", ["a", "b", "c"], (), "d")), expected)
 
 
 def test_ichr2_is_raised_ichr1(ctx):

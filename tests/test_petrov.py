@@ -194,6 +194,26 @@ def test_kerr_psi_pattern():
     assert classify(psis) is PetrovType.D
 
 
+@pytest.mark.parametrize("name", ["kerr_newman", "exteriorschwarzschild",
+                                  "interiorschwarzschild"])
+def test_weyl_scalars_call_no_simplifier(name, monkeypatch):
+    # weyl_scalars only contracts; classify is the one place the scalars
+    # are normalized, so no trig reduction runs on them twice
+    ctx = catalog.load(name, frame=True)
+    weyl, tetrad = ctx.weyl_frame, np_tetrad(ctx)
+    calls = collections.Counter()
+    for owner, attr in ((scalars.KernelField, "reduce_trig"),
+                        (scalars, "_reduce_trig_tree")):
+        def counted(*args, _run=getattr(owner, attr), _attr=attr):
+            calls[_attr] += 1
+            return _run(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    psis = weyl_scalars(weyl, tetrad)
+    assert calls == {}
+    assert classify(psis) is PetrovType.D
+
+
 # ---------------------------------------------------------------------------
 # invariants I and J
 

@@ -971,7 +971,7 @@ def test_certificate_skips_a_point_where_the_enclosure_fails(monkeypatch):
     x0 = first(0)
     x = sym("x")
     for e in (1 / (x - x0), sp.cos(1 / (x - x0)) + 2,
-              sp.sqrt(sp.I * (x - x0) - 1)):
+              sp.sqrt(sp.I * (x - x0) - 1), sp.sign(x - x0)):
         with monkeypatch.context() as m:
             m.setattr(scalars, "_POINTS", (first,))
             assert not certify_nonzero(e)
@@ -982,11 +982,21 @@ def test_certificate_skips_a_point_where_the_enclosure_fails(monkeypatch):
 
 
 def test_node_without_interval_form_is_skipped():
-    # sign has no interval form, so no point certifies, and is_zero decides
+    # atan has no interval form, so no point certifies, and is_zero decides
     # by the normal form
-    e = sp.sign(sym("x")) + 2
+    e = sp.atan(sym("x")) + 2
     assert not certify_nonzero(e)
     assert not is_zero(e)
+
+
+def test_sign_of_an_enclosure_that_excludes_0_certifies():
+    # christoffel1[z,z,z] of a metric with abs(z); sign had no interval
+    # form, so compute refused it
+    z = sym("z")
+    assert certify_nonzero(sp.sign(z) / 2)
+    assert certify_nonzero(sp.sign(-z) + sp.Rational(1, 2))
+    # a complex enclosure has no sign in interval form
+    assert not certify_nonzero(sp.sign(z + sp.I))
 
 
 def test_sin_2theta_spherical_component_does_not_certify():
