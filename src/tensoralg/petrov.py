@@ -9,8 +9,11 @@ tree driven by which scalars (and which derived invariants) vanish.  Every
 condition of the tree is a homogeneous polynomial in the scalars, so
 multiplying all five by one nonzero function changes no decision.
 :func:`classify`, the one place the scalars are normalized, therefore
-reads them into one kernel field and writes them as numerators N_k over
-their common denominator D; when D is not zero, the tree runs once on the
+reads them straight into numerators N_k over their common denominator D
+in one kernel field (:meth:`scalars.KernelField.numerators`), with no
+element made and nothing cancelled: a common factor of the N_k and D is
+nonzero where D is, and a certificate on a multiple of a value proves the
+value nonzero.  When D is not zero, the tree runs once on the
 N_k with ring arithmetic, and :meth:`scalars.KernelField.vanishes` decides
 each condition: zero when its polynomial reduced by the field's relations
 is 0, nonzero when that polynomial holds symbols only, the field is
@@ -30,7 +33,7 @@ from enum import Enum
 import sympy as sp
 
 from .curvature import MetricContext
-from .scalars import TREES, UnclassifiableError, exact, in_field, ratsimp
+from .scalars import TREES, UnclassifiableError, exact, kernel_field, ratsimp
 
 
 class PetrovType(Enum):
@@ -147,11 +150,13 @@ def classify(psi) -> PetrovType:
 
     Direct table hit on the zero pattern where possible; otherwise the
     numbered branch conditions decide, computing auxiliary invariants only
-    as needed.  Scalars that are not all numbers are read into one kernel
-    field and the tree runs on their numerators over the common denominator
-    D (see the module docstring); outside every field it runs on the
-    expressions.  ValueError when D is zero or a scalar is not finite and
-    exact (a float, ``nan``, ``oo``): no rounding decides a type.
+    as needed.  Scalars that are not all numbers are read straight into
+    numerators over their common denominator D in one kernel field, each
+    shared subexpression once and no element made, and the tree runs on
+    the numerators (see the module docstring); outside every field, or
+    when a scalar divides by zero there, it runs on the expressions.
+    ValueError when D is zero or a scalar is not finite and exact (a float,
+    ``nan``, ``oo``): no rounding decides a type.
     """
     if isinstance(psi, WeylScalars):
         psi = psi.psi
@@ -160,12 +165,15 @@ def classify(psi) -> PetrovType:
         raise ValueError("expected five Weyl scalars")
     # plain numbers are decided at once by the trees; a kernel field holds
     # no float or undefined value, so only the trees need the check
-    found = None if all(p.is_Number for p in psi) else in_field(psi)
-    if found is None:
+    K = None if all(p.is_Number for p in psi) else kernel_field(psi)
+    if K is not None:
+        try:
+            den, numerators = K.numerators(psi)
+        except ZeroDivisionError:
+            K = None
+    if K is None:
         return _decide([exact(p, f"Weyl scalar psi{k}")
                         for k, p in enumerate(psi)], TREES)
-    K, elements = found
-    den, numerators = K.numerators(elements)
     if K.vanishes(den):
         raise ValueError("the Weyl scalars divide by zero")
     return _decide(numerators, K)

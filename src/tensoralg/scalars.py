@@ -22,9 +22,13 @@ square is known, two roots of one square included, while the normal form
 stays canonical.  Like Maxima's canonical rational expressions, its
 elements are ratios of polynomials with integer coefficients, and an
 expression enters with one cancel.
-Input enters a field in one place, :func:`in_field`, for a single
-expression as for the inputs of a curvature context, and from that input
-alone: a symbol in no entry has zero derivative and changes no normal form.
+A field is made from its input alone, by :func:`kernel_field`: a symbol
+in no entry has zero derivative and changes no normal form.  Input enters
+it in one of two readings.  :func:`in_field` makes elements, for a single
+expression as for the inputs of a curvature context.
+:meth:`KernelField.numerators` makes none: it writes expressions as
+numerators over one common denominator, uncancelled, for a decision that
+is homogeneous in them, as the Petrov type is in the Weyl scalars.
 A context whose metric, torsion and nonmetricity lie in one (every catalog
 metric does) computes every coordinate stage on its elements, and a frame
 context whose frame lies in one its frame stages too:
@@ -51,7 +55,7 @@ from operator import itemgetter
 import sympy as sp
 from mpmath.ctx_iv import MPIntervalContext
 from sympy.polys.fields import FracField
-from sympy.polys.polyutils import _sort_gens
+from sympy.polys.polyutils import _gens_order, _max_order, _re_gen
 from sympy.printing.str import StrPrinter
 
 Expr = sp.Expr
@@ -341,7 +345,9 @@ def ratsimp(e: Expr) -> Expr:
     kernels of non-polynomial arguments are no generators: such an
     expression is combined term by term on expression trees, keeping
     intermediate fractions reduced (combining everything first makes the
-    gcd step explode on curvature-sized expressions).
+    gcd step explode on curvature-sized expressions).  Each exp(c + u) with
+    a rational c is written exp(u)*exp(c) first: ``sp.cancel`` does so only
+    sometimes, and ``ratsimp`` of the result must be the result.
     """
     e = sp.sympify(e)
     if e.is_Number:
@@ -350,6 +356,7 @@ def ratsimp(e: Expr) -> Expr:
     if found is not None:
         K, (f,) = found
         return K.expr(f)
+    e = e.replace(lambda n: n.func is sp.exp, _split_exp)
     terms = sp.Add.make_args(e)
     if len(terms) > 2:
         acc = sp.S.Zero
@@ -359,7 +366,20 @@ def ratsimp(e: Expr) -> Expr:
     return sp.cancel(sp.together(e))
 
 
+def _split_exp(n):
+    """exp(u)*exp(c) for n = exp(c + u) with c a nonzero rational, else
+    ``n``."""
+    c, u = n.args[0].as_coeff_Add()
+    if n.args[0].is_Add and c.is_Rational and c != 0:
+        return sp.exp(u) * sp.exp(c)
+    return n
+
+
 _KERNELS = (sp.sin, sp.cos, sp.sinh, sp.cosh)
+
+#: The exponents of a denominator without base factors, which every leaf
+#: shares: no exponent map is changed once made.
+_NO_FACTORS = Counter()
 
 
 def _generators(exprs, radicands=None):
@@ -386,8 +406,23 @@ def _generators(exprs, radicands=None):
 
 
 def _ordered(gens):
-    # sp.cancel's generator order; the first sort settles _sort_gens's ties
-    return _sort_gens(sorted(gens, key=sp.default_sort_key))
+    """``gens`` in sp.cancel's order, the key of sympy's ``_sort_gens``
+    on each generator's text: the band of its name, its name, its digit
+    suffix.  A first sort by ``sp.default_sort_key`` settles ties."""
+    def key(g):
+        name, index = _re_gen.match(_gen_text(g) or str(g)).groups()
+        return _gens_order.get(name, _max_order), name, int(index or 0)
+    return tuple(sorted(sorted(gens, key=sp.default_sort_key), key=key))
+
+
+def _gen_text(g):
+    """The text sympy's printer gives a symbol or a kernel of a symbol,
+    written without the printer; None for any other generator."""
+    if g.func is sp.Symbol:
+        return g.name
+    if g.func in _KERNELS and g.args[0].func is sp.Symbol:
+        return f"{g.func.__name__}({g.args[0].name})"
+    return None
 
 
 @functools.lru_cache(maxsize=128)
@@ -557,7 +592,13 @@ class KernelField:
     gcd.  A division is tried only where the factor's value divides the
     numerator's at fixed integer points, and counts only with remainder 0;
     the factors being irreducible, this divides by the exact gcd and gives
-    the element ``field.new`` gives.  Base and memo live on the field.
+    the element ``field.new`` gives.  Base and memo live on the field, and
+    so does a read memo: :meth:`_pair` reads each distinct subexpression
+    but a rational once per field.  What it keeps is never changed in
+    place, and every leaf shares one empty exponent map.  The generators
+    keep ``sp.cancel``'s order, which :func:`_ordered` computes from their
+    texts, a symbol's or a symbol kernel's written as :meth:`text` writes
+    it, without the printer.
 
     One relation table holds every generator whose square is known,
     gens[i]^2 = p_i with p_i a polynomial in the other generators:
@@ -579,6 +620,8 @@ class KernelField:
                         [47 + 23 * i for i in range(len(gens))]]
         # radicand expression -> its root as _pair gives it
         self._roots = {}
+        # expression -> what _pair gives it, each read once per field
+        self._reads = {}
         index = {g: i for i, g in enumerate(gens)}
         roots = dict(roots)
         # (i, p): gens[i] is a root with gens[i]^2 = p
@@ -624,15 +667,22 @@ class KernelField:
         """(n, c, exps) with ``e`` = n / (c prod base[i]^exps[i]), n in
         Z[gens], not cancelled: a sum is taken over the denominator of the
         largest exponents, and a half-integer power of a radicand is a power
-        of its root."""
+        of its root.  Read once per field and kept, a rational excepted."""
         if e.is_Rational:
-            return self.ring(e.p), e.q, Counter()
+            return self.ring(e.p), e.q, _NO_FACTORS
+        read = self._reads.get(e)
+        if read is None:
+            read = self._reads[e] = self._read(e)
+        return read
+
+    def _read(self, e):
+        """:meth:`_pair` of an expression that is not a rational."""
         if e.is_Add:
             return self._common(list(map(self._pair, e.args)))
         if e.is_Mul:
-            num, c, exps = self.ring.one, 1, Counter()
+            num, c, exps = self.ring.one, 1, _NO_FACTORS
             for n, cn, en in map(self._pair, e.args):
-                num, c, exps = num * n, c * cn, exps + en
+                num, c, exps = num * n, c * cn, exps + en if en else exps
             return num, c, exps
         if e.is_Pow and e.exp.is_Rational and e.exp.q <= 2:
             num, c, exps = (self._pair(e.base) if e.exp.q == 1
@@ -642,8 +692,9 @@ class KernelField:
                     raise ZeroDivisionError("negative power of zero")
                 num, (c, exps) = self._product(c, exps), self._split(num)
             k = abs(e.exp.p)
-            return num ** k, c ** k, sum([exps] * k, Counter())
-        return self._gens[e], 1, Counter()
+            return num ** k, c ** k, exps if k == 1 else Counter(
+                {i: j * k for i, j in exps.items()})
+        return self._gens[e], 1, _NO_FACTORS
 
     def expr(self, f):
         """``f`` as the expression :func:`ratsimp` gives for it: numerator
@@ -701,12 +752,7 @@ class KernelField:
         gens = self.field.symbols
         order = sorted(range(len(gens)),
                        key=lambda i: sp.default_sort_key(gens[i]))
-        names = []
-        for g in (gens[i] for i in order):
-            if g.func in _KERNELS and g.args[0].is_Symbol:
-                names.append(f"{g.func.__name__}({g.args[0].name})")
-            else:
-                names.append(g.name if g.is_Symbol else render(g))
+        names = [_gen_text(gens[i]) or render(gens[i]) for i in order]
         return (itemgetter(*order) if len(order) > 1 else tuple, names,
                 [i for i, g in enumerate(gens)
                  if i in self._radical_set or not g.free_symbols])
@@ -860,14 +906,16 @@ class KernelField:
         num, c, exps = self._common(parts)
         return self._cancel(self._reduce_even(num, self._radicals), c, exps)
 
-    def numerators(self, elements):
-        """(D, [N_k]) with N_k / D the k-th of ``elements``: D is their
-        common denominator, of the lcm of their contents and the largest
-        exponents over the factor base, taken with no gcd, and each N_k in
-        Z[gens] is reduced by the relation table."""
-        nums, c, exps = self._over([(f.numer, *self._split(f.denom))
-                                    for f in elements])
-        return self._product(c, exps), list(map(self.ratsimp, nums))
+    def numerators(self, exprs):
+        """(D, [N_k]) with N_k / D the k-th of the expressions ``exprs``,
+        each read by :meth:`_pair` and made no element: D is their common
+        denominator, of the lcm of their contents and the largest exponents
+        over the factor base, taken with no gcd, and each N_k in Z[gens] is
+        reduced by the relation table.  The N_k may share a factor with D;
+        a decision homogeneous in them does not depend on it.
+        ZeroDivisionError when an expression divides by zero."""
+        nums, c, exps = self._over(list(map(self._pair, exprs)))
+        return self._product(c, exps), list(map(self._reduce_even, nums))
 
     def vanishes(self, p, question=_QUESTION):
         """The zero test on an element, or a polynomial over a nonzero

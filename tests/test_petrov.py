@@ -504,6 +504,51 @@ def test_field_decision_agrees_with_expression_trees(psi):
     assert _outcome(classify, psi) is tree
 
 
+def _frame_petrov_tuple(qs, a=3, b=2):
+    # psi_k = q_k * (x + a)/(x^2 + b), a zero entry written as
+    # (sin(x)^2 + cos(x)^2 - 1) * w, as frame-petrov draws them
+    w = (_X + a) / (_X ** 2 + b)
+    return [sp.Rational(q) * w if q else _ZERO * w for q in qs]
+
+
+@pytest.mark.parametrize("qs", [(1, 0, 3, -1, 2), (0, 0, 1, 0, 0),
+                                (1, 4, 6, 4, 1), (0, -2, 0, 0, 7)])
+def test_classify_reads_each_subexpression_once(monkeypatch, qs):
+    # the five psi go straight to numerators: no element, no cancellation,
+    # the denominator x^2 + b factored once, and w, which all five share,
+    # read once
+    from sympy.polys.rings import PolyElement
+    want = classify(qs)
+    psi = _frame_petrov_tuple(qs)
+
+    def forbidden(*args):
+        raise AssertionError("classify made an element")
+    monkeypatch.setattr(scalars.KernelField, "element", forbidden)
+    monkeypatch.setattr(scalars.KernelField, "_cancel", forbidden)
+    counts, reads = collections.Counter(), collections.Counter()
+    factor_list, read = PolyElement.factor_list, scalars.KernelField._read
+    monkeypatch.setattr(PolyElement, "factor_list", lambda self: (
+        counts.update(["factor_list"]), factor_list(self))[1])
+    monkeypatch.setattr(scalars.KernelField, "_read", lambda self, e: (
+        reads.update([e]), read(self, e))[1])
+    assert classify(psi) is want
+    assert counts["factor_list"] == 1
+    assert _X + 3 in reads and set(reads.values()) == {1}
+
+
+def test_reading_twice_into_one_field_gives_equal_elements():
+    # the reads of one field share their exponent maps; had one been
+    # changed, a second read would give another element
+    w = (_X + 3) ** 2 / (_X ** 2 + 2) ** 3
+    psi = [p * (1 + 1 / (_X ** 2 + 2)) for p in _frame_petrov_tuple(
+        (1, 0, 3, -1, 2))] + [w, w * sp.sin(_X) / (_X + 1), 1 / w]
+    field, fresh = scalars.kernel_field(psi), scalars.kernel_field(psi)
+    first = [field.element(p) for p in psi]
+    assert first == [field.element(p) for p in psi]
+    assert first == [fresh.element(p) for p in psi]
+    assert field.numerators(psi) == fresh.numerators(psi)
+
+
 # ---------------------------------------------------------------------------
 # end-to-end classification
 

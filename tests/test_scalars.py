@@ -223,6 +223,12 @@ def _safe_eval(e, point):
 
 @settings(max_examples=60, deadline=None)
 @given(_exprs())
+# sp.cancel splits exp(x/4 - 1/4) into exp(-1/4)*exp(x/4), which it reads
+# as exp(x/4)/exp(1/4): ratsimp gave x + exp(-1/4)*exp(x/4), and ratsimp of
+# that (x*exp(1/4) + exp(x/4))*exp(-1/4)
+@example(parse("x + exp(x/4 - 1/4)"))
+@example(parse("exp(x/4 - 1/4)^2 + 1/x"))
+@example(parse("exp(2)*x + exp(y + 3)"))
 def test_canonicalization_idempotent(e):
     r = ratsimp(e)
     assert ratsimp(r) == r
@@ -656,6 +662,54 @@ def test_frame_petrov_tuple_fields_never_compute_canonical(monkeypatch,
     for job in tuples:
         job.check(job.run())
     assert asked == []
+
+
+def _root_generators():
+    # the roots q = b*sqrt(a/b) of three independent radicands
+    field = scalars.kernel_field([parse(t) for t in (
+        "sqrt(x^2+y)", "sqrt((x+2)/(1-y))", "sqrt(r^2+a^2*cos(theta)^2)")],
+        True)
+    return sorted((g for g in field.field.symbols
+                   if not (g.is_Symbol or g.func in scalars._KERNELS)),
+                  key=sp.default_sort_key)
+
+
+_SYMBOLS = st.sampled_from(
+    # digit suffixes, a letter of each _gens_order band and none
+    ["x", "x1", "x2", "x10", "y", "z", "a", "b3", "o", "p", "r", "w12",
+     "theta", "phi2", "A", "Z", "%pi"]).map(sym)
+
+
+@st.composite
+def _generator_sets(draw):
+    x, y = sym("x"), sym("y")
+    arguments = _SYMBOLS | st.sampled_from(
+        [x + y, x * y, 2 * x, x ** 2 + 1, x / 3 + y])
+    kernels = st.builds(lambda f, u: f(u), st.sampled_from(scalars._KERNELS),
+                        arguments)
+    return draw(st.sets(_SYMBOLS | kernels | st.sampled_from(
+        _root_generators()), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generator_sets())
+def test_generator_order_is_sympys(gens):
+    # sp.cancel's order, computed without printing a symbol or a kernel of
+    # a symbol: goldens and table choices depend on it
+    from sympy.polys.polyutils import _sort_gens
+    assert scalars._ordered(gens) == _sort_gens(
+        sorted(gens, key=sp.default_sort_key))
+
+
+def test_kernel_field_orders_its_generators_without_printing(monkeypatch):
+    printed = []
+    doprint = StrPrinter.doprint
+    monkeypatch.setattr(StrPrinter, "doprint", lambda self, e: (
+        printed.append(e), doprint(self, e))[1])
+    x1, x10, y = sym("x1"), sym("x10"), sym("y")
+    field = scalars.kernel_field([x10 * sp.sin(y) + sp.cosh(x1) / y,
+                                  scalars.PI * sp.cos(x1)])
+    assert field is not None and printed == []
 
 
 @pytest.mark.parametrize("radicand", [
