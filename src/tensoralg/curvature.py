@@ -16,10 +16,10 @@ those of the covariant derivative of the frame.
 
 A context keeps one record per stage: its scalar domain and its
 components.  The domain is a :class:`scalars.KernelField` when the inputs
-lie in one, with the square roots of a frame as field generators, and
-expression trees otherwise.  A frame outside every kernel field keeps its
-frame stages on trees beside a coordinate field, that of its derived
-metric, when there is one.  Zero is decided by the domain's ``vanishes``.
+lie in one, square roots included, and expression trees otherwise.  A
+frame outside every kernel field keeps its frame stages on trees beside a
+coordinate field, that of its derived metric, when there is one.  Zero is
+decided by the domain's ``vanishes``.
 """
 
 from __future__ import annotations
@@ -192,18 +192,18 @@ class MetricContext:
 
     Each stage is kept once, as a record of its scalar domain and its
     components.  When the metric, torsion and nonmetricity entries are
-    rational functions of symbols and sin/cos/sinh/cosh kernels, ``field``
-    is their :class:`scalars.KernelField`, built from these entries alone,
-    and every coordinate stage computes on its elements and makes each
-    component in the normal form ``K.ratsimp``.  Stages read one another, and
+    rational functions of symbols, sin/cos/sinh/cosh kernels and square
+    roots (see :func:`scalars.kernel_field`), ``field`` is their
+    :class:`scalars.KernelField`, built from these entries alone, and every
+    coordinate stage computes on its elements and makes each component in
+    the normal form ``K.ratsimp``.  Stages read one another, and
     :meth:`printable` and :meth:`vanishing` read them, as records, with no
     conversion; only a caller's read of a public property converts its
-    stage to expressions, once, cached beside the record.  Otherwise
-    ``field`` is None and the stages work on expression trees, kept as
-    computed.  A frame context whose frame rows lie in a
-    kernel field with square roots as generators (see
-    :func:`scalars.kernel_field`), two roots of one square included, as
-    in the Schwarzschild frames, takes that field for every stage, frame
+    stage to expressions, once, cached beside the record.  Otherwise, or
+    when an entry or the determinant meets a zero divisor, ``field`` is
+    None and the stages work on expression trees, kept as computed.  A
+    frame context whose frame rows lie in a kernel field by the same rule,
+    as in the Schwarzschild frames, takes that field for every stage, frame
     stages included, and derives its metric there; any other frame keeps
     its frame stages on expression trees.
 
@@ -279,44 +279,53 @@ class MetricContext:
         ``_fri``, ``_eta``) and drop every stage computed so far.
 
         A frame context whose frame, frame metric, torsion and nonmetricity
-        lie in one kernel field, roots admitted, computes every stage in it
-        and derives the metric there, unless that metric or the inverse of
-        its determinant, the one divisor of the stages, meets a zero
-        divisor.  Otherwise the frame stays on
+        lie in one kernel field (see :meth:`_in_field`) computes every stage
+        in it and derives the metric there.  Otherwise the frame stays on
         expression trees, where the metric is derived, and ``_K`` is the
-        kernel field of metric, torsion and nonmetricity, or else expression
-        trees too.  A coordinate or constant in no entry is no generator."""
+        kernel field of metric, torsion and nonmetricity, or else trees."""
         self._memo.clear()
         self._exprs.clear()
         extra = (self.torsion_values, self.nonmetricity_values)
-        if self.cframe_flag:
-            found = scalars.in_field((self.fri, self.lfg) + extra,
-                                     radicals=True)
-            if found is not None:
-                K, (f, eta, tau, mu) = found
-                try:
-                    g = self._frame_metric(K, f, eta)
-                    det = _det(g, K)
-                    K.reduce_trig(K.one / det)
-                except ZeroDivisionError:
-                    found = None
-            if found is not None:
-                K.choose_table(sum(g, []))
-                self._memo["det"] = (K, K.reduce_trig(det))
-                self.lg = _map(K.expr, g)
-                self.field = self._K = self._FK = K
-                self._g, self._tau, self._mu, self._fri, self._eta = (
-                    g, tau, mu, f, eta)
-                return
-            self.lg = self._frame_metric(TREES, self.fri, self.lfg)
-        self._fri, self._eta, self._FK = self.fri, self.lfg, TREES
-        inputs = (self.lg,) + extra
+        found = self.cframe_flag and self._in_field(
+            (self.fri, self.lfg) + extra, frame=True)
+        if found:
+            K, g, (self._fri, self._eta, tau, mu) = found
+            self.lg = _map(K.expr, g)
+        else:
+            if self.cframe_flag:
+                self.lg = self._frame_metric(TREES, self.fri, self.lfg)
+            self._fri, self._eta = self.fri, self.lfg
+            K, g, (_, tau, mu) = (self._in_field((self.lg,) + extra)
+                                  or (TREES, self.lg, (None,) + extra))
+        self._FK = K if found else TREES
+        self.field = None if K is TREES else K
+        self._K, self._g, self._tau, self._mu = K, g, tau, mu
+
+    def _in_field(self, inputs, frame=False):
+        """(K, g, values): the kernel field of ``inputs``, roots admitted,
+        their values in it and the metric, derived from the first two when
+        ``frame``; or None when an input, reduced under the table the
+        metric chooses, divides by zero, or the determinant, the one
+        divisor of the stages, is a zero divisor of K.  The determinant is
+        kept as the ``det`` stage.  A coordinate or constant in no entry is
+        no generator."""
         found = scalars.in_field(inputs)
-        self.field = None if found is None else found[0]
-        self._K = TREES if found is None else found[0]
-        self._g, self._tau, self._mu = inputs if found is None else found[1]
-        if found is not None:
-            self.field.choose_table(sum(self._g, []))
+        if found is None:
+            return None
+        K, values = found
+        try:
+            g = self._frame_metric(K, *values[:2]) if frame else values[0]
+            K.choose_table(sum(g, []))
+            for value in values[-2:]:
+                if value is not None:
+                    _map(K.reduce_trig, value)
+            det = K.ratsimp(_det(g, K))
+        except ZeroDivisionError:
+            return None
+        if K.zero_divisor(det):
+            return None
+        self._memo["det"] = (K, det)
+        return K, g, values
 
     def _frame_metric(self, K, f, eta):
         """The metric g_ij = sum_a f_ai e_(a)j, e_(a)j = sum_b eta_ab f_bj,

@@ -10,17 +10,17 @@ condition of the tree is a homogeneous polynomial in the scalars, so
 multiplying all five by one nonzero function changes no decision.
 :func:`classify`, the one place the scalars are normalized, therefore
 reads them straight into numerators N_k over their common denominator D
-in one kernel field (:meth:`scalars.KernelField.numerators`), with no
-element made and nothing cancelled: a common factor of the N_k and D is
-nonzero where D is, and a certificate on a multiple of a value proves the
-value nonzero.  When D is not zero, the tree runs once on the
+in one kernel field, roots admitted (:meth:`scalars.KernelField.numerators`),
+with no element made and nothing cancelled: a common factor of the N_k
+and D is nonzero where D is, and a certificate on a multiple of a value
+proves the value nonzero.  When D is not zero, the tree runs once on the
 N_k with ring arithmetic, and :meth:`scalars.KernelField.vanishes` decides
 each condition: zero when its polynomial reduced by the field's relations
 is 0, nonzero when that polynomial holds symbols only, the field is
 canonical or the interval certificate proves it, and refused otherwise.
-Plain numbers and scalars outside every kernel field (``%i``, roots,
-``exp``, ...) are decided on expression trees by :func:`scalars.vanishes`:
-zero by the normal form, nonzero by the interval certificate.  A refusal
+Plain numbers and scalars outside every kernel field (``%i``, ``exp``,
+...) are decided on expression trees by :func:`scalars.vanishes`: zero
+by the normal form, nonzero by the interval certificate.  A refusal
 raises :class:`UnclassifiableError`, so a type is decided or refused,
 never guessed.
 """
@@ -151,12 +151,12 @@ def classify(psi) -> PetrovType:
     Direct table hit on the zero pattern where possible; otherwise the
     numbered branch conditions decide, computing auxiliary invariants only
     as needed.  Scalars that are not all numbers are read straight into
-    numerators over their common denominator D in one kernel field, each
-    shared subexpression once and no element made, and the tree runs on
-    the numerators (see the module docstring); outside every field, or
-    when a scalar divides by zero there, it runs on the expressions.
-    ValueError when D is zero or a scalar is not finite and exact (a float,
-    ``nan``, ``oo``): no rounding decides a type.
+    numerators over their common denominator D in one kernel field, roots
+    admitted, each shared subexpression once and no element made, and the
+    tree runs on the numerators (see the module docstring); outside every
+    field it runs on the expressions.  ValueError when D is zero or a
+    scalar divides by zero in the field, or a scalar is not finite and
+    exact (a float, ``nan``, ``oo``): no rounding decides a type.
     """
     if isinstance(psi, WeylScalars):
         psi = psi.psi
@@ -166,14 +166,13 @@ def classify(psi) -> PetrovType:
     # plain numbers are decided at once by the trees; a kernel field holds
     # no float or undefined value, so only the trees need the check
     K = None if all(p.is_Number for p in psi) else kernel_field(psi)
-    if K is not None:
-        try:
-            den, numerators = K.numerators(psi)
-        except ZeroDivisionError:
-            K = None
     if K is None:
         return _decide([exact(p, f"Weyl scalar psi{k}")
                         for k, p in enumerate(psi)], TREES)
+    try:
+        den, numerators = K.numerators(psi)
+    except ZeroDivisionError:
+        den = K.zero
     if K.vanishes(den):
         raise ValueError("the Weyl scalars divide by zero")
     return _decide(numerators, K)

@@ -14,31 +14,30 @@ expressions is undecidable in general (Richardson, 1968).  No float
 threshold enters a decision.
 
 As in Maxima's ``ratsimp``, the normal form lives in a field of rational
-functions, a :class:`KernelField`: its generators are symbols and
+functions, a :class:`KernelField`: its generators are symbols,
 ``sin``/``cos``/``sinh``/``cosh`` applications, each sin(u) with cos(u)
-and each sinh(u) with cosh(u), so it is closed under d/dx.  For a frame it
-may also hold square roots of rational functions, each a generator whose
-square is known, two roots of one square included, while the normal form
-stays canonical.  Like Maxima's canonical rational expressions, its
-elements are ratios of polynomials with integer coefficients, and an
-expression enters with one cancel.
+and each sinh(u) with cosh(u), so it is closed under d/dx, and square
+roots of rational functions, each with its known square, two roots of one
+square included, while the normal form stays canonical.  Like Maxima's
+canonical rational expressions, its elements are ratios of polynomials
+with integer coefficients, and an expression enters with one cancel.
 A field is made from its input alone, by :func:`kernel_field`: a symbol
 in no entry has zero derivative and changes no normal form.  Input enters
-it in one of two readings.  :func:`in_field` makes elements, for a single
-expression as for the inputs of a curvature context.
-:meth:`KernelField.numerators` makes none: it writes expressions as
-numerators over one common denominator, uncancelled, for a decision that
-is homogeneous in them, as the Petrov type is in the Weyl scalars.
+it, roots admitted, in one of two readings.  :func:`in_field` makes
+elements, for a single expression as for the inputs of a curvature
+context.  :meth:`KernelField.numerators` makes none: it writes expressions
+as numerators over one common denominator, uncancelled, for a decision
+that is homogeneous in them, as the Petrov type is in the Weyl scalars.
 A context whose metric, torsion and nonmetricity lie in one (every catalog
 metric does) computes every coordinate stage on its elements, and a frame
 context whose frame lies in one its frame stages too:
 :meth:`KernelField.diff` is a derivation over the generators,
-:meth:`KernelField.reduce_trig` the
-reduction by the known squares as a ring operation, and an element becomes
-an expression once, through the form :func:`ratsimp` returns.  Other input
-(roots whose squares are dependent but not equal, ``%i``, ``exp``,
-``log``, ``abs``, ``tan`` or ``tanh``, and roots in a metric) keeps
-expression trees and the functions below, through :data:`TREES`.
+:meth:`KernelField.reduce_trig` the reduction by the known squares as a
+ring operation, and an element becomes an expression once, through the
+form :func:`ratsimp` returns.  Other input (``exp``, ``log``, ``tan``,
+``tanh``, ``abs``, ``%i``, roots whose squares are dependent but not
+equal) keeps expression trees and the functions below, through
+:data:`TREES`; :func:`ratsimp` and :func:`trigsimp` read no root.
 """
 
 from __future__ import annotations
@@ -335,14 +334,15 @@ def ratsimp(e: Expr) -> Expr:
     polynomials with common factors cancelled, exactly 0 iff the numerator
     is the zero polynomial.
 
-    A number is returned as it is.  An expression in a kernel field (see
-    :func:`in_field`) is computed there, where every sum and product
-    cancels its gcd as it is formed; its numerator and denominator are the
-    pair ``sp.cancel`` gives, so no closing ``cancel`` is needed.
+    A number is returned as it is.  An expression in a kernel field with no
+    root (see :func:`kernel_field`) is computed there, where every sum and
+    product cancels its gcd as it is formed; its numerator and denominator
+    are the pair ``sp.cancel`` gives, so no closing ``cancel`` is needed.
 
-    ``sqrt`` and ``%i`` obey algebraic relations and sympy merges
-    ``exp(x)*exp(y)``, so these, ``tan``, ``tanh``, ``log``, ``abs`` and
-    kernels of non-polynomial arguments are no generators: such an
+    Here and in :func:`trigsimp` alone, roots are no generators: a root
+    b*sqrt(a/b) would print multiplied out and leave denominators.  Nor are
+    ``%i``, ``exp`` (sympy merges ``exp(x)*exp(y)``), ``tan``, ``tanh``,
+    ``log``, ``abs`` and kernels of non-polynomial arguments: such an
     expression is combined term by term on expression trees, keeping
     intermediate fractions reduced (combining everything first makes the
     gcd step explode on curvature-sized expressions).  Each exp(c + u) with
@@ -352,8 +352,8 @@ def ratsimp(e: Expr) -> Expr:
     e = sp.sympify(e)
     if e.is_Number:
         return e
-    found = in_field([e])
-    if found is not None:
+    found = _generators([e]) is not None and in_field([e])
+    if found:
         K, (f,) = found
         return K.expr(f)
     e = e.replace(lambda n: n.func is sp.exp, _split_exp)
@@ -386,7 +386,7 @@ def _generators(exprs, radicands=None):
     """Symbols and sin/cos/sinh/cosh applications in ``exprs``, or None if
     one of them is not a rational function of these.  Given a set
     ``radicands``, a half-integer power is admitted too, and its base is
-    added to the set."""
+    added to the set and searched."""
     found = set()
     stack = list(exprs)
     while stack:
@@ -400,6 +400,7 @@ def _generators(exprs, radicands=None):
         elif (radicands is not None and node.is_Pow and node.exp.is_Rational
               and node.exp.q == 2):
             radicands.add(node.base)
+            stack.append(node.base)
         elif not node.is_Rational:
             return None
     return found
@@ -439,33 +440,28 @@ _PARTNERS = {sp.sin: (sp.cos, 1), sp.cos: (sp.sin, -1),
 _SQUARES = {sp.sin: -1, sp.cosh: 1}
 
 
-def kernel_field(exprs, radicals=False):
+def kernel_field(exprs):
     """The :class:`KernelField` of ``exprs``, or None.
 
-    Its generators are the symbols, the symbols of kernel arguments and the
+    Its generators are the symbols, the symbols of kernel arguments, the
     kernels of ``exprs``, each sin(u) with cos(u) and each sinh(u) with
-    cosh(u), and nothing else: a symbol in no expression, such as a
-    coordinate an entry does not depend on, has zero derivative and changes
-    no normal form.  None when an expression is not a rational function of
-    these or a kernel argument is not a polynomial in symbols.
+    cosh(u), and roots, and nothing else: a symbol in no expression, such
+    as a coordinate an entry does not depend on, has zero derivative and
+    changes no normal form.  None when an expression is not a rational
+    function of these or a kernel argument is not a polynomial in symbols.
 
-    With ``radicals``, a half-integer power is admitted too when its base
+    As with Maxima's ``algebraic: true``, a half-integer power whose base
     reduces to a ratio a/b of polynomials in the generators other than sin
-    and cosh: its root is the generator q = b*sqrt(a/b), with q^2 = a*b.
+    and cosh is a power of the generator q = b*sqrt(a/b), with q^2 = a*b.
     The field is returned only when its normal form stays canonical, that
     is when the distinct radicands a*b and the relations 1 - cos(u)^2 and
     1 + sinh(u)^2 are independent modulo squares: no branch of a root is
     ever chosen, and two roots of one a*b stay two generators.
     """
-    radicands = set() if radicals else None
+    radicands = set()
     found = _generators(exprs, radicands)
     if found is None:
         return None
-    for radicand in radicands or ():
-        inner = _generators([radicand])
-        if inner is None:
-            return None
-        found.update(inner)
     for kernel in [g for g in found if not g.is_Symbol]:
         arg = kernel.args[0]
         inner = _generators([arg])
@@ -481,12 +477,12 @@ def kernel_field(exprs, radicals=False):
     return _adjoin_roots(field, radicands) if radicands else field
 
 
-def in_field(inputs, radicals=False):
+def in_field(inputs):
     """The :func:`kernel_field` of ``inputs`` (expressions, nested lists of
     them, or None), with each input's value in it, or None when there is no
     such field or an input divides by zero."""
     K = kernel_field(sp.flatten([value for value in inputs
-                                 if value is not None]), radicals)
+                                 if value is not None]))
     if K is None:
         return None
     try:
@@ -505,9 +501,9 @@ def _map(fn, value):
 
 def _adjoin_roots(base, radicands):
     """``base`` with the root of each radicand adjoined, or None when a
-    radicand is not a ratio a/b of polynomials in the generators that are
-    not eliminated, or the distinct radicands a*b are not independent
-    modulo squares together with the relations of ``base``.  The roots of
+    radicand holds a root or is not a ratio a/b of polynomials in the
+    generators that are not eliminated, or the distinct radicands a*b are
+    not independent modulo squares with the relations of ``base``.  Roots of
     one a*b, as of (r-2m)/r and r/(r-2m), are equal where a/b > 0 and
     opposite where not: their relations q_i^2 = a*b are a Groebner basis,
     a normal form 0 is 0 on both branches, and q_1 - q_2 is a zero divisor."""
@@ -515,7 +511,7 @@ def _adjoin_roots(base, radicands):
     for radicand in radicands:
         try:
             f = base.reduce_trig(base.element(radicand))
-        except ZeroDivisionError:
+        except (KeyError, ZeroDivisionError):
             return None
         degrees = (f.numer.degrees(), f.denom.degrees())
         if not f.numer or any(d[i] for d in degrees for i in base._eliminated):
@@ -647,6 +643,11 @@ class KernelField:
                 self._pairs.append(((i, 1 + s * p ** 2), (j, s * k ** 2 - s)))
         self._scale = math.lcm(*(c for *_, c in self._chains))
         self._radical_set = {i for i, _ in self._radicals}
+        # the sets of two or more roots of one square
+        shared = {}
+        for i, square in self._radicals:
+            shared.setdefault(square, set()).add(i)
+        self._twins = [ids for ids in shared.values() if len(ids) > 1]
         # the generators that are not symbols: kernels and roots
         self._kernels = [i for i, g in enumerate(gens) if not g.is_Symbol]
         self._eliminate((0,) * len(self._pairs))
@@ -859,6 +860,19 @@ class KernelField:
             return f
         return self._cancel(num, *self._split(den))
 
+    def zero_divisor(self, f):
+        """Whether the element ``f`` has no inverse in a field that holds a
+        root: clearing the roots from the denominator of 1/f makes it 0, as
+        for q1 - q2 with q1^2 = q2^2.  Always False with no root, as only
+        roots bring zero divisors."""
+        if not self._radicals:
+            return False
+        try:
+            self.reduce_trig(self.one / f)
+        except ZeroDivisionError:
+            return True
+        return False
+
     def _reduce_even(self, p, squares=None):
         """gens[i]^2 -> p_i in the polynomial ``p`` for each relation of
         the table, or of ``squares``, exhaustively: p_i holds no eliminated
@@ -921,21 +935,29 @@ class KernelField:
         """The zero test on an element, or a polynomial over a nonzero
         denominator: True when the numerator reduced by the relation table
         is 0; False when it holds symbols only, or the field is
-        :attr:`canonical` (not computed for symbols only), or
-        :func:`certify_nonzero` proves the element's :meth:`expr` or the
-        reduced polynomial; else :class:`UnclassifiableError`."""
+        :attr:`canonical` (not computed for symbols only) and it holds no
+        two roots of one square, or :func:`certify_nonzero` proves the
+        element's :meth:`expr` or the reduced polynomial; else
+        :class:`UnclassifiableError`.  Two roots of one square are equal
+        where a/b > 0 and opposite where not, so a nonzero normal form
+        holding both, as q1 - q2, may be 0 on one branch."""
         numer = self.ratsimp(getattr(p, "numer", p))
         if not numer:
             return True
-        if (self.__dict__.get("canonical")
+        if ((self.__dict__.get("canonical") and not self._twins)
                 or not any(m[i] for m in numer.itermonoms()
                            for i in self._kernels)
-                or self.canonical):
+                or self.canonical and not self._holds_twins(numer)):
             return False
         value = self.expr(p) if hasattr(p, "numer") else numer.as_expr()
         if certify_nonzero(value):
             return False
         raise UnclassifiableError(value, question)
+
+    def _holds_twins(self, numer):
+        """Whether the polynomial ``numer`` holds two roots of one square."""
+        held = {i for m in numer.itermonoms() for i, k in enumerate(m) if k}
+        return any(len(held & twins) > 1 for twins in self._twins)
 
     @functools.cached_property
     def canonical(self):
@@ -943,7 +965,8 @@ class KernelField:
         arguments, and apart from them the sinh/cosh ones, are nonconstant
         and linearly independent over Q modulo constants (%pi is one), so
         the kernels are algebraically independent (Ax, Ann. Math. 93 (1971)
-        252).  Radicands are independent modulo squares by construction."""
+        252).  Radicands are independent modulo squares by construction,
+        but two roots of one square are not: see :meth:`vanishes`."""
         for funcs in ((sp.sin, sp.cos), (sp.sinh, sp.cosh)):
             args = {g.args[0] for g in self.field.symbols if g.func in funcs}
             if all(u.is_Symbol and u is not PI for u in args):
@@ -1157,11 +1180,14 @@ def trigsimp(e: Expr) -> Expr:
 
     Only sin^2 -> 1 - cos^2 and cosh^2 -> 1 + sinh^2 are used; denominators
     holding odd powers of the eliminated kernels are rationalized so the
-    substitution reaches them too.
+    substitution reaches them too.  A number is returned as it is, and
+    other input is read as :func:`ratsimp` reads it, with no root.
     """
     e = sp.sympify(e)
-    found = in_field([e])
-    if found is None:
+    if e.is_Number:
+        return e
+    found = _generators([e]) is not None and in_field([e])
+    if not found:
         return _reduce_trig_tree(ratsimp(e))
     K, (f,) = found
     return K.expr(K.reduce_trig(f))

@@ -888,15 +888,26 @@ STAGES = ("det", "ug", "christoffel1", "christoffel2", "riemann_lowered",
           "riemann", "ricci", "ricci_scalar", "einstein", "weyl")
 
 
+# metrics holding roots, which are generators of their kernel field
+ROOT_METRICS = {
+    "sqrt(u)": (["u", "v"], [["sqrt(u)", "v"], ["v", "u^2+1"]]),
+    "sqrt(x^2+y)": (["x", "y"], [["sqrt(x^2+y)", "sin(x)"],
+                                 ["sin(x)", "cosh(y)"]]),
+}
+
+
 def _load(name):
     if name == "twisted":
         coords, rows, _ = TWISTED
         return setup_frame(coords, rows, MINUS_PLUS)
+    if name in ROOT_METRICS:
+        return setup_metric(*ROOT_METRICS[name])
     return catalog.load(name)
 
 
 @pytest.mark.parametrize("name", ["spherical", "toroidal",
-                                  "interiorschwarzschild", "twisted"])
+                                  "interiorschwarzschild", "twisted",
+                                  *ROOT_METRICS])
 def test_field_stages_equal_expression_tree_stages(name, monkeypatch):
     # the same metric with its kernel field refused computes every stage
     # on expression trees; each tree component, read into the field and
@@ -906,7 +917,7 @@ def test_field_stages_equal_expression_tree_stages(name, monkeypatch):
     in_field = _load(name)
     K = in_field.field
     assert K is not None
-    monkeypatch.setattr(scalars, "kernel_field", lambda *args: None)
+    monkeypatch.setattr(scalars, "kernel_field", lambda *args, **kw: None)
     on_trees = _load(name)
     assert on_trees.field is None
 
@@ -1114,14 +1125,101 @@ def test_schwarzschild_frame_stages_compute_in_the_kernel_field(name):
     assert p == p2
 
 
-@pytest.mark.parametrize("entry", ["sqrt(x)", "sin(1/x)", "exp(x)"])
-def test_metric_outside_kernel_field_keeps_expression_trees(entry):
+def _check_christoffel2(entry, in_field):
     ctx = setup_metric(["x", "y"], [["1", "0"], ["0", entry]])
-    assert ctx.field is None
+    assert (ctx.field is not None) == in_field
     g = parse(entry)
     x = sym("x")
     expected = -sp.diff(g, x) / 2
     assert is_zero(ctx.christoffel2[1][1][0] - expected)
+
+
+@pytest.mark.parametrize("entry", ["sin(1/x)", "exp(x)"])
+def test_metric_outside_kernel_field_keeps_expression_trees(entry):
+    _check_christoffel2(entry, False)
+
+
+@pytest.mark.parametrize("entry", ["sqrt(x)"])
+def test_metric_with_a_root_computes_in_the_kernel_field(entry):
+    # a root is a generator in a metric as in a frame
+    _check_christoffel2(entry, True)
+
+
+def test_root_metric_whose_determinant_is_a_zero_divisor_keeps_trees():
+    # y*sqrt(x/y) and x*sqrt(y/x) are two roots of the square x*y, so
+    # their difference is a zero divisor of the field and has no inverse
+    # there: the metric stays on expression trees, whose zero test refuses
+    with pytest.raises(scalars.UnclassifiableError,
+                       match="whether the metric is singular"):
+        setup_metric(["x", "y"],
+                     [["y*sqrt(x/y) - x*sqrt(y/x)", "0"], ["0", "1"]])
+    # the roots of the Schwarzschild pair differ where r < 2m, which the
+    # certificate proves, yet their difference has no inverse in the field
+    ctx = setup_metric(["r", "t"], [
+        ["r*sqrt((r-2*m)/r) - (r-2*m)*sqrt(r/(r-2*m))", "0"], ["0", "1"]])
+    assert ctx.field is None
+    assert ctx.ug[1] == [0, 1] and ctx.ug[0][0] != 0
+
+
+# y*sqrt(x/y) and x*sqrt(y/x), two roots of the one square x*y: equal
+# where x*y > 0 and opposite where not
+TWINS = "y*sqrt(x/y) - x*sqrt(y/x)"
+
+
+def test_root_metric_refuses_a_component_zero_on_one_branch():
+    # the metric is diag(1, 1) wherever x*y > 0: christoffel2[x,y,y] and
+    # riemann[x,x,y,y] hold the difference of the two roots, whose normal
+    # form is not 0 though no certificate proves the value nonzero
+    ctx = setup_metric(["x", "y"], [["1", "0"], ["0", f"1 + {TWINS}"]])
+    assert ctx.field is not None
+    for key in ("christoffel2", "riemann"):
+        with pytest.raises(scalars.UnclassifiableError,
+                           match=rf"whether {key}\[[xy,]+\] vanishes"):
+            ctx.vanishing(key)
+
+
+@pytest.mark.parametrize("where", ["metric", "torsion", "nonmetricity"])
+def test_root_input_dividing_by_a_zero_divisor_keeps_trees(where):
+    # 1/(y*sqrt(x/y) + x*sqrt(y/x)) is finite wherever x*y > 0, but clearing
+    # one root from its denominator leaves q2^2 - q1^2 = 0: the context
+    # computes on expression trees instead of raising ZeroDivisionError
+    entry = parse("1/(y*sqrt(x/y) + x*sqrt(y/x))")
+    ctx = setup_metric(["x", "y"], [[1 + entry if where == "metric" else 1,
+                                     0], [0, 1]])
+    if where == "torsion":
+        ctx.set_torsion([[[0, 0], [0, entry]], [[0, -entry], [0, 0]]])
+    elif where == "nonmetricity":
+        ctx.set_nonmetricity([entry, 0])
+    assert ctx.field is None
+    ctx.connection
+    assert is_zero(ctx.ug[0][0] * ctx.lg[0][0] - 1)
+
+
+def test_root_metric_with_torsion_computes_riemann_in_the_field(monkeypatch):
+    # a metric and torsion holding sqrt(u): once they are read into the
+    # field, the direct curvature of the connection runs no expression-tree
+    # simplifier
+    ctx = setup_metric(*ROOT_METRICS["sqrt(u)"])
+    entry = parse("sqrt(u)*v")
+    tau = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    tau[0][1][1], tau[1][0][1] = entry, -entry
+    ctx.set_torsion(tau)
+    assert ctx.field is not None
+    calls = {}
+
+    def counted(name):
+        original = getattr(scalars, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(scalars, name, wrapper)
+
+    for name in ("_reduce_even_trig", "_odd_kernels", "_split_linear",
+                 "ratsimp", "trigsimp", "_reduce_trig_tree", "vanishes"):
+        counted(name)
+    ctx.riemann
+    assert calls == {}
 
 
 @pytest.mark.parametrize("name,value", [

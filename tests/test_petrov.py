@@ -450,11 +450,35 @@ def test_classify_rejects_a_denominator_that_is_provably_zero():
     # divide by zero: sympy's bare ZeroDivisionError leaked from the trees
     x = sym("x")
     zero = sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1
-    for psi in ([1 / zero, 0, 0, 0, 0], [0, 0, 1 / zero, 0, x]):
+    # the field reads (x+1)^2 - x^2 - 2x - 1 as the zero polynomial, and
+    # refuses to divide by it
+    unexpanded = (x + 1) ** 2 - x ** 2 - 2 * x - 1
+    for psi in ([1 / zero, 0, 0, 0, 0], [0, 0, 1 / zero, 0, x],
+                [x / unexpanded, 0, 1, 0, 0]):
         with pytest.raises(ValueError) as err:
             classify(psi)
         assert type(err.value) is ValueError
         assert str(err.value) == "the Weyl scalars divide by zero"
+
+
+@pytest.mark.parametrize("psi4,expected", [
+    ("3*sqrt(u)", PetrovType.D), ("3*sqrt(u) + 1", PetrovType.II),
+    ("3*sqrt(u)/(u + sqrt(u))", PetrovType.II)])
+def test_classify_decides_scalars_with_a_root_in_the_field(
+        psi4, expected, monkeypatch):
+    # sqrt(u) is a generator with sqrt(u)^2 = u, so branch 7's condition
+    # psi3^2 - 3 psi2 psi4 is decided in the field, no tree zero test run
+    monkeypatch.setattr(scalars, "vanishes", None)
+    root = parse("sqrt(u)")
+    assert classify([0, 0, root, 3 * root, parse(psi4)]) is expected
+
+
+def test_classify_refuses_a_scalar_zero_on_one_branch():
+    # y*sqrt(x/y) - x*sqrt(y/x) is 0 wherever x*y > 0 and not elsewhere: its
+    # normal form in the field is not 0, yet no certificate proves the
+    # value nonzero, so the type is refused, not decided as D
+    with pytest.raises(UnclassifiableError, match="whether"):
+        classify([0, 0, parse("y*sqrt(x/y) - x*sqrt(y/x)"), 0, 0])
 
 
 def test_refusal_writes_its_expression_in_the_package_syntax():

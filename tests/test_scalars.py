@@ -129,6 +129,27 @@ def test_trigsimp_pythagorean():
     assert trigsimp(parse("cosh(u)^2 - sinh(u)^2")) == 1
 
 
+def test_simplifying_a_number_builds_no_kernel_field(monkeypatch):
+    built = []
+    init = scalars.KernelField.__init__
+    monkeypatch.setattr(scalars.KernelField, "__init__",
+                        lambda self, *args: built.append(args) or init(
+                            self, *args))
+    for number in (sp.Integer(3), sp.Rational(1, 2)):
+        assert trigsimp(number) == number and ratsimp(number) == number
+    assert built == []
+    assert trigsimp(parse("sin(x)^2 + cos(x)^2")) == 1 and built
+
+
+def test_simplifiers_keep_roots_out_of_their_fields():
+    # roots are no generators in ratsimp and trigsimp, whose results stay
+    # the pair sp.cancel gives: a root in a denominator is not cleared
+    for text in ("1/(1+sqrt(x))", "1/(sqrt(x/y) + x)"):
+        e = parse(text)
+        assert trigsimp(e) == ratsimp(e) == sp.cancel(sp.together(e))
+    assert render(trigsimp(parse("1/(1+sqrt(x))"))) == "1/(sqrt(x) + 1)"
+
+
 def test_trigsimp_quotient():
     out = trigsimp(parse("(1-cos(theta)^2)/sin(theta)"))
     assert out == sp.sin(sym("theta"))
@@ -580,7 +601,7 @@ ROOT_POINT = {"x": 1.3, "y": 0.5, "u": 0.7}
 
 def _root_field(*texts):
     exprs = [parse(t) for t in texts]
-    return scalars.kernel_field(exprs, True), exprs
+    return scalars.kernel_field(exprs), exprs
 
 
 @pytest.mark.parametrize("text, name, point", [
@@ -667,8 +688,7 @@ def test_frame_petrov_tuple_fields_never_compute_canonical(monkeypatch,
 def _root_generators():
     # the roots q = b*sqrt(a/b) of three independent radicands
     field = scalars.kernel_field([parse(t) for t in (
-        "sqrt(x^2+y)", "sqrt((x+2)/(1-y))", "sqrt(r^2+a^2*cos(theta)^2)")],
-        True)
+        "sqrt(x^2+y)", "sqrt((x+2)/(1-y))", "sqrt(r^2+a^2*cos(theta)^2)")])
     return sorted((g for g in field.field.symbols
                    if not (g.is_Symbol or g.func in scalars._KERNELS)),
                   key=sp.default_sort_key)
@@ -917,6 +937,22 @@ def test_roots_of_one_square_are_two_generators():
         field.reduce_trig(field.one / (q1 - q2))
 
 
+def test_difference_of_two_roots_of_one_square_is_not_canonically_nonzero():
+    # y*sqrt(x/y) - x*sqrt(y/x) is 0 wherever x*y > 0: a canonical field
+    # holding both roots leaves it to the certificate, which refuses, and
+    # it has no inverse
+    field, (d, s) = _root_field("y*sqrt(x/y) - x*sqrt(y/x)",
+                                "y*sqrt(x/y) + x")
+    assert field.canonical
+    with pytest.raises(scalars.UnclassifiableError):
+        field.vanishes(field.element(d))
+    assert not field.vanishes(field.element(s))
+    assert field.zero_divisor(field.element(d))
+    assert not field.zero_divisor(field.element(s))
+    plain = scalars.kernel_field([parse("x - y")])
+    assert not plain.zero_divisor(plain.element(parse("x - y")))
+
+
 #: The walker of :func:`scalars.evaluate` in mpmath: the principal square
 #: root, as cmath takes it.
 _MP = {sp.I: mpmath.mpc(0, 1), sp.Rational: lambda q: mpmath.mpf(q.p) / q.q,
@@ -949,7 +985,7 @@ def test_roots_of_one_square_match_expression_trees(u, v):
         if uv:
             signs.setdefault(bool(uv > 0), point)
     assume(len(signs) == 2)
-    field = scalars.kernel_field([p, q], True)
+    field = scalars.kernel_field([p, q])
     assume(field is not None)
     P, Q = field.element(p), field.element(q)
     pairs = [(P + Q, p + q), (P * Q, p * q),
