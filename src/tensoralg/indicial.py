@@ -128,8 +128,8 @@ class IndexedObject:
     def sort_key(self):
         """Canonical ordering key; dummy names are masked so that renaming
         generated dummies cannot reorder factors."""
-        slots = tuple(("*" if l.startswith("%") else l, up) for l, up in self.idx)
-        ders = tuple("*" if d.startswith("%") else d for d in self.deriv)
+        slots = tuple([("*" if l[:1] == "%" else l, up) for l, up in self.idx])
+        ders = tuple(["*" if d[:1] == "%" else d for d in self.deriv])
         return (self.name, len(self.idx), slots, ders, not self.ordered)
 
     def __str__(self):
@@ -504,9 +504,11 @@ def _label_key(label):
 def _sort_group(slots, kind):
     """Sort (label, up) slots; return (sorted, sign) with sign 0 collapsing
     an antisymmetric group that holds one label twice, a trace, which is 0."""
-    order = sorted(range(len(slots)),
-                   key=lambda i: (_label_key(slots[i][0]), slots[i][1]))
-    sorted_slots = [tuple(slots[i]) for i in order]
+    keys = [(_label_key(l), up) for l, up in slots]
+    # most groups hold two slots: one comparison, no sort
+    order = (([1, 0] if keys[1] < keys[0] else [0, 1]) if len(slots) == 2
+             else sorted(range(len(slots)), key=keys.__getitem__))
+    sorted_slots = [slots[i] for i in order]
     if kind != "anti":
         return sorted_slots, 1
     if any(a[0] == b[0] for a, b in zip(sorted_slots, sorted_slots[1:])):
@@ -514,24 +516,27 @@ def _sort_group(slots, kind):
     return sorted_slots, _perm_sign(order)
 
 
-def _apply_symmetries(ctx, obj):
-    """Canonically order the slots of one factor; returns (object, sign),
-    the object itself when no slot moved."""
-    decl, mode = ctx._declaration_for(obj)
-    if decl is None:
-        return obj, 1
+def _symmetry_groups(ctx, obj, shapes):
+    """The declared groups of ``obj`` as (kind, 0-based slot positions)
+    pairs, resolved once per shape (name, notation, variance pattern) into
+    the memo ``shapes``.  Sorting inside a group keeps the shape."""
+    shape = (obj.name, obj.ordered, tuple([up for _, up in obj.idx]))
+    if shape not in shapes:
+        decl, mode = ctx._declaration_for(obj)
+        cov = [i for i, (_, up) in enumerate(obj.idx) if mode == "all" or not up]
+        con = [i for i, (_, up) in enumerate(obj.idx) if up]
+        shapes[shape] = () if decl is None else tuple(
+            (kind, [at[p - 1] for p in positions])
+            for at, groups in ((cov, decl.cov_groups), (con, decl.contra_groups))
+            for kind, positions in groups)
+    return shapes[shape]
+
+
+def _apply_symmetries(obj, groups):
+    """Sort the slots of one factor inside its ``_symmetry_groups``; returns
+    (object, sign), the object itself when no slot moved."""
     idx = list(obj.idx)
     sign = 1
-    if mode == "all":
-        groups = [(kind, [p - 1 for p in positions])
-                  for kind, positions in decl.cov_groups]
-    else:
-        cov_positions = [i for i, (_, up) in enumerate(idx) if not up]
-        con_positions = [i for i, (_, up) in enumerate(idx) if up]
-        groups = [(kind, [cov_positions[p - 1] for p in positions])
-                  for kind, positions in decl.cov_groups]
-        groups += [(kind, [con_positions[p - 1] for p in positions])
-                   for kind, positions in decl.contra_groups]
     for kind, positions in groups:
         slots = [idx[p] for p in positions]
         sorted_slots, s = _sort_group(slots, kind)
@@ -550,11 +555,14 @@ def _apply_symmetries(ctx, obj):
 
 def canform(ctx: TensorContext, e) -> IndexExpr:
     """Canonical form: symmetry-sorted slots (with signs), canonically
-    renamed dummies, deterministic factor order, merged terms."""
+    renamed dummies, deterministic factor order, merged terms.  A term
+    repeats the three steps, at most 8 times, until none changes it; the
+    symmetry groups of a factor shape are resolved once per call."""
     e = _as_expr(e)
-    merged = {}
+    shapes, merged = {}, {}
     for term in e.terms:
         coeff, factors = term.coeff, list(term.factors)
+        groups = [_symmetry_groups(ctx, f, shapes) for f in factors]
         census = _label_census(factors)
         dummies = {label for label, (down, up) in census.items()
                    if down == 1 and up == 1}
@@ -565,7 +573,7 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
             changed = False
             # canonical slot order within each factor
             for i, f in enumerate(factors):
-                f2, s = _apply_symmetries(ctx, f)
+                f2, s = _apply_symmetries(f, groups[i])
                 if s == 0:
                     dead = True
                     break
@@ -576,10 +584,11 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
                     changed = True
             if dead:
                 break
-            # deterministic factor order
-            new_order = sorted(factors, key=IndexedObject.sort_key)
-            if new_order != factors:
-                factors = new_order
+            # deterministic factor order; groups move with their factors
+            new_order = sorted(zip(factors, groups),
+                               key=lambda fg: fg[0].sort_key())
+            if [f for f, _ in new_order] != factors:
+                factors, groups = map(list, zip(*new_order))
                 changed = True
             # canonical dummy names, assigned left to right
             if dummies:
@@ -597,7 +606,7 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
         if dead:
             continue
         key = tuple(factors)
-        merged[key] = merged.get(key, sp.S.Zero) + coeff
+        merged[key] = merged[key] + coeff if key in merged else coeff
     out = []
     for key in sorted(merged, key=lambda fs: tuple(f.sort_key() for f in fs)):
         coeff = merged[key]
@@ -746,74 +755,85 @@ def _kdelta_step(ctx, factors):
 # partial differentiation (Leibniz over factors; coefficients are constants)
 
 
+def _leibniz(terms, label):
+    """``terms`` differentiated by ``label``: one term per factor, in order."""
+    return [Term(t.coeff, t.factors[:i] + (f.with_deriv(label),)
+                 + t.factors[i + 1:])
+            for t in terms for i, f in enumerate(t.factors)]
+
+
 def partial(e, label) -> IndexExpr:
     """Append a partial-derivative index to an expression."""
-    e = _as_expr(e)
-    out = []
-    for term in e.terms:
-        for i, f in enumerate(term.factors):
-            factors = list(term.factors)
-            factors[i] = f.with_deriv(label)
-            out.append(Term(term.coeff, factors))
-    return IndexExpr(out)
+    return IndexExpr(_leibniz(_as_expr(e).terms, label))
 
 
 # ---------------------------------------------------------------------------
 # Christoffel symbols
 
 
-def ichr1(ctx: TensorContext, cov, deriv=()) -> IndexExpr:
-    """First-kind Christoffel symbol expanded into metric derivatives."""
-    if len(cov) != 3:
+def _christoffel(ctx, name, cov, con, deriv, used):
+    """The one expansion, as a list of terms: ichr1 of (h, k, l) is
+    1/2 (g_kl,h + g_lh,k - g_hk,l); ichr2 of (h, k), (j,) is g^jm ichr1 of
+    (h, k, m), m the first generated label not among its labels.  Generated
+    dummies (m, and j if traced) in ``used`` take the first generated labels
+    outside it, which gains j and m; ``deriv`` differentiates as ``partial``."""
+    if name == "ichr1" and (len(cov), len(con)) != (3, 0):
         raise ValueError("ichr1 takes exactly three covariant indices")
-    h, k, l = (str(x) for x in cov)
-    g = ctx.metric
-    half = sp.Rational(1, 2)
-    expr = (IndexExpr.of(iobj(g, [k, l], (), h), coeff=half)
-            + IndexExpr.of(iobj(g, [l, h], (), k), coeff=half)
-            + IndexExpr.of(iobj(g, [h, k], (), l), coeff=-half))
+    if name == "ichr2" and (len(cov), len(con)) != (2, 1):
+        raise ValueError("ichr2 takes two covariant and one contravariant index")
+    cov, con, deriv = ([str(x) for x in xs] for xs in (cov, con, deriv))
+    g, head = IndexedObject(ctx.metric), ()
+    if con:
+        labels = cov + con + deriv
+        (m,) = _fresh_labels(labels)
+        clash = sorted(x for x in {m, *con} if x.startswith("%") and x in used
+                       and labels.count(x) != 1)
+        rename = dict(zip(clash, _fresh_labels(used | {m}, len(clash))))
+        cov, (j, m), deriv = ([rename.get(x, x) for x in xs]
+                              for xs in (cov, con + [m], deriv))
+        used.update((j, m))
+        cov, head = cov + [m], (g._with(idx=((j, True), (m, True))),)
+    h, k, l = cov
+    out = [Term(c, head + (g._with(idx=((a, False), (b, False)), deriv=(d,)),))
+           for c, (a, b, d) in ((sp.S.Half, (k, l, h)), (sp.S.Half, (l, h, k)),
+                                (-sp.S.Half, (h, k, l)))]
     for d in deriv:
-        expr = partial(expr, d)
-    return expr
+        out = _leibniz(out, d)
+    return out
+
+
+def ichr1(ctx: TensorContext, cov, deriv=()) -> IndexExpr:
+    """First-kind Christoffel symbol Gamma_hkl expanded into metric
+    derivatives, differentiated by the labels ``deriv`` in turn."""
+    return IndexExpr(_christoffel(ctx, "ichr1", cov, (), deriv, set()))
 
 
 def ichr2(ctx: TensorContext, cov, contra, deriv=()) -> IndexExpr:
-    """Second-kind Christoffel symbol expanded into metric derivatives."""
-    if len(cov) != 2 or len(contra) != 1:
-        raise ValueError("ichr2 takes two covariant and one contravariant index")
-    h, k = (str(x) for x in cov)
-    j = str(contra[0])
-    used = {h, k, j} | {str(d) for d in deriv}
-    (m,) = _fresh_labels(used)
-    expr = IndexExpr.of(iobj(ctx.metric, [f"-{j}", f"-{m}"])) * ichr1(ctx, [h, k, m])
-    for d in deriv:
-        expr = partial(expr, d)
-    return expr
+    """Second-kind Christoffel symbol Gamma_hk^j = g^jm Gamma_hkm expanded
+    as ``ichr1``; m is the first generated label not among the given ones."""
+    return IndexExpr(_christoffel(ctx, "ichr2", cov, contra, deriv, set()))
 
 
 def expand_christoffels(ctx: TensorContext, e) -> IndexExpr:
-    """Replace opaque ichr1/ichr2 symbols by their metric expansions."""
-    e = _as_expr(e)
+    """Replace opaque ichr1/ichr2 symbols by the expansions of ``ichr1`` and
+    ``ichr2``, with generated dummies renamed away from the labels of the
+    term and of the expansions before; an ichr1 with a contravariant slot
+    and an ichr2 not of valence (2, 1) are refused."""
     out = []
-    for term in e.terms:
+    for term in _as_expr(e).terms:
         pieces = [(term.coeff, ())]
         used = {l for f in term.factors for l, _ in f.labels()}
         for f in term.factors:
-            if f.name == "ichr1" and len(f.idx) == 3:
-                sub = ichr1(ctx, [l for l, _ in f.idx], f.deriv)
-            elif f.name == "ichr2" and len(f.idx) == 3:
-                cov = [l for l, up in f.idx if not up]
-                con = [l for l, up in f.idx if up]
-                sub = ichr2(ctx, cov, con, f.deriv)
-            else:
+            if f.name not in ("ichr1", "ichr2") or len(f.idx) != 3:
                 pieces = [(c, fs + (f,)) for c, fs in pieces]
                 continue
-            sub = _refresh_dummies(sub, used)
-            used.update(sub.all_labels())
+            sub = _christoffel(ctx, f.name, f.covariant, f.contravariant,
+                               f.deriv, used)
             pieces = [(c * t.coeff, fs + t.factors)
-                      for c, fs in pieces for t in sub.terms]
+                      for c, fs in pieces for t in sub]
         out += [Term(c, fs) for c, fs in pieces]
-    return IndexExpr(out)
+    # each symbol became terms of its free indices and of fresh dummies
+    return IndexExpr._checked(out)
 
 
 def _refresh_dummies(e, used):

@@ -98,6 +98,43 @@ def test_covdiff_and_expand_christoffels_count_labels_linearly(
     assert counts[12] <= 2.2 * counts[6], counts
 
 
+def test_canform_resolves_symmetries_once_per_shape(monkeypatch, ctx):
+    # six metrics of one name, notation and variance pattern: one lookup
+    declaration_for, calls = TensorContext._declaration_for, [0]
+
+    def counted(self, obj):
+        calls[0] += 1
+        return declaration_for(self, obj)
+
+    monkeypatch.setattr(TensorContext, "_declaration_for", counted)
+    e = IndexExpr.of(*(iobj("g", [f"b{i}", f"a{i}"]) for i in range(6)))
+    out = canform(ctx, e)
+    assert calls[0] == 1
+    assert out == IndexExpr.of(*(iobj("g", [f"a{i}", f"b{i}"])
+                                 for i in range(6)))
+
+
+def test_expand_christoffels_builds_no_expression_per_symbol(
+        monkeypatch, ctx):
+    init, calls = IndexExpr.__init__, [0]
+
+    def counted(self, terms=()):
+        calls[0] += 1
+        init(self, terms)
+
+    counts = {}
+    for n in (1, 3):
+        e = IndexExpr.of(*(iobj("ichr2", [f"a{i}", f"b{i}"], [f"c{i}"],
+                                f"d{i}") for i in range(n)))
+        monkeypatch.setattr(IndexExpr, "__init__", counted)
+        calls[0] = 0
+        out = expand_christoffels(ctx, e)
+        monkeypatch.undo()
+        counts[n] = calls[0]
+        assert len(out.terms) == 6 ** n
+    assert counts[3] == counts[1], counts
+
+
 # ---------------------------------------------------------------------------
 # contraction
 
@@ -186,6 +223,15 @@ def test_sort_group_sign_is_permutation_parity():
     up = ("a", True)
     assert ind._sort_group([b, up, a], "anti")[1] == 0
     assert ind._sort_group([b, up, a], "sym") == ([a, up, b], 1)
+    # two slots, both orders
+    assert ind._sort_group([b, a], "anti") == ([a, b], -1)
+    assert ind._sort_group([a, b], "anti") == ([a, b], 1)
+    assert ind._sort_group([b, a], "sym") == ([a, b], 1)
+    assert ind._sort_group([a, b], "sym") == ([a, b], 1)
+    assert ind._sort_group([up, a], "anti")[1] == 0
+    assert ind._sort_group([a, up], "anti")[1] == 0
+    assert ind._sort_group([up, a], "sym") == ([a, up], 1)
+    assert ind._sort_group([a, up], "sym") == ([a, up], 1)
 
 
 def test_canform_antisymmetric_trace_is_zero(ctx):
@@ -332,6 +378,56 @@ def test_expand_christoffels_renames_clashing_dummies(ctx):
         "ichr2([a,b],[c])*ichr2([c,d],[e])"))
     assert len(out.terms) == 9
     assert out == gamma("a", "b", "c", "%1") * gamma("c", "d", "e", "%2")
+    # two derivative labels: 12 terms in the order of partial's Leibniz rule
+    out = expand_christoffels(ctx, obj("ichr2", ["a", "b"], ["c"], "e", "d"))
+    assert len(out.terms) == 12
+    assert out == ind.partial(ind.partial(gamma("a", "b", "c", "%1"), "d"),
+                              "e")
+    # a generated derivative label is kept as given
+    half = sp.Rational(1, 2)
+    out = expand_christoffels(ctx, obj("ichr1", ["a", "b", "c"], [], "%1"))
+    assert out == (IndexExpr.of(iobj("g", ["b", "c"], [], "a", "%1"),
+                                coeff=half)
+                   + IndexExpr.of(iobj("g", ["c", "a"], [], "b", "%1"),
+                                  coeff=half)
+                   - IndexExpr.of(iobj("g", ["a", "b"], [], "c", "%1"),
+                                  coeff=half))
+    # a traced generated label is renamed away, after the dummy %2
+    out = expand_christoffels(ctx, IndexExpr.of(
+        iobj("ichr2", ["%1", "e"], ["%1"]), iobj("V", ["f"])))
+    assert out == gamma("%3", "e", "%3", "%2") * obj("V", ["f"])
+    # clashing generated labels take fresh ones in the order of their text
+    out = expand_christoffels(ctx, IndexExpr.of(
+        iobj("ichr2", ["%10", "%1"], ["%10"]), iobj("V", ["%2"])))
+    assert out == gamma("%3", "%1", "%3", "%4") * obj("V", ["%2"])
+
+
+def test_expand_christoffels_output_passes_the_checks_it_skips(ctx):
+    # the expansion is built unchecked: each symbol becomes terms of its own
+    # free indices and of generated dummies fresh to the term
+    rng = random.Random(3)
+    for _ in range(300):
+        pool = rng.sample(["a", "b", "c", "d", "e", "%1", "%2", "%3", "%10"], 9)
+        factors = [iobj("V", [pool.pop()])]
+        for _ in range(rng.randint(1, 2)):
+            h, k, j = pool.pop(), pool.pop(), pool.pop()
+            deriv = [pool.pop() for _ in range(rng.randint(0, 1))]
+            if rng.random() < 0.3:
+                factors.append(iobj("ichr1", [h, k, j], [], *deriv))
+                continue
+            j = h if rng.random() < 0.3 else j
+            factors.append(iobj("ichr2", [h, k], [j], *deriv)
+                           if rng.random() < 0.5
+                           else iobj("ichr2", [k, "-" + j, h], [], *deriv))
+        out = expand_christoffels(ctx, IndexExpr.of(*factors))
+        assert IndexExpr(out.terms).terms == out.terms
+
+
+def test_expand_christoffels_refuses_a_contravariant_ichr1_slot(ctx):
+    # its expansion would lower the contravariant slot
+    for e in (obj("ichr1", ["a", "-b", "c"]), obj("ichr1", ["a", "b"], ["c"])):
+        with pytest.raises(ValueError, match="three covariant"):
+            expand_christoffels(ctx, e)
 
 
 def test_contracted_ichr2_collapses_to_metric_derivative(ctx):
