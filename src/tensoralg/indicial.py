@@ -176,11 +176,14 @@ def contravariant_indices(t: IndexedObject):
 
 
 def _label_census(factors):
+    """label -> [covariant count, contravariant count]; a derivative label
+    is covariant."""
     counts = {}
     for f in factors:
-        for label, up in f.labels():
-            c = counts.setdefault(label, [0, 0])
-            c[1 if up else 0] += 1
+        for label, up in f.idx:
+            counts.setdefault(label, [0, 0])[up] += 1
+        for label in f.deriv:
+            counts.setdefault(label, [0, 0])[0] += 1
     return counts
 
 
@@ -556,10 +559,13 @@ def _apply_symmetries(obj, groups):
 def canform(ctx: TensorContext, e) -> IndexExpr:
     """Canonical form: symmetry-sorted slots (with signs), canonically
     renamed dummies, deterministic factor order, merged terms.  A term
-    repeats the three steps, at most 8 times, until none changes it; the
-    symmetry groups of a factor shape are resolved once per call."""
+    repeats the three steps, at most 8 times, until a pass renames no
+    dummy: sorting inside groups and the stable sort by ``sort_key`` are
+    idempotent and the renaming reads only factor order and labels, so a
+    further pass would change nothing.  The symmetry groups of a factor
+    shape are resolved once per call."""
     e = _as_expr(e)
-    shapes, merged = {}, {}
+    shapes, merged, order = {}, {}, {}
     for term in e.terms:
         coeff, factors = term.coeff, list(term.factors)
         groups = [_symmetry_groups(ctx, f, shapes) for f in factors]
@@ -570,45 +576,44 @@ def canform(ctx: TensorContext, e) -> IndexExpr:
         names = _fresh_labels(census.keys() - dummies, len(dummies))
         dead = False
         for _ in range(8):
-            changed = False
             # canonical slot order within each factor
             for i, f in enumerate(factors):
-                f2, s = _apply_symmetries(f, groups[i])
+                factors[i], s = _apply_symmetries(f, groups[i])
                 if s == 0:
                     dead = True
                     break
                 if s == -1:
                     coeff = -coeff
-                if f2 is not f:
-                    factors[i] = f2
-                    changed = True
             if dead:
                 break
-            # deterministic factor order; groups move with their factors
-            new_order = sorted(zip(factors, groups),
-                               key=lambda fg: fg[0].sort_key())
-            if [f for f, _ in new_order] != factors:
-                factors, groups = map(list, zip(*new_order))
-                changed = True
-            # canonical dummy names, assigned left to right
-            if dummies:
-                mapping, fresh = {}, iter(names)
-                for f in factors:
-                    for label, _ in f.labels():
-                        if label in dummies and label not in mapping:
-                            mapping[label] = next(fresh)
-                if any(k != v for k, v in mapping.items()):
-                    factors = [f.rename(mapping) for f in factors]
-                    dummies = set(names)
-                    changed = True
-            if not changed:
+            # deterministic factor order; groups and keys move with factors
+            keys = [f.sort_key() for f in factors]
+            at = sorted(range(len(factors)), key=keys.__getitem__)
+            factors, groups = [factors[i] for i in at], [groups[i] for i in at]
+            keys = [keys[i] for i in at]
+            # canonical dummy names, assigned left to right; a pass that
+            # renames none is the last
+            seen = []
+            for f in factors:
+                seen += [l for l, _ in f.idx if l in dummies]
+                seen += [l for l in f.deriv if l in dummies]
+            seen = list(dict.fromkeys(seen))
+            if seen == names:
                 break
+            mapping = dict(zip(seen, names))
+            factors = [f.rename(mapping) for f in factors]
+            dummies = set(names)
         if dead:
             continue
         key = tuple(factors)
-        merged[key] = merged[key] + coeff if key in merged else coeff
+        if key in merged:
+            merged[key] += coeff
+        else:
+            # the last pass renamed no label, or only generated ones,
+            # which sort_key masks: its keys are this product's
+            merged[key], order[key] = coeff, tuple(keys)
     out = []
-    for key in sorted(merged, key=lambda fs: tuple(f.sort_key() for f in fs)):
+    for key in sorted(merged, key=order.__getitem__):
         coeff = merged[key]
         if coeff.is_Rational:
             if coeff.is_zero:
@@ -951,6 +956,7 @@ def liediff(ctx: TensorContext, e, vname) -> IndexExpr:
 
 
 def _form_degree(ctx, e, operand="form"):
+    """The degree of a sum of forms, None for the zero expression."""
     e = _as_expr(e)
     degree = None
     for term in e.terms:
@@ -972,8 +978,6 @@ def _form_degree(ctx, e, operand="form"):
             if not ok:
                 raise ValueError(
                     f"{f.name} is not declared fully antisymmetric")
-    if degree is None:
-        raise ValueError(f"{operand} is the zero expression; degree unknown")
     return degree
 
 
@@ -989,7 +993,7 @@ def wedge(ctx: TensorContext, a, b) -> IndexExpr:
     a, b = _as_expr(a), _as_expr(b)
     p = _form_degree(ctx, a, "left operand")
     q = _form_degree(ctx, b, "right operand")
-    if ctx.dim is not None and p + q > ctx.dim:
+    if None in (p, q) or ctx.dim is not None and p + q > ctx.dim:
         return IndexExpr()
     norm = (sp.Rational(1, math.factorial(p) * math.factorial(q))
             if ctx.geometric_wedge
@@ -1022,7 +1026,7 @@ def extdiff(ctx: TensorContext, a, label) -> IndexExpr:
     label = str(label)
     if label in a.all_labels():
         raise IndexConflictError(f"index {label!r} already appears in the form")
-    if ctx.dim is not None and p + 1 > ctx.dim:
+    if p is None or ctx.dim is not None and p + 1 > ctx.dim:
         return IndexExpr()
     norm = (sp.Rational(1, math.factorial(p)) if ctx.geometric_wedge
             else sp.Rational(1, math.factorial(p + 1)))
@@ -1043,6 +1047,8 @@ def inner(ctx: TensorContext, vname, a) -> IndexExpr:
     vname = str(vname)
     a = _as_expr(a)
     p = _form_degree(ctx, a, "operand")
+    if p is None:
+        return IndexExpr()
     if p < 1:
         raise ValueError("cannot contract a vector with a 0-form")
     out = []

@@ -275,6 +275,48 @@ def extdiff_reference(ctx, a, label):
 
 
 # ---------------------------------------------------------------------------
+# canonical-form reference
+
+
+def canform_reference(ctx, e):
+    """canform by plain repetition: each term repeats canform's three steps
+    (sort slots inside the declared groups, sort factors stably by
+    ``sort_key``, rename dummies onto fresh generated labels in order of
+    appearance), at most 8 times, until a pass changes nothing; then equal
+    products merge, ordered by their factors' sort keys."""
+    merged, shapes = {}, {}
+    for term in e.terms:
+        coeff, factors = term.coeff, list(term.factors)
+        labels = [l for f in factors for l, _ in f.labels()]
+        dummies = {l for l in labels if labels.count(l) == 2}
+        names = indicial._fresh_labels(set(labels) - dummies, len(dummies))
+        for _ in range(8):
+            old, factors = factors, []
+            for f in old:
+                groups = indicial._symmetry_groups(ctx, f, shapes)
+                f, sign = indicial._apply_symmetries(f, groups)
+                coeff *= sign
+                factors.append(f)
+            if coeff == 0:
+                break
+            factors.sort(key=lambda f: f.sort_key())
+            seen = [l for f in factors for l, _ in f.labels() if l in dummies]
+            factors = [f.rename(dict(zip(dict.fromkeys(seen), names)))
+                       for f in factors]
+            dummies = set(names)
+            if factors == old:
+                break
+        key = tuple(factors)
+        merged[key] = merged.get(key, 0) + coeff
+    out = []
+    for key in sorted(merged, key=lambda fs: [f.sort_key() for f in fs]):
+        coeff = scalars.ratsimp(merged[key])
+        if not scalars.is_zero(coeff):
+            out.append(Term(coeff, key))
+    return IndexExpr(out)
+
+
+# ---------------------------------------------------------------------------
 # numeric Petrov reference
 
 

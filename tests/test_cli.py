@@ -552,6 +552,24 @@ def test_indicial_wedge_flags(capsys):
         "result = a([i],[])*b([j],[]) - a([j],[])*b([i],[])"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--op", "wedge", "--expr", "0", "--with", "b([j],[])"),
+    ("--op", "wedge", "--expr", "b([j],[])", "--with", "0"),
+    ("--op", "extdiff", "--expr", "0", "--wrt", "b"),
+    ("--op", "inner", "--vector", "V", "--expr", "0"),
+])
+def test_indicial_zero_operand_gives_zero(argv, capsys):
+    code, out, err = run_cli("indicial", *argv, capsys=capsys)
+    assert (code, out, err) == (0, "result = 0\n", "")
+
+
+def test_indicial_wedge_with_zero_checks_the_other_operand(capsys):
+    code, out, err = run_cli("indicial", "--op", "wedge", "--expr", "0",
+                             "--with", "T([j,k],[])", capsys=capsys)
+    assert code == 1 and out == ""
+    assert "T is not declared fully antisymmetric" in err
+
+
 def test_indicial_covdiff_torsion_flag(capsys):
     code, out, _ = run_cli("indicial", "--op", "covdiff", "--expr",
                            "X([],[j])", "--wrt", "k", "--torsion",

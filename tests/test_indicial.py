@@ -323,6 +323,29 @@ def test_canform_does_its_bookkeeping_once(monkeypatch, ctx):
                         "*S([%2,%3],[])*W([%4],[])")
 
 
+def test_canform_stops_after_a_pass_that_renames_no_dummy(monkeypatch, ctx):
+    # one _apply_symmetries call per factor and pass
+    ctx.decsym("S", 2, 0, [sym_group()])
+    apply, calls = ind._apply_symmetries, [0]
+
+    def counted(obj, groups):
+        calls[0] += 1
+        return apply(obj, groups)
+
+    monkeypatch.setattr(ind, "_apply_symmetries", counted)
+
+    def passes(text, expected):
+        calls[0] = 0
+        assert str(canform(ctx, parse_tensor_expr(text))) == expected
+        return calls[0] / 2
+
+    # slots and factor order sorted, no dummy: nothing left to confirm
+    assert passes("W([b],[])*S([c,a],[])", "S([a,c],[])*W([b],[])") == 1
+    assert passes("S([a,c],[])*W([b],[])", "S([a,c],[])*W([b],[])") == 1
+    # the dummy e is renamed, so a second pass reads the new names
+    assert passes("W([-e],[])*S([c,e],[])", "S([c,%1],[])*W([-%1],[])") == 2
+
+
 # ---------------------------------------------------------------------------
 # Christoffel symbols
 
@@ -661,6 +684,25 @@ def test_inner_contracts_first_slot():
     assert canform(ctx, out - canform(ctx, expected)).is_zero
 
 
+def test_zero_operand_gives_the_zero_expression():
+    ctx = TensorContext(dim=4)
+    ctx.decsym("B", 2, 0, [anti_group()])
+    ctx.declare_vector("v")
+    b, c = obj("B", ["i", "j"]), obj("B", ["m", "n"])
+    # the empty expression, a scalar 0, and a sum that cancels in canform
+    for zero in (IndexExpr(), 0, c - c):
+        assert wedge(ctx, zero, obj("a", ["k"])).is_zero
+        assert wedge(ctx, b, zero).is_zero
+        assert wedge(ctx, zero, IndexExpr()).is_zero
+        assert extdiff(ctx, zero, "k").is_zero
+        assert inner(ctx, "v", zero).is_zero
+    # the other operand is still checked
+    with pytest.raises(ValueError, match="not declared fully antisymmetric"):
+        wedge(ctx, 0, obj("T", ["i", "j"]))
+    with pytest.raises(ValueError, match="fully covariant"):
+        wedge(ctx, obj("a", ["-k"]), IndexExpr())
+
+
 FORMS = {0: ("f", "h"), 1: ("u", "v"), 2: ("A", "B"), 3: ("C", "D"),
          4: ("E", "G")}
 
@@ -906,3 +948,26 @@ def test_canform_output_passes_the_checks_it_skips(e):
     out = canform(_symmetric_context(), e)
     assert IndexExpr(out.terms).terms == out.terms
     assert IndexExpr((-out).terms).terms == (-out).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tensor_exprs(), _tensor_exprs(["a", "%3", "%12"])))
+# an antisymmetric trace, a dead term beside a live one
+@example(parse_tensor_expr("T([m,-m,-r],[])*S([r,a],[])"
+                           " + 2*S([a,b],[])*W([-b],[])"))
+# legacy slots
+@example(parse_tensor_expr("T([],[d,c])*S([d,c],[])"))
+# a derivative label as a dummy
+@example(parse_tensor_expr("W([-d],[])*S([b,a],[],d)"))
+# free generated labels, which the dummies' new names skip
+@example(IndexExpr.of(iobj("S", ["%3", "-a"]), iobj("T", ["a", "c", "b"]),
+                      iobj("V", ["%2"])))
+@example(IndexExpr.of(iobj("S", ["%1", "-a"]), iobj("W", ["a"])))
+# three passes: the second renames the dummies again
+@example(parse_tensor_expr("T([-a,-d],[],d)*T([e,-e],[])"))
+def test_canform_is_the_fixed_point_of_its_three_steps(e):
+    ctx = _symmetric_context()
+    out = canform(ctx, e)
+    assert str(out) == str(oracles.canform_reference(ctx, e))
+    assert out == oracles.canform_reference(ctx, e)
+    assert canform(ctx, out) == out
