@@ -968,6 +968,5 @@ def test_canform_output_passes_the_checks_it_skips(e):
 def test_canform_is_the_fixed_point_of_its_three_steps(e):
     ctx = _symmetric_context()
     out = canform(ctx, e)
-    assert str(out) == str(oracles.canform_reference(ctx, e))
     assert out == oracles.canform_reference(ctx, e)
     assert canform(ctx, out) == out
