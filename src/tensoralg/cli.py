@@ -205,8 +205,8 @@ def _cmd_indicial(args):
     elif op == "contract":
         result = indicial.contract(ctx, expr)
     elif op == "expand":
-        result = indicial.canform(ctx, indicial.contract(
-            ctx, indicial.expand_christoffels(ctx, expr)))
+        result = indicial.contract(
+            ctx, indicial.expand_christoffels(ctx, expr))
     elif op == "covdiff":
         if not args.wrt:
             raise InputError("covdiff needs --wrt LABEL")

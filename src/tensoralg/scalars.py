@@ -37,7 +37,8 @@ ring operation, and an element becomes an expression once, through the
 form :func:`ratsimp` returns.  Other input (``exp``, ``log``, ``tan``,
 ``tanh``, ``abs``, ``%i``, roots whose squares are dependent but not
 equal) keeps expression trees and the functions below, through
-:data:`TREES`; :func:`ratsimp` and :func:`trigsimp` read no root.
+:data:`TREES`, where :func:`trigsimp` reads each such subexpression as an
+opaque kernel, a generator with no relation, as Maxima's CRE does.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def ratsimp(e: Expr) -> Expr:
     product cancels its gcd as it is formed; its numerator and denominator
     are the pair ``sp.cancel`` gives, so no closing ``cancel`` is needed.
 
-    Here and in :func:`trigsimp` alone, roots are no generators: a root
+    Here roots are no generators, in :func:`trigsimp` opaque ones: a root
     b*sqrt(a/b) would print multiplied out and leave denominators.  Nor are
     ``%i``, ``exp`` (sympy merges ``exp(x)*exp(y)``), ``tan``, ``tanh``,
     ``log``, ``abs`` and kernels of non-polynomial arguments: such an
@@ -576,7 +577,8 @@ class KernelField:
     sympy's order.  :meth:`diff` mirrors :func:`diff`, :meth:`vanishes`
     :func:`vanishes` and :meth:`expr` the form :func:`ratsimp` returns;
     the one normal form, :meth:`ratsimp`, also :meth:`trigsimp`, is
-    :meth:`reduce_trig` of an element (``_reduce_trig_tree`` on trees).
+    :meth:`reduce_trig` of an element, on trees too: there
+    ``_reduce_trig_tree`` adds opaque kernels, with no relation or chain.
 
     A field cancels with no polynomial gcd, as Maxima's ``ratfac`` keeps a
     CRE partly factored.  Its factor base holds irreducible primitive
@@ -614,8 +616,11 @@ class KernelField:
         self._base, self._split_memo = [], {}
         self._points = [[13 + 19 * i for i in range(len(gens))],
                         [47 + 23 * i for i in range(len(gens))]]
-        # radicand expression -> its root as _pair gives it
-        self._roots = {}
+        # radicand expression -> its root as _pair gives it; a generator
+        # sqrt(b) is read for each b^(k/2)
+        self._roots = {g.base: (gen, 1, _NO_FACTORS)
+                       for g, gen in self._gens.items()
+                       if g.is_Pow and g.exp == sp.S.Half}
         # expression -> what _pair gives it, each read once per field
         self._reads = {}
         index = {g: i for i, g in enumerate(gens)}
@@ -631,7 +636,7 @@ class KernelField:
             if g in roots:
                 self._radicals.append((i, self._pair(roots[g])[0]))
                 continue
-            if g.is_Symbol:
+            if g.func not in _PARTNERS:
                 continue
             partner, sign = _PARTNERS[g.func]
             j = index[partner(g.args[0])]
@@ -1180,11 +1185,12 @@ def trigsimp(e: Expr) -> Expr:
 
     Only sin^2 -> 1 - cos^2 and cosh^2 -> 1 + sinh^2 are used; denominators
     holding odd powers of the eliminated kernels are rationalized so the
-    substitution reaches them too.  A number is returned as it is, and
-    other input is read as :func:`ratsimp` reads it, with no root.
+    substitution reaches them too, but for the powers of a root of sin or
+    cosh that sympy evaluates as it prints a tree: sqrt(cosh(x))^6 is
+    cosh(x)^3.  An atom is returned as it is.
     """
     e = sp.sympify(e)
-    if e.is_Number:
+    if e.is_Atom:
         return e
     found = _generators([e]) is not None and in_field([e])
     if not found:
@@ -1194,66 +1200,35 @@ def trigsimp(e: Expr) -> Expr:
 
 
 def _reduce_trig_tree(e):
-    """:func:`trigsimp` on expression trees, from the :func:`ratsimp` form."""
-    num, den = e.as_numer_denom()
-    num, den = _reduce_even_trig(num), _reduce_even_trig(den)
-    for _ in range(16):
-        kernels = _odd_kernels(den)
-        if not kernels:
-            break
-        k = kernels[0]
-        rest, linear = _split_linear(den, k)
-        # den = rest + linear*k; multiply by the conjugate (or by k itself
-        # when the kernel-free part vanishes) to clear k from the denominator.
-        multiplier = k if rest == 0 else rest - linear * k
-        num = _reduce_even_trig(num * multiplier)
-        den = _reduce_even_trig(den * multiplier)
-    return ratsimp(num / den)
+    """:func:`trigsimp` on trees, from the :func:`ratsimp` form, in the
+    :class:`KernelField` of the :func:`_tree_kernels` of ``e`` once their
+    arguments are reduced, sqrt(b) read for each b^(k/2), and printed
+    through :func:`ratsimp`, where sympy evaluates %i^2, root squares and
+    exp products.  The field lives here alone: its ``vanishes`` would be
+    wrong, as exp(x) and exp(2*x) are dependent."""
+    e = e.xreplace({n: n.func(*map(trigsimp, n.args))
+                    for n in _tree_kernels(e) if n.args})
+    K = KernelField(_ordered(
+        {sp.sqrt(n.base) if n.is_Pow and n.exp.is_Rational and n.exp.q == 2
+         else n for n in _tree_kernels(e)}))
+    return ratsimp(K.expr(K.reduce_trig(K.element(e))))
 
 
-def _reduce_even_trig(poly):
-    """sin(u)^2 -> 1 - cos(u)^2 and cosh(u)^2 -> 1 + sinh(u)^2, exhaustively."""
-    def rewrite(p):
-        base, ex = p.args
-        half = ex // 2
-        if base.func is sp.sin:
-            return (1 - sp.cos(base.args[0]) ** 2) ** half * base ** (ex - 2 * half)
-        return (1 + sp.sinh(base.args[0]) ** 2) ** half * base ** (ex - 2 * half)
-
-    def wants(p):
-        return (p.is_Pow and p.exp.is_Integer and p.exp >= 2
-                and p.base.func in (sp.sin, sp.cosh))
-
-    poly = sp.expand(poly)
-    while True:
-        new = sp.expand(poly.replace(wants, rewrite))
-        if new == poly:
-            return new
-        poly = new
-
-
-def _odd_kernels(poly):
-    """Kernels sin(u)/cosh(u) occurring to an odd power somewhere in poly."""
-    found = []
-    for p in sp.Add.make_args(sp.expand(poly)):
-        for factor in sp.Mul.make_args(p):
-            base, ex = factor.as_base_exp()
-            if base.func in (sp.sin, sp.cosh) and ex.is_Integer and ex % 2 == 1:
-                if base not in found:
-                    found.append(base)
+def _tree_kernels(e):
+    """The symbols of ``e``, its sin/cos/sinh/cosh kernels with their
+    partners and the nodes of their arguments, and its other nodes that are
+    no rational function of these: opaque kernels, with no relation."""
+    found, stack = set(), [e]
+    while stack:
+        node = stack.pop()
+        if node.is_Add or node.is_Mul or node.is_Pow and node.exp.is_Integer:
+            stack.extend(node.args)
+        elif node.func in _PARTNERS:
+            found.update((node, _PARTNERS[node.func][0](*node.args)))
+            stack.extend(node.args)
+        elif not node.is_Rational:
+            found.add(node)
     return found
-
-
-def _split_linear(poly, kernel):
-    """Write poly = rest + linear*kernel (kernel appears at most linearly)."""
-    rest, linear = sp.S.Zero, sp.S.Zero
-    for term in sp.Add.make_args(sp.expand(poly)):
-        factors = sp.Mul.make_args(term)
-        if kernel in factors:
-            linear += sp.Mul(*[f for f in factors if f != kernel])
-        else:
-            rest += term
-    return rest, linear
 
 
 class UnclassifiableError(ValueError):

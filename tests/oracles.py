@@ -317,6 +317,83 @@ def canform_reference(ctx, e):
 
 
 # ---------------------------------------------------------------------------
+# Pythagorean reduction on expression trees
+
+
+#: The tree simplifiers of ``scalars``, which a stage computed in a kernel
+#: field never calls; guards count each call to them.
+TREE_SIMPLIFIERS = ("ratsimp", "trigsimp", "_reduce_trig_tree")
+
+
+def reduce_trig_reference(e):
+    """``trigsimp`` on expression trees, from the ``ratsimp`` form, by
+    rewriting: sin^2 and cosh^2 replaced by ``replace`` and ``sp.expand``,
+    and odd kernels cleared from the denominator by conjugates, up to 16
+    rounds.  The tree reduction of ``scalars`` before it read trees into a
+    kernel field with opaque kernels; no oracle, as it shares ``ratsimp``
+    with the code under test, but the record of the old printed forms."""
+    num, den = e.as_numer_denom()
+    num, den = _reduce_even_trig(num), _reduce_even_trig(den)
+    for _ in range(16):
+        kernels = _odd_kernels(den)
+        if not kernels:
+            break
+        k = kernels[0]
+        rest, linear = _split_linear(den, k)
+        # den = rest + linear*k; multiply by the conjugate (or by k itself
+        # when the kernel-free part vanishes) to clear k from the denominator.
+        multiplier = k if rest == 0 else rest - linear * k
+        num = _reduce_even_trig(num * multiplier)
+        den = _reduce_even_trig(den * multiplier)
+    return scalars.ratsimp(num / den)
+
+
+def _reduce_even_trig(poly):
+    """sin(u)^2 -> 1 - cos(u)^2 and cosh(u)^2 -> 1 + sinh(u)^2, exhaustively."""
+    def rewrite(p):
+        base, ex = p.args
+        half = ex // 2
+        if base.func is sp.sin:
+            return (1 - sp.cos(base.args[0]) ** 2) ** half * base ** (ex - 2 * half)
+        return (1 + sp.sinh(base.args[0]) ** 2) ** half * base ** (ex - 2 * half)
+
+    def wants(p):
+        return (p.is_Pow and p.exp.is_Integer and p.exp >= 2
+                and p.base.func in (sp.sin, sp.cosh))
+
+    poly = sp.expand(poly)
+    while True:
+        new = sp.expand(poly.replace(wants, rewrite))
+        if new == poly:
+            return new
+        poly = new
+
+
+def _odd_kernels(poly):
+    """Kernels sin(u)/cosh(u) occurring to an odd power somewhere in poly."""
+    found = []
+    for p in sp.Add.make_args(sp.expand(poly)):
+        for factor in sp.Mul.make_args(p):
+            base, ex = factor.as_base_exp()
+            if base.func in (sp.sin, sp.cosh) and ex.is_Integer and ex % 2 == 1:
+                if base not in found:
+                    found.append(base)
+    return found
+
+
+def _split_linear(poly, kernel):
+    """Write poly = rest + linear*kernel (kernel appears at most linearly)."""
+    rest, linear = sp.S.Zero, sp.S.Zero
+    for term in sp.Add.make_args(sp.expand(poly)):
+        factors = sp.Mul.make_args(term)
+        if kernel in factors:
+            linear += sp.Mul(*[f for f in factors if f != kernel])
+        else:
+            rest += term
+    return rest, linear
+
+
+# ---------------------------------------------------------------------------
 # numeric Petrov reference
 
 
