@@ -13,6 +13,9 @@ of seeded index operations and algebra words, compared byte for byte with
 ``tests/golden/indicial_ops.txt`` so that a change of any printed form shows.
 :data:`CLI_GOLDENS` records the commands whose output the JSON files under
 ``tests/golden`` hold, and :func:`write_cli_goldens` rewrites them.
+:func:`reduce_trig_reference` is no oracle either: it keeps the rewriting
+that tree ``trigsimp`` did before it reduced in a kernel field, as the
+reference of its printed forms.
 """
 
 from __future__ import annotations
@@ -329,9 +332,7 @@ def reduce_trig_reference(e):
     """``trigsimp`` on expression trees, from the ``ratsimp`` form, by
     rewriting: sin^2 and cosh^2 replaced by ``replace`` and ``sp.expand``,
     and odd kernels cleared from the denominator by conjugates, up to 16
-    rounds.  The tree reduction of ``scalars`` before it read trees into a
-    kernel field with opaque kernels; no oracle, as it shares ``ratsimp``
-    with the code under test, but the record of the old printed forms."""
+    rounds."""
     num, den = e.as_numer_denom()
     num, den = _reduce_even_trig(num), _reduce_even_trig(den)
     for _ in range(16):

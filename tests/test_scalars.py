@@ -396,7 +396,7 @@ def _opaque_exprs(max_leaves=4):
     return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
-def _roots(e):
+def _half_powers(e):
     return [n for n in sp.preorder_traversal(e)
             if n.is_Pow and n.exp.is_Rational and n.exp.q == 2]
 
@@ -410,7 +410,7 @@ def test_tree_reduce_trig_with_opaque_kernels_matches_the_reference(e):
     # side, a form of the same value
     assume(not e.is_Number and not e.has(sp.zoo, sp.nan, sp.oo))
     out, reference = trigsimp(e), oracles.reduce_trig_reference(ratsimp(e))
-    roots = _roots(e)
+    roots = _half_powers(e)
     if not roots:
         assert render(out) == render(reference)
     else:
